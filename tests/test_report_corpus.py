@@ -1,0 +1,70 @@
+"""Byte-for-byte regression test of CLI reports on a fixed corpus.
+
+Each case is one ``galmax`` command line; its expected stdout is stored in
+``tests/corpus/<slug>.txt``.  A refactoring that is meant to keep behaviour
+must keep every report identical.  When a change alters a report on purpose,
+regenerate the corpus and review the diff:
+
+    PYTHONPATH=src python tests/test_report_corpus.py --regenerate
+"""
+import contextlib
+import io
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from galmax import cli
+
+CORPUS = Path(__file__).resolve().parent / "corpus"
+
+CASES = [
+    ["certify", "--curve", "1,1", "--prime-bound", "500", "--l-max", "13"],
+    ["certify", "--curve=-3,1", "--prime-bound", "500", "--l-max", "13"],
+    ["certify", "--curve", "0,1", "--prime-bound", "500", "--l-max", "13"],
+    ["certify", "--curve", "1/4,1/8", "--prime-bound", "500", "--l-max", "13"],
+    ["certify", "--curve", "2,-1", "--prime-bound", "2000", "--l-max", "37"],
+    ["certify", "--curve", "[0,1296],[0,0,11664]", "--field", "f=[1,1,0,1]"],
+    ["certify", "--curve", "[1,1],[1,0]", "--field", "f=[-2,0,1]", "--prime-bound", "2000", "--l-max", "13"],
+    ["serre-scan", "--x", "5,10"],
+    ["serre-scan", "--x", "5,10", "--check", "mod-ell", "--ell", "7"],
+    ["serre-scan", "--x", "5,10,20", "--check", "disc-square"],
+    ["group-audit", "--m", "4", "--trials", "20"],
+    ["group-audit", "--m", "5", "--trials", "20"],
+    ["group-audit", "--m", "8", "--trials", "20"],
+    ["group-audit", "--m", "9", "--trials", "20"],
+    ["group-audit", "--m", "12", "--trials", "20"],
+    ["omega-dist", "--p", "101,199"],
+    ["omega-dist", "--p", "101", "--format", "csv"],
+    ["weil-count", "--p", "13,29,53", "--r", "2"],
+    ["sieve-bound", "--Q", "30", "--omega", "2=1/2,3=1/3,5=1/4", "--x", "100"],
+]
+
+
+def slug(argv: list[str]) -> str:
+    """File-name stem of a case; a minus sign before a digit becomes m."""
+    text = re.sub(r"(?<![A-Za-z])-(?=\d)", "m", " ".join(argv).replace("--", " "))
+    return re.sub(r"[^A-Za-z0-9]+", "_", text).strip("_")
+
+
+def report_bytes(argv: list[str]) -> bytes:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(list(argv))
+    assert code == 0, argv
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("argv", CASES, ids=slug)
+def test_report_matches_corpus(argv):
+    expected = (CORPUS / f"{slug(argv)}.txt").read_bytes()
+    assert report_bytes(argv) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regenerate"]:
+        sys.exit(__doc__)
+    CORPUS.mkdir(exist_ok=True)
+    for argv in CASES:
+        (CORPUS / f"{slug(argv)}.txt").write_bytes(report_bytes(argv))
