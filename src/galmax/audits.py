@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import modgroup as mg
+from . import nt
 from .errors import InvalidInputError, ResourceCapError
 from .subgroups import LATTICE_ORDER_CAP, SmallGroupTable
 
@@ -69,13 +70,13 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
     of GL2(F_3), of order 16, meets all three determinant-2 classes without
     containing SL2(F_3).  See tests for that boundary case.
     """
+    if m < 2:
+        raise InvalidInputError(f"coverage audit needs a modulus m >= 2, got {m}")
     if mode is None:
         mode = "exhaustive" if m in EXHAUSTIVE_COVERAGE_MODULI else "randomized"
-    dets = [d for d in range(1, m) if math.gcd(d, m) == 1] if (_is_prime(m) and m >= 5) else [1]
-    if m == 1:
-        dets = [0]
+    dets = [d for d in range(1, m) if math.gcd(d, m) == 1] if (nt.is_prime(m) and m >= 5) else [1]
     class_sets = {
-        d: [frozenset(c.member_codes) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets if m > 1
+        d: [frozenset(c.member_codes) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets
     }
     sl2_codes = set(int(c) for c in mg.enumerate_group(m, "SL2").code_array())
     report = AuditReport(
@@ -126,7 +127,7 @@ def reduction_lemma_audit(
     ell: int, n: int, mode: str | None = None, trials: int = 1000, seed: int = 0
 ) -> AuditReport:
     """Surjectivity mod l (l >= 5) or mod l^2 lifts to all of SL2(Z/l^n)."""
-    if not _is_prime(ell) or n < 1:
+    if not nt.is_prime(ell) or n < 1:
         raise InvalidInputError("need a prime ell and level n >= 1")
     modulus = ell**n
     if modulus > mg.SL2_MODULUS_CAP:
@@ -305,8 +306,3 @@ def _crt2(am: int, m: int, an: int, n: int) -> int:
     inv = pow(m, -1, n)
     return (am + m * ((an - am) * inv % n)) % (m * n)
 
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    return all(x % p for p in range(2, math.isqrt(x) + 1))

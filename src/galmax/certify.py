@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
-from . import ecff, modgroup, nt, numfield
+from . import ecff, nt, numfield
 from .errors import InvalidInputError
 from .subgroups import subgroup_signature_table
 from .verdict import Verdict, certified, inconclusive, obstruction
@@ -164,7 +164,7 @@ def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
     u = t^2/d outside {0, 1, 2, 4} and u^2 - 3u + 1 != 0, has projective
     order > 5 and escapes the exceptional groups.
     """
-    if ell < 5 or not _is_prime(ell):
+    if ell < 5 or not nt.is_prime(ell):
         raise InvalidInputError("certify_mod_ell needs a prime l >= 5")
     wit_split = wit_nonsplit = wit_order = None
     for s in sigs:
@@ -430,10 +430,12 @@ def certify_maximal(
     or cbrt(Delta) not cyclotomic.
     """
     if curve.is_rational:
-        verdict = modgroup.assemble_maximality({}, inconclusive(), inconclusive(),
-                                               modgroup.MaximalityTarget("rationals"))
         return MaximalityReport(
-            verdict=verdict,
+            verdict=obstruction(
+                "k = Q",
+                reason="over Q every abelian extension is cyclotomic, so sqrt(disc) "
+                "always lies in the cyclotomic closure and the image index is >= 2",
+            ),
             statement="not maximal over Q (discriminant entanglement is unavoidable)",
             conditions={"a": {}, "b": {}, "c": inconclusive(), "d": inconclusive()},
             field_certificate=inconclusive(),
@@ -455,7 +457,7 @@ def certify_maximal(
     field_cert = numfield.cyclotomic_intersection_certificate(K)
     per_m = dict(cond_b)
     per_m.update(cond_a)
-    final = modgroup.assemble_maximality(per_m, cond_c, cond_d, modgroup.MaximalityTarget("monogenic"))
+    final = assemble_maximality(per_m, cond_c, cond_d)
     if final.is_certified and field_cert.is_certified:
         statement = "image is all of GL2(Zhat) (maximal, and the field is linearly disjoint from Q^cyc)"
     elif final.is_certified:
@@ -470,6 +472,44 @@ def certify_maximal(
         params=params,
         curve=(curve.a, curve.b),
         field=K.coeffs,
+    )
+
+
+def assemble_maximality(per_m: Mapping[int, Verdict], disc_sqrt: Verdict, disc_cbrt_or_mu3: Verdict) -> Verdict:
+    """Combine the per-level verdicts over a monogenic field into the overall
+    maximal-image verdict.
+
+    The required levels are 4, 9 and every prime from 5 up to the largest
+    prime present.  Certification needs every input certified; any certified
+    obstruction dominates; otherwise the result is inconclusive.
+    """
+    levels = sorted(per_m)
+    if 4 not in levels or 9 not in levels:
+        raise InvalidInputError("per-level verdicts must cover m = 4 and m = 9")
+    primes_present = [m for m in levels if m not in (4, 9)]
+    if not primes_present:
+        raise InvalidInputError("per-level verdicts must cover the primes 5..l_max")
+    l_max = max(primes_present)
+    expected = [p for p in range(5, l_max + 1) if nt.is_prime(p)]
+    missing = [p for p in expected if p not in per_m]
+    if missing:
+        raise InvalidInputError(f"missing per-prime verdicts for {missing}")
+    for p in primes_present:
+        if p not in expected:
+            raise InvalidInputError(f"unexpected level {p} in per-level verdicts")
+
+    parts = dict(per_m)
+    parts["sqrt-disc"] = disc_sqrt
+    parts["cbrt-disc-or-mu3"] = disc_cbrt_or_mu3
+    bad = [k for k, v in parts.items() if v.is_obstruction]
+    if bad:
+        return obstruction(*[f"obstruction at {k}" for k in bad], levels=levels)
+    pending = [k for k, v in parts.items() if v.is_inconclusive]
+    if pending:
+        return inconclusive(unresolved=[str(k) for k in pending], levels=levels)
+    return certified(
+        f"levels 4, 9 and primes 5..{l_max} certified; discriminant root conditions certified",
+        l_max=l_max,
     )
 
 
@@ -495,6 +535,3 @@ def height_logj_or_zero(curve) -> float:
 def _primes_in(lo: int, hi: int) -> list[int]:
     return [p for p in nt.primes_up_to(hi) if p >= lo]
 
-
-def _is_prime(x: int) -> bool:
-    return x >= 2 and all(x % p for p in range(2, math.isqrt(x) + 1))

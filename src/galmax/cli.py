@@ -164,23 +164,32 @@ def _run_certify(args) -> dict:
         report = certify.certify_maximal(curve, K, params)
         return report.to_json()
     a_str, b_str = args.curve.split(",")
-    curve = ecff.validate(Fraction(a_str), Fraction(b_str))
+    curve = ecff.validate(_fraction(a_str), _fraction(b_str))
     report = certify.serre_check(curve, params)
     return report.to_json()
+
+
+def _fraction(value) -> Fraction:
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidInputError(f"not a rational number: {value!r}") from None
 
 
 def _parse_field(text: str) -> numfield.MonogenicField:
     if text.startswith("f="):
         text = text[2:]
     coeffs = json.loads(text)
+    if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
+        raise InvalidInputError("field polynomial must be a list of integers, e.g. f=[1,1,0,1]")
     return numfield.MonogenicField(coeffs)
 
 
 def _parse_field_curve(text: str, K: numfield.MonogenicField):
     lists = json.loads(f"[{text}]")
-    if len(lists) != 2:
+    if len(lists) != 2 or not all(isinstance(v, list) for v in lists):
         raise InvalidInputError("field curve needs two coefficient lists, e.g. [0,1296],[0,0,11664]")
-    return K.elem(lists[0]), K.elem(lists[1])
+    return tuple(K.elem([_fraction(c) for c in v]) for v in lists)
 
 
 def _run_sieve_bound(args) -> dict:
@@ -188,7 +197,7 @@ def _run_sieve_bound(args) -> dict:
     if args.omega:
         for part in args.omega.split(","):
             key, _, val = part.partition("=")
-            omega[int(key)] = Fraction(val)
+            omega[int(key)] = _fraction(val)
     L, bound = sieve.sieve_bound(omega, args.Q, x=args.x, degree=args.degree, rank=args.rank)
     return {
         "params": {"Q": args.Q, "omega": {str(k): str(v) for k, v in omega.items()},

@@ -112,8 +112,8 @@ def _divide(num, den):
 
 
 def _check_p(p: int):
-    if p < 5:
-        raise InvalidInputError(f"prime fields require p >= 5, got {p}")
+    if p < 5 or not nt.is_prime(p):
+        raise InvalidInputError(f"prime fields require a prime p >= 5, got {p}")
 
 
 @lru_cache(maxsize=64)
@@ -188,14 +188,22 @@ def psi3_type(p: int, a: int, b: int) -> tuple[tuple[int, ...], bool]:
         return (3, 1), has_point
     if n_roots != 0:
         raise AssertionError("separable quartic cannot have exactly 3 roots")
-    # rootless: either irreducible or a product of two irreducible quadratics;
-    # all factors have degree dividing 2 iff x^(p^2) = x mod psi3
+    # rootless: either irreducible or a product of two irreducible quadratics
+    return ((2, 2) if psi3_splits_over_fp2(p, a, b) else (4,)), False
+
+
+def psi3_splits_over_fp2(p: int, a, b):
+    """Whether x^(p^2) = x modulo the monic 3-division quartic
+    x^4 + 2a x^2 + 4b x - a^2/3 over F_p, i.e. whether every irreducible
+    factor of psi3 has degree 1 or 2.
+
+    a and b are reduced mod p and are either Python ints (returns a bool) or
+    equal-length int64 arrays (returns a bool array, one entry per curve).
+    """
     inv3 = pow(3, -1, p)
     mod_poly = [(-a * a) * inv3 % p, 12 * b * inv3 % p, 6 * a * inv3 % p, 0, 1]
-    xp2 = nt.x_pow_mod(p * p, mod_poly, p)
-    if xp2 == [0, 1, 0, 0]:
-        return (2, 2), False
-    return (4,), False
+    c0, c1, c2, c3 = nt.x_pow_mod(p * p, mod_poly, p)
+    return (c0 == 0) & (c1 == 1) & (c2 == 0) & (c3 == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +310,8 @@ def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
     """#{(a, b): Delta_{a,b} nonzero and equal to gamma * c^r for some unit c},
     together with the normalized deviation |count - p^2/r| / p^(3/2)."""
     _check_p(p)
+    if r < 1:
+        raise InvalidInputError(f"r must be >= 1, got {r}")
     if (p - 1) % r != 0:
         raise InvalidInputError(f"need p = 1 mod r, got p={p}, r={r}")
     gamma %= p
@@ -333,7 +343,7 @@ def batch_curve_data(p: int, A: np.ndarray, B: np.ndarray):
 
     Returns (ap, cubic_roots, psi3_roots, psi3_point_flag) arrays; callers
     must pre-filter curves with p | Delta.  Rootless quartics still need the
-    per-curve irreducibility split (see rootless_quartic_pattern).
+    irreducibility split (see psi3_splits_over_fp2).
     """
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
@@ -356,14 +366,6 @@ def batch_curve_data(p: int, A: np.ndarray, B: np.ndarray):
         psi3_roots += q_root
         psi3_flag |= q_root & (cv == 1)
     return ap, cubic_roots, psi3_roots, psi3_flag
-
-
-def rootless_quartic_pattern(p: int, a: int, b: int) -> tuple[int, ...]:
-    """(2, 2) or (4,) for a rootless 3-division quartic."""
-    inv3 = pow(3, -1, p)
-    mod_poly = [(-a * a) * inv3 % p, 12 * b * inv3 % p, 6 * a * inv3 % p, 0, 1]
-    xp2 = nt.x_pow_mod(p * p, mod_poly, p)
-    return (2, 2) if xp2 == [0, 1, 0, 0] else (4,)
 
 
 CUBIC_PATTERN_BY_ROOTS = {0: (3,), 1: (2, 1), 3: (1, 1, 1)}

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
+from . import nt
 from .errors import InvalidInputError, ResourceCapError
-from .verdict import INCONCLUSIVE, OBSTRUCTION, Verdict, certified, inconclusive, obstruction
 
 Ambient = Literal["SL2", "GL2"]
 
@@ -129,19 +129,6 @@ def conj_codes(g: MatModM, codes: np.ndarray) -> np.ndarray:
     return mul_codes(mul_codes_left(g, codes), g.inv())
 
 
-def mul_code_arrays(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Elementwise product of two equal-length code arrays."""
-    xa, xb, xc, xd = decode(x, m)
-    ya, yb, yc, yd = decode(y, m)
-    return encode(
-        (xa * ya + xb * yc) % m,
-        (xa * yb + xb * yd) % m,
-        (xc * ya + xd * yc) % m,
-        (xc * yb + xd * yd) % m,
-        m,
-    )
-
-
 def det_of_codes(codes: np.ndarray, m: int) -> np.ndarray:
     a, b, c, d = decode(codes, m)
     return (a * d - b * c) % m
@@ -198,7 +185,7 @@ def sl2_order(m: int) -> int:
     if m == 1:
         return 1
     n = m**3
-    for p in _prime_divisors(m):
+    for p in nt.prime_divisors(m):
         n = n // (p * p) * (p * p - 1)
     return n
 
@@ -207,28 +194,7 @@ def gl2_order(m: int) -> int:
     """|GL2(Z/mZ)| = phi(m) * |SL2(Z/mZ)| (determinant is onto the units)."""
     if m == 1:
         return 1
-    return _phi(m) * sl2_order(m)
-
-
-def _prime_divisors(m: int) -> list[int]:
-    out = []
-    n, p = m, 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _phi(m: int) -> int:
-    n = m
-    for p in _prime_divisors(m):
-        n = n // p * (p - 1)
-    return n
+    return nt.euler_phi(m) * sl2_order(m)
 
 
 def sl2_generators(m: int) -> list[MatModM]:
@@ -275,10 +241,6 @@ class SubgroupHandle:
 
     def __contains__(self, g: MatModM) -> bool:
         return g.m == self.m and _bisect_contains(self.codes, g.code())
-
-    def contains_codes(self, codes: Iterable[int]) -> bool:
-        s = set(self.codes)
-        return all(c in s for c in codes)
 
     def to_json(self) -> dict:
         return {
@@ -348,12 +310,6 @@ def closure(m: int, gens: Iterable[MatModM | Sequence[int]]) -> SubgroupHandle:
         raise ResourceCapError(f"modulus {m} exceeds closure cap {SL2_MODULUS_CAP}")
     codes = closure_codes(m, [g.code() for g in mats])
     return _handle_from_codes(m, mats, codes)
-
-
-def is_subgroup_of(inner: SubgroupHandle, outer: SubgroupHandle) -> bool:
-    if inner.m != outer.m:
-        return False
-    return set(inner.codes) <= set(outer.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -556,84 +512,3 @@ def meets_all_classes_with_det(H: SubgroupHandle, d: int) -> CoverageResult:
         if members.isdisjoint(cl.member_codes):
             return CoverageResult(False, cl, len(classes))
     return CoverageResult(True, None, len(classes))
-
-
-# ---------------------------------------------------------------------------
-# maximality verdict assembly
-
-
-@dataclass(frozen=True)
-class MaximalityTarget:
-    """What 'maximal image' means for the base field at hand.
-
-    Over the rationals the determinant image is all of the units but the
-    quadratic discriminant entanglement always obstructs; over a bigger field
-    the target is the full determinant-compatible group.
-    """
-
-    field_kind: Literal["rationals", "monogenic"]
-    allowed_det_description: str = "full"
-
-    def __post_init__(self):
-        if self.field_kind == "rationals" and self.allowed_det_description != "full":
-            raise InvalidInputError("over the rationals the cyclotomic character is onto the units")
-
-
-def assemble_maximality(
-    per_m: Mapping[int, Verdict],
-    disc_sqrt: Verdict,
-    disc_cbrt_or_mu3: Verdict,
-    target: MaximalityTarget,
-) -> Verdict:
-    """Combine per-level verdicts into the overall maximal-image verdict.
-
-    The required levels are 4, 9 and every prime from 5 up to the largest
-    prime present.  Certification needs every input certified; any certified
-    obstruction dominates; otherwise the result is inconclusive.  Over the
-    rationals the answer is always an obstruction: the square root of the
-    discriminant lies in a cyclotomic field, so the quadratic condition can
-    never hold.
-    """
-    if target.field_kind == "rationals":
-        return obstruction(
-            "k = Q",
-            reason="over Q every abelian extension is cyclotomic, so sqrt(disc) "
-            "always lies in the cyclotomic closure and the image index is >= 2",
-        )
-    levels = sorted(per_m)
-    if 4 not in levels or 9 not in levels:
-        raise InvalidInputError("per-level verdicts must cover m = 4 and m = 9")
-    primes_present = [m for m in levels if m not in (4, 9)]
-    if not primes_present:
-        raise InvalidInputError("per-level verdicts must cover the primes 5..l_max")
-    l_max = max(primes_present)
-    expected = [p for p in range(5, l_max + 1) if _is_prime(p)]
-    missing = [p for p in expected if p not in per_m]
-    if missing:
-        raise InvalidInputError(f"missing per-prime verdicts for {missing}")
-    for p in primes_present:
-        if p not in expected:
-            raise InvalidInputError(f"unexpected level {p} in per-level verdicts")
-
-    parts = dict(per_m)
-    parts["sqrt-disc"] = disc_sqrt
-    parts["cbrt-disc-or-mu3"] = disc_cbrt_or_mu3
-    bad = [k for k, v in parts.items() if v.status == OBSTRUCTION]
-    if bad:
-        return obstruction(*[f"obstruction at {k}" for k in bad], levels=levels)
-    pending = [k for k, v in parts.items() if v.status == INCONCLUSIVE]
-    if pending:
-        return inconclusive(unresolved=[str(k) for k in pending], levels=levels)
-    return certified(
-        f"levels 4, 9 and primes 5..{l_max} certified; discriminant root conditions certified",
-        l_max=l_max,
-    )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in range(2, math.isqrt(n) + 1):
-        if n % p == 0:
-            return False
-    return True

@@ -5,7 +5,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import sympy
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -48,6 +47,8 @@ def kronecker(d: int, n: int) -> int:
     dd = d % n
     if dd == 0:
         return 0
+    import sympy
+
     return result * int(sympy.jacobi_symbol(dd, n))
 
 
@@ -60,38 +61,70 @@ def is_perfect_square(n: int) -> bool:
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| (delegates to sympy)."""
+    import sympy
+
     return {int(p): int(e) for p, e in sympy.factorint(abs(n)).items()}
 
 
-def unit_residues(m: int) -> list[int]:
-    return [u for u in range(m) if math.gcd(u, m) == 1]
+def is_prime(n: int) -> bool:
+    """Primality: trial division for n < 2^32, sympy's isprime above that."""
+    if n >= 1 << 32:
+        import sympy
+
+        return bool(sympy.isprime(n))
+    if n < 4:
+        return n >= 2
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    for q in range(5, math.isqrt(n) + 1, 6):
+        if n % q == 0 or n % (q + 2) == 0:
+            return False
+    return True
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending."""
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def euler_phi(m: int) -> int:
-    return len(unit_residues(m)) if m < 10**4 else int(sympy.totient(m))
+    for q in prime_divisors(m):
+        m = m // q * (q - 1)
+    return m
 
 
-def poly_mulmod(f: list[int], g: list[int], mod_poly: list[int], p: int) -> list[int]:
-    """Product of f and g modulo (mod_poly, p); mod_poly monic, little-endian."""
+def poly_mulmod(f: list, g: list, mod_poly: list, p: int) -> list:
+    """Product of f and g modulo (mod_poly, p); mod_poly monic, little-endian.
+
+    Runs elementwise: each coefficient may be a Python int or an int64 array
+    (all arrays of one length), so one call reduces many polynomials at once.
+    """
     prod = [0] * (len(f) + len(g) - 1)
     for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                prod[i + j] = (prod[i + j] + fi * gj) % p
+        for j, gj in enumerate(g):
+            prod[i + j] = (prod[i + j] + fi * gj) % p
     d = len(mod_poly) - 1
     for i in range(len(prod) - 1, d - 1, -1):
         c = prod[i]
-        if c:
-            shift = i - d
-            for j in range(d):
-                prod[shift + j] = (prod[shift + j] - c * mod_poly[j]) % p
-            prod[i] = 0
+        shift = i - d
+        for j in range(d):
+            prod[shift + j] = (prod[shift + j] - c * mod_poly[j]) % p
     out = [c % p for c in prod[:d]]
     return out + [0] * (d - len(out))
 
 
-def x_pow_mod(e: int, mod_poly: list[int], p: int) -> list[int]:
-    """x^e modulo (mod_poly, p)."""
+def x_pow_mod(e: int, mod_poly: list, p: int) -> list:
+    """x^e modulo (mod_poly, p), elementwise like poly_mulmod."""
     d = len(mod_poly) - 1
     result = [1] + [0] * (d - 1)
     base = ([0, 1] + [0] * (d - 2))[:d]
@@ -187,6 +220,8 @@ def rational_roots_of_monic_cubic(a: Fraction | int, b: Fraction | int) -> list[
         roots = {Fraction(0)}
         roots.update(Fraction(r, t) for r in _integer_roots_quadratic(A))
         return sorted(roots)
+    import sympy
+
     cands = set()
     for d in sympy.divisors(abs(B)):
         for y in (d, -d):

@@ -489,7 +489,7 @@ def cyclotomic_intersection_certificate(K: MonogenicField, prime_budget: int = 2
     unequal-degree pattern therefore certifies the trivial intersection.
     """
     d = K.degree
-    if d == 2 or not _is_prime(d):
+    if d == 2 or not nt.is_prime(d):
         return inconclusive(note="certificate applies to odd prime degrees only")
     if K.disc_f < 0 or not nt.is_perfect_square(K.disc_f):
         return certified(
@@ -507,8 +507,3 @@ def cyclotomic_intersection_certificate(K: MonogenicField, prime_budget: int = 2
             )
     return inconclusive(note="consistent with an abelian (cyclotomic) field; not certified")
 
-
-def _is_prime(x: int) -> bool:
-    if x < 2:
-        return False
-    return all(x % p for p in range(2, math.isqrt(x) + 1))

@@ -94,7 +94,7 @@ def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[lis
         rootless = np.nonzero(qroots == 0)[0]
         split22 = {}
         if rootless.size:
-            flags = batch_rootless_split(p, (A[idx][rootless] % p), (B[idx][rootless] % p))
+            flags = ecff.psi3_splits_over_fp2(p, A[idx][rootless] % p, B[idx][rootless] % p)
             split22 = {int(rootless[k]): bool(flags[k]) for k in range(rootless.size)}
         for k in range(idx.size):
             nr = int(qroots[k])
@@ -113,49 +113,6 @@ def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[lis
                 )
             )
     return sigs
-
-
-def batch_rootless_split(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """For rootless 3-division quartics: True where the pattern is (2, 2).
-
-    Vectorized computation of x^(p^2) modulo each monic quartic
-    x^4 + 2a x^2 + 4b x - a^2/3 across all curves at once.
-    """
-    n = A.shape[0]
-    inv3 = pow(3, -1, p)
-    # mod_poly rows: [c0, c1, c2, 0] with monic degree 4 implied
-    c0 = (-(A * A) * inv3) % p
-    c1 = (12 * B * inv3) % p
-    c2 = (6 * A * inv3) % p
-    zeros = np.zeros(n, dtype=np.int64)
-    mod_tail = np.stack([c0, c1, c2, zeros], axis=1)  # coefficients of x^0..x^3
-
-    def mulmod(f, g):
-        # f, g: (n, 4) -> product mod (x^4 + tail), all mod p
-        conv = np.zeros((n, 7), dtype=np.int64)
-        for i in range(4):
-            for j in range(4):
-                conv[:, i + j] = (conv[:, i + j] + f[:, i] * g[:, j]) % p
-        for deg in (6, 5, 4):
-            c = conv[:, deg]
-            # x^deg = x^(deg-4) * (-tail)
-            for j in range(4):
-                conv[:, deg - 4 + j] = (conv[:, deg - 4 + j] - c * mod_tail[:, j]) % p
-            conv[:, deg] = 0
-        return conv[:, :4] % p
-
-    result = np.zeros((n, 4), dtype=np.int64)
-    result[:, 0] = 1
-    base = np.zeros((n, 4), dtype=np.int64)
-    base[:, 1] = 1
-    e = p * p
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    is_x = (result[:, 1] == 1) & (result[:, 0] == 0) & (result[:, 2] == 0) & (result[:, 3] == 0)
-    return is_x
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,23 @@
 """Subgroup enumeration and signature tables for small GL2/SL2 over Z/mZ.
 
-Two engines live here:
+``SmallGroupTable`` is the one Cayley-table engine.  It tabulates either a
+materialized group of modest order or a quotient G/K given by coset keys
+(the level-9 complement search works in such quotients), and provides
+closures, element orders, conjugacy orbits of subgroups and exact
+subgroup-lattice enumeration by cyclic extension.  Every subgroup of a
+solvable group has a subnormal chain with prime cyclic quotients, so
+repeatedly extending known subgroups K by normalizing elements g with g^p in
+K finds the complete lattice whenever the ambient group is solvable.  For
+GL2/SL2 over F_5 and F_7 the non-solvable subgroups are exactly the
+determinant preimages containing SL2, which are appended explicitly.
 
-* ``SmallGroupTable`` holds a dense Cayley table for a materialized group of
-  modest order and supports exact subgroup-lattice enumeration by cyclic
-  extension.  Every subgroup of a solvable group has a subnormal chain with
-  prime cyclic quotients, so repeatedly extending known subgroups K by
-  normalizing elements g with g^p in K finds the complete lattice whenever the
-  ambient group is solvable.  For GL2/SL2 over F_5 and F_7 the non-solvable
-  subgroups are exactly the determinant preimages containing SL2, which are
-  appended explicitly.
-
-* ``subgroup_signature_table`` builds, for a modulus m in {2, 3, 4, 9} or a
-  prime up to 13, the proper subgroups H with surjective determinant not
-  containing SL2, together with the set of Frobenius-visible signatures each
-  can produce.  For m <= 4 the table is the literal full lattice; for primes
-  and for m = 9 it consists of the maximal such subgroups, which eliminate
-  exactly the same observation sets (any smaller subgroup realizes a subset
-  of the signatures of a maximal one).
+``subgroup_signature_table`` builds on it: for a modulus m in {2, 3, 4, 8, 9}
+or a prime up to 13, the proper subgroups H with surjective determinant not
+containing SL2, together with the set of Frobenius-visible signatures each
+can produce.  For m <= 4 the table is the literal full lattice; for primes
+and for m = 8, 9 it consists of the maximal such subgroups, which eliminate
+exactly the same observation sets (any smaller subgroup realizes a subset
+of the signatures of a maximal one).
 """
 from __future__ import annotations
 
@@ -28,23 +28,31 @@ from functools import lru_cache
 import numpy as np
 
 from . import modgroup as mg
+from . import nt
 from .errors import InvalidInputError, ResourceCapError
 
 LATTICE_ORDER_CAP = 2600
 
 
 class SmallGroupTable:
-    """Dense multiplication table over the element list of a small group."""
+    """Dense multiplication table of a small group or of a quotient G/K."""
 
-    def __init__(self, codes: np.ndarray, m: int, label: str = ""):
+    def __init__(self, codes: np.ndarray, key_of_code: np.ndarray, m: int, label: str = ""):
+        """One row per entry of the sorted array ``codes``.
+
+        ``key_of_code`` maps every code mod m to the code of its row: the
+        identity map for a group; for a quotient G/K, the coset key of each
+        element of G, with ``codes`` the sorted keys.
+        """
         if codes.size > LATTICE_ORDER_CAP:
             raise ResourceCapError(f"group of order {codes.size} exceeds lattice cap {LATTICE_ORDER_CAP}")
         self.m = m
         self.label = label
-        self.codes = np.sort(np.asarray(codes, dtype=np.int64))
+        self.codes = np.asarray(codes, dtype=np.int64)
         self.n = int(self.codes.size)
-        self.index_of_code = np.full(m**4, -1, dtype=np.int64)
-        self.index_of_code[self.codes] = np.arange(self.n)
+        row_of = np.full(m**4, -1, dtype=np.int64)
+        row_of[self.codes] = np.arange(self.n)
+        self.index_of_code = row_of[key_of_code]
         self.cayley = np.empty((self.n, self.n), dtype=np.int32)
         for i in range(self.n):
             g = mg.mat_from_code(int(self.codes[i]), m)
@@ -59,7 +67,7 @@ class SmallGroupTable:
     @classmethod
     def for_group(cls, m: int, ambient: mg.Ambient) -> "SmallGroupTable":
         G = mg.enumerate_group(m, ambient)
-        return cls(G.code_array(), m, label=G.label or "")
+        return cls(G.code_array(), np.arange(m**4), m, label=G.label or "")
 
     def _element_orders(self) -> np.ndarray:
         orders = np.zeros(self.n, dtype=np.int64)
@@ -72,21 +80,15 @@ class SmallGroupTable:
         return orders
 
     def power_map(self, p: int) -> np.ndarray:
-        out = np.arange(self.n, dtype=np.int64)
-        base = np.arange(self.n)
         acc = np.full(self.n, self.identity, dtype=np.int64)
         e = p
-        cur = base.copy()
+        cur = np.arange(self.n)
         while e:
             if e & 1:
                 acc = self.cayley[acc, cur]
             cur = self.cayley[cur, cur]
             e >>= 1
         return acc
-
-    def conj_perm(self, g: int) -> np.ndarray:
-        """Permutation x -> g x g^-1 as an index array."""
-        return self.cayley[self.cayley[g, :], self.inv[g]]
 
     def closure_mask(self, seeds) -> np.ndarray:
         seeds = list(dict.fromkeys(int(s) for s in seeds))
@@ -119,7 +121,7 @@ class SmallGroupTable:
         contains SL2, since the proper subgroups of SL2(F_l) are solvable for
         l in {5, 7}).
         """
-        order_primes = sorted({p for p in _prime_divisors(self.n)})
+        order_primes = nt.prime_divisors(self.n)
         solvable = set(order_primes) <= {2, 3}
         if not solvable:
             if not (allow_nonsolvable_completion and self._is_gl2_like_57()):
@@ -230,20 +232,6 @@ def _small_generating_set(table: SmallGroupTable, mask: np.ndarray) -> list[int]
         if int(got.sum()) == target:
             break
     return [int(table.codes[i]) for i in gens]
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @lru_cache(maxsize=32)
@@ -579,8 +567,6 @@ def _table_mod8() -> SignatureTable:
     characters of conductor exactly 8).  That enumeration is pinned by a
     slow test rather than rerun here.
     """
-    from . import nt
-
     G = mg.enumerate_group(8, "GL2")
     codes = G.code_array()
     tr = mg.trace_of_codes(codes, 8)
@@ -603,7 +589,7 @@ def _table_mod8() -> SignatureTable:
             )
         )
     table4 = subgroup_signature_table(4)
-    maximal4 = _maximal_entries(table4.entries)
+    maximal4 = _maximal(table4.entries, lambda e: set(e.codes))
     red4 = mg.reduce_codes(codes, 8, 4)
     for e in maximal4:
         sel = np.isin(red4, np.fromiter(e.codes, dtype=np.int64))
@@ -621,14 +607,11 @@ def _table_mod8() -> SignatureTable:
     return SignatureTable(8, tuple(entries), full, scope="maximal-only")
 
 
-def _maximal_entries(entries: tuple[TableEntry, ...]) -> list[TableEntry]:
-    sets = [set(e.codes) for e in entries]
-    out = []
-    for i, e in enumerate(entries):
-        if any(i != j and sets[i] < sets[j] for j in range(len(entries))):
-            continue
-        out.append(e)
-    return out
+def _maximal(items, members) -> list:
+    """The items whose member set lies strictly inside no other item's, in
+    input order; ``members`` maps an item to its set."""
+    sets = [members(x) for x in items]
+    return [x for x, s in zip(items, sets) if not any(s < t for t in sets)]
 
 
 # -- m = 9: maximal full-det subgroups not containing SL2 --------------------
@@ -646,13 +629,7 @@ def _table_mod9() -> SignatureTable:
         if sl2_set <= set(int(c) for c in member_codes):
             continue
         picked.append((label, member_codes))
-    # drop entries contained in a larger one
-    final = []
-    sets = [set(int(c) for c in mc) for _, mc in picked]
-    for i, (label, mc) in enumerate(picked):
-        if any(i != j and sets[i] < sets[j] for j in range(len(picked))):
-            continue
-        final.append((label, mc))
+    final = _maximal(picked, lambda entry: set(entry[1].tolist()))
     entries = tuple(
         TableEntry(
             label=label,
@@ -684,8 +661,8 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
 
     # case (a), deduplicated by conjugacy (preimages of conjugates are conjugate)
     t3 = SmallGroupTable.for_group(3, "GL2")
-    lattice3 = t3.subgroup_lattice()
-    maximal3 = _maximal_masks(lattice3)
+    proper3 = [msk for msk in t3.subgroup_lattice() if not msk.all()]
+    maximal3 = _maximal(proper3, lambda msk: set(np.flatnonzero(msk).tolist()))
     gen_idxs3 = t3.generator_idxs()
     claimed: set[bytes] = set()
     k = 0
@@ -704,17 +681,6 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
         for j, member_codes in enumerate(_complement_preimages_mod9(K0_vectors)):
             out.append((f"level9-{name}-complement{j}(order {member_codes.size})", member_codes))
     return out
-
-
-def _maximal_masks(masks: list[np.ndarray]) -> list[np.ndarray]:
-    proper = [m_ for m_ in masks if m_.sum() < max(x.sum() for x in masks)]
-    result = []
-    for i, mi in enumerate(proper):
-        si = set(np.nonzero(mi)[0].tolist())
-        if any(si < set(np.nonzero(mj)[0].tolist()) for j, mj in enumerate(proper) if j != i):
-            continue
-        result.append(mi)
-    return result
 
 
 def _maximal_invariant_subspaces_mod3():
@@ -752,13 +718,8 @@ def _maximal_invariant_subspaces_mod3():
                 break
         if ok:
             invariant.append(S)
-    maximal = []
-    for S in invariant:
-        if any(S < T for T in invariant if T is not S):
-            continue
-        maximal.append(S)
     named = []
-    for S in maximal:
+    for S in _maximal(invariant, lambda S: S):
         dim = round(math.log(len(S), 3))
         name = f"dim{dim}"
         named.append((name, sorted(S), 4 - dim))
@@ -795,28 +756,19 @@ def _complement_preimages_mod9(K0_vectors: list[tuple]) -> list[np.ndarray]:
         ).tolist()),
         dtype=np.int64,
     )
-    # coset key: minimal code in g * K0
-    key_of_code = np.full(9**4, -1, dtype=np.int64)
-    stack = []
-    for k_code in K0_codes:
-        k = mg.mat_from_code(int(k_code), 9)
-        stack.append(mg.mul_codes(codes, k))
-    keys = np.minimum.reduce(stack)
-    key_of_code[codes] = keys
-    rep_codes = np.unique(keys)
-    nq = rep_codes.size
-    rep_index = {int(c): i for i, c in enumerate(rep_codes)}
-    # quotient Cayley table via representative products
-    qt = _QuotientTable(rep_codes, key_of_code, m=9)
+    # coset key: minimal code in g * K0 (codes outside G are their own key)
+    key_of_code = np.arange(9**4, dtype=np.int64)
+    key_of_code[codes] = np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(int(k), 9)) for k in K0_codes])
+    qt = SmallGroupTable(np.unique(key_of_code[codes]), key_of_code, 9)
     # W = image of the full mod-3 kernel
     full_kernel = codes[np.all(
         np.stack(mg.decode(mg.reduce_codes(codes, 9, 3), 3)) == np.array([1, 0, 0, 1])[:, None],
         axis=0,
     )]
-    W_mask = np.zeros(nq, dtype=bool)
-    W_mask[[rep_index[int(key_of_code[c])] for c in full_kernel]] = True
+    W_mask = np.zeros(qt.n, dtype=bool)
+    W_mask[qt.index_of_code[full_kernel]] = True
     w_size = int(W_mask.sum())
-    target = nq // w_size
+    target = qt.n // w_size
     # Sylow 2-subgroup of the quotient
     P = _sylow2(qt)
     out_masks: list[np.ndarray] = []
@@ -834,92 +786,20 @@ def _complement_preimages_mod9(K0_vectors: list[tuple]) -> list[np.ndarray]:
             continue
         seen.add(key)
         out_masks.append(C)
-    # conjugacy dedup inside the quotient
-    final_masks = []
+    # conjugacy dedup inside the quotient, then pull back to GL2(Z/9)
+    gen_idxs = [int(qt.index_of_code[g.code()]) for g in mg.gl2_generators(9)]
+    result = []
     claimed: set[bytes] = set()
     for C in out_masks:
         if C.tobytes() in claimed:
             continue
-        orbit = qt.conjugacy_orbit(C)
-        for om in orbit:
+        for om in qt.conjugacy_orbit_of_subgroup(C, gen_idxs):
             claimed.add(om.tobytes())
-        final_masks.append(C)
-    # pull back to GL2(Z/9)
-    result = []
-    for C in final_masks:
-        keys_in_C = set(int(rep_codes[i]) for i in np.nonzero(C)[0])
-        sel = np.isin(key_of_code[codes], np.fromiter(keys_in_C, dtype=np.int64))
-        result.append(codes[sel])
+        result.append(codes[C[qt.index_of_code[codes]]])
     return result
 
 
-class _QuotientTable:
-    """Cayley table of G/K0 given coset keys (minimal member codes)."""
-
-    def __init__(self, rep_codes: np.ndarray, key_of_code: np.ndarray, m: int):
-        self.m = m
-        self.rep_codes = rep_codes
-        self.n = int(rep_codes.size)
-        index_of_key = {int(c): i for i, c in enumerate(rep_codes)}
-        self.cayley = np.empty((self.n, self.n), dtype=np.int32)
-        for i in range(self.n):
-            g = mg.mat_from_code(int(rep_codes[i]), m)
-            prods = mg.mul_codes_left(g, rep_codes)
-            self.cayley[i] = [index_of_key[int(key_of_code[p])] for p in prods]
-        ident_key = int(key_of_code[mg.identity(m).code()])
-        self.identity = index_of_key[ident_key]
-        self.inv = np.empty(self.n, dtype=np.int32)
-        rows, cols = np.nonzero(self.cayley == self.identity)
-        self.inv[rows] = cols
-        self.order_of = self._orders()
-
-    def _orders(self):
-        orders = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.n):
-            k, x = 1, i
-            while x != self.identity:
-                x = int(self.cayley[x, i])
-                k += 1
-            orders[i] = k
-        return orders
-
-    def closure_mask(self, seeds: list[int]) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.identity] = True
-        seeds = list(dict.fromkeys(int(s) for s in seeds))
-        for s in seeds:
-            mask[s] = True
-        frontier = np.array(sorted({*seeds, self.identity}), dtype=np.int64)
-        while frontier.size:
-            new = []
-            for s in seeds:
-                prod = self.cayley[frontier, s]
-                fresh = prod[~mask[prod]]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    mask[fresh] = True
-                    new.append(fresh)
-            frontier = np.unique(np.concatenate(new)) if new else np.array([], dtype=np.int64)
-        return mask
-
-    def conjugacy_orbit(self, mask: np.ndarray) -> list[np.ndarray]:
-        seen = {mask.tobytes(): mask}
-        frontier = [mask]
-        while frontier:
-            cur = frontier.pop()
-            members = np.nonzero(cur)[0]
-            for g in range(self.n):
-                image = self.cayley[self.cayley[g, members], self.inv[g]]
-                img = np.zeros(self.n, dtype=bool)
-                img[image] = True
-                key = img.tobytes()
-                if key not in seen:
-                    seen[key] = img
-                    frontier.append(img)
-        return list(seen.values())
-
-
-def _sylow2(qt: _QuotientTable) -> np.ndarray:
+def _sylow2(qt: SmallGroupTable) -> np.ndarray:
     """A Sylow 2-subgroup of the quotient, grown through normalizers."""
     two_part = 1
     n = qt.n
@@ -935,8 +815,7 @@ def _sylow2(qt: _QuotientTable) -> np.ndarray:
         for g in np.nonzero(_is_2_power(qt.order_of))[0].tolist():
             if mask[g]:
                 continue
-            image = qt.cayley[qt.cayley[g, members], qt.inv[g]]
-            if not mask[image].all():
+            if not qt.normalizes(g, mask, members):
                 continue
             cand = qt.closure_mask(gens + [g])
             sz = int(cand.sum())

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from galmax import audits, modgroup as mg
@@ -106,3 +109,10 @@ def test_randomized_audits_are_reproducible():
     a = audits.reduction_lemma_audit(5, 2, mode="randomized", trials=50, seed=42)
     b = audits.reduction_lemma_audit(5, 2, mode="randomized", trials=50, seed=42)
     assert a.to_json() == b.to_json()
+
+
+def test_audits_import_leaves_sympy_unloaded():
+    # the group audits never factor, so their import must not pay for sympy
+    code = "import sys, galmax.audits; print('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -6,6 +6,7 @@ import pytest
 from galmax import certify, ecff
 from galmax import numfield as nf
 from galmax.errors import InvalidInputError
+from galmax.verdict import certified, inconclusive, obstruction
 
 E11 = ecff.validate(Fraction(1), Fraction(1))
 PARAMS = certify.CertParams(prime_bound=1000, l_max=13)
@@ -196,6 +197,60 @@ def test_certify_maximal_cubic_field_example():
 def test_certify_maximal_over_q_is_obstructed():
     rep = certify.certify_maximal(E11, params=PARAMS)
     assert rep.verdict.is_obstruction
+
+
+def test_certify_maximal_rationals_always_obstructed():
+    # CM, rational 2-torsion and a Serre curve alike: the obstruction over Q
+    # needs no signatures
+    for a, b in [(0, 1), (-1, 0), (1, 1), (Fraction(1, 4), Fraction(1, 8))]:
+        rep = certify.certify_maximal(ecff.validate(Fraction(a), Fraction(b)), params=PARAMS)
+        assert rep.verdict.is_obstruction
+        assert rep.verdict.witnesses == ("k = Q",)
+        assert rep.conditions["a"] == {} and rep.conditions["b"] == {}
+
+
+def _verdicts_for(l_max):
+    per_m = {4: certified("w4"), 9: certified("w9")}
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if p <= l_max:
+            per_m[p] = certified(f"w{p}")
+    return per_m
+
+
+def test_assemble_maximality_all_certified():
+    v = certify.assemble_maximality(_verdicts_for(13), certified("sqrt"), certified("cbrt"))
+    assert v.is_certified
+
+
+def test_assemble_maximality_inconclusive_propagates():
+    v = certify.assemble_maximality(_verdicts_for(13), inconclusive(), certified("cbrt"))
+    assert v.is_inconclusive
+    assert "sqrt-disc" in v.diagnostics["unresolved"]
+
+
+def test_assemble_maximality_requires_complete_levels():
+    per_m = _verdicts_for(13)
+    del per_m[7]
+    with pytest.raises(InvalidInputError):
+        certify.assemble_maximality(per_m, certified("s"), certified("c"))
+
+
+def test_assemble_maximality_monotone():
+    base = _verdicts_for(7)
+    base[7] = inconclusive()
+    v1 = certify.assemble_maximality(base, certified("s"), certified("c"))
+    assert v1.is_inconclusive
+    upgraded = dict(base)
+    upgraded[7] = certified("w7")
+    v2 = certify.assemble_maximality(upgraded, certified("s"), certified("c"))
+    assert v2.is_certified
+
+
+def test_obstruction_dominates():
+    per_m = _verdicts_for(7)
+    per_m[5] = obstruction("bad")
+    v = certify.assemble_maximality(per_m, inconclusive(), certified("c"))
+    assert v.is_obstruction
 
 
 def test_lmax_heuristic():

@@ -1,9 +1,11 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from galmax import ecff, numfield as nf
+from galmax import ecff, nt, numfield as nf
 from galmax.errors import BadReductionError, InvalidInputError, ResourceCapError, SingularCurveError
 
 
@@ -123,6 +125,22 @@ def test_psi3_type_example():
     pattern, has_pt = ecff.psi3_type(7, 0, 1)
     assert pattern == (3, 1)
     assert has_pt  # x0 = 0 gives y^2 = 1
+
+
+def test_quartic_split_arrays_match_scalar_path():
+    # the scalar (Python int) path is the reference for the int64 array path
+    rng = random.Random(7)
+    for p in (5, 7, 101, 499):
+        a = [rng.randrange(p) for _ in range(30)]
+        b = [rng.randrange(p) for _ in range(30)]
+        mod_polys = [[x, y, (x * y) % p, (x + y) % p, 1] for x, y in zip(a, b)]
+        columns = [np.array(col, dtype=np.int64) for col in zip(*mod_polys)]
+        e = rng.randrange(p * p, p**3)
+        by_array = nt.x_pow_mod(e, columns, p)
+        for k, mod_poly in enumerate(mod_polys):
+            assert [int(c[k]) for c in by_array] == nt.x_pow_mod(e, mod_poly, p)
+        splits = ecff.psi3_splits_over_fp2(p, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        assert splits.tolist() == [ecff.psi3_splits_over_fp2(p, x, y) for x, y in zip(a, b)]
 
 
 def test_singular_pair_count_equals_p():

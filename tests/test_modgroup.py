@@ -5,7 +5,6 @@ import pytest
 
 from galmax import modgroup as mg
 from galmax.errors import InvalidInputError, ResourceCapError
-from galmax.verdict import certified, inconclusive, obstruction
 
 
 def brute_force_count(m, ambient):
@@ -188,61 +187,3 @@ def test_meets_all_classes():
     assert pow(disc, 2, 5) != 0 and pow(disc, (5 - 1) // 2, 5) == 5 - 1
     with pytest.raises(InvalidInputError):
         mg.meets_all_classes_with_det(borel, 5)
-
-
-def _verdicts_for(l_max):
-    per_m = {4: certified("w4"), 9: certified("w9")}
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if p <= l_max:
-            per_m[p] = certified(f"w{p}")
-    return per_m
-
-
-def test_assemble_maximality_all_certified():
-    v = mg.assemble_maximality(
-        _verdicts_for(13), certified("sqrt"), certified("cbrt"), mg.MaximalityTarget("monogenic")
-    )
-    assert v.is_certified
-
-
-def test_assemble_maximality_inconclusive_propagates():
-    v = mg.assemble_maximality(
-        _verdicts_for(13), inconclusive(), certified("cbrt"), mg.MaximalityTarget("monogenic")
-    )
-    assert v.is_inconclusive
-    assert "sqrt-disc" in v.diagnostics["unresolved"]
-
-
-def test_assemble_maximality_rationals_always_obstructed():
-    v = mg.assemble_maximality({}, inconclusive(), inconclusive(), mg.MaximalityTarget("rationals"))
-    assert v.is_obstruction
-
-
-def test_assemble_maximality_requires_complete_levels():
-    per_m = _verdicts_for(13)
-    del per_m[7]
-    with pytest.raises(InvalidInputError):
-        mg.assemble_maximality(per_m, certified("s"), certified("c"), mg.MaximalityTarget("monogenic"))
-
-
-def test_assemble_maximality_monotone():
-    base = _verdicts_for(7)
-    base[7] = inconclusive()
-    v1 = mg.assemble_maximality(base, certified("s"), certified("c"), mg.MaximalityTarget("monogenic"))
-    assert v1.is_inconclusive
-    upgraded = dict(base)
-    upgraded[7] = certified("w7")
-    v2 = mg.assemble_maximality(upgraded, certified("s"), certified("c"), mg.MaximalityTarget("monogenic"))
-    assert v2.is_certified
-
-
-def test_obstruction_dominates():
-    per_m = _verdicts_for(7)
-    per_m[5] = obstruction("bad")
-    v = mg.assemble_maximality(per_m, inconclusive(), certified("c"), mg.MaximalityTarget("monogenic"))
-    assert v.is_obstruction
-
-
-def test_rationals_target_rejects_nonfull_det():
-    with pytest.raises(InvalidInputError):
-        mg.MaximalityTarget("rationals", "index 2")

@@ -238,3 +238,23 @@ def test_cli_weil_count():
     code, out = run_cli("weil-count", "--p", "13,29", "--r", "2")
     data = json.loads(out)
     assert [row["count"] for row in data["rows"]] == [78, 406]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--curve", "1/0,1"],
+        ["sieve-bound", "--Q", "5", "--omega", "2=1/0"],
+        ["weil-count", "--p", "7", "--r", "0"],
+        ["group-audit", "--m", "1"],
+        ["certify", "--curve", "1,1", "--field", "[1,0,1]"],
+        ["certify", "--curve", "[1],[1]", "--field", "5"],
+        ["omega-dist", "--p", "9"],
+        ["weil-count", "--p", "25"],
+        ["omega-dist", "--p", "1000000000000000003"],
+    ],
+)
+def test_cli_bad_input_is_a_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "galmax.cli", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (2, 3), proc.stderr
+    assert "Traceback" not in proc.stderr
