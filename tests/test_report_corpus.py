@@ -2,13 +2,18 @@
 
 Each case is one ``galmax`` command line; its expected stdout is stored in
 ``tests/corpus/<slug>.txt``.  A refactoring that is meant to keep behaviour
-must keep every report identical.  When a change alters a report on purpose,
-regenerate the corpus and review the diff:
+must keep every report identical.  The signature tables are pinned the same
+way, by a sha256 digest per level in ``tests/corpus/signature_tables.json``,
+because the CLI corpus never reaches the prime tables or m = 2, 3.  When a
+change alters a report or a table on purpose, regenerate both and review the
+diff:
 
     PYTHONPATH=src python tests/test_report_corpus.py --regenerate
 """
 import contextlib
+import hashlib
 import io
+import json
 import re
 import sys
 from pathlib import Path
@@ -16,8 +21,11 @@ from pathlib import Path
 import pytest
 
 from galmax import cli
+from galmax import subgroups as sg
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
+TABLE_DIGESTS = CORPUS / "signature_tables.json"
+TABLE_LEVELS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
 
 CASES = [
     ["certify", "--curve", "1,1", "--prime-bound", "500", "--l-max", "13"],
@@ -62,9 +70,25 @@ def test_report_matches_corpus(argv):
     assert report_bytes(argv) == expected
 
 
+def table_digest(m: int) -> str:
+    """sha256 over every entry's label, order, n_conjugates, codes and sorted
+    signatures, plus the table's full signature set and scope."""
+    tbl = sg.subgroup_signature_table(m)
+    entries = [(e.label, e.order, e.n_conjugates, e.codes, sorted(e.signatures)) for e in tbl.entries]
+    text = repr((tbl.m, entries, sorted(tbl.full_signatures), tbl.scope))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("m", TABLE_LEVELS)
+def test_signature_table_matches_digest(m):
+    assert table_digest(m) == json.loads(TABLE_DIGESTS.read_text())[str(m)]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     CORPUS.mkdir(exist_ok=True)
     for argv in CASES:
         (CORPUS / f"{slug(argv)}.txt").write_bytes(report_bytes(argv))
+    digests = {str(m): table_digest(m) for m in TABLE_LEVELS}
+    TABLE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
