@@ -58,6 +58,12 @@ class AuditReport:
         }
 
 
+def _require_trials(trials: int) -> None:
+    # with no trials a randomized audit tests nothing and still reports ok
+    if trials < 1:
+        raise InvalidInputError(f"need trials >= 1, got {trials}")
+
+
 # ---------------------------------------------------------------------------
 # coverage audit
 
@@ -72,6 +78,9 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
     """
     if m < 2:
         raise InvalidInputError(f"coverage audit needs a modulus m >= 2, got {m}")
+    _require_trials(trials)
+    if m > mg.GL2_MODULUS_CAP:
+        raise ResourceCapError(f"modulus {m} exceeds GL2 materialization cap {mg.GL2_MODULUS_CAP}")
     if mode is None:
         mode = "exhaustive" if m in EXHAUSTIVE_COVERAGE_MODULI else "randomized"
     dets = [d for d in range(1, m) if math.gcd(d, m) == 1] if (nt.is_prime(m) and m >= 5) else [1]
@@ -129,6 +138,7 @@ def reduction_lemma_audit(
     """Surjectivity mod l (l >= 5) or mod l^2 lifts to all of SL2(Z/l^n)."""
     if not nt.is_prime(ell) or n < 1:
         raise InvalidInputError("need a prime ell and level n >= 1")
+    _require_trials(trials)
     modulus = ell**n
     if modulus > mg.SL2_MODULUS_CAP:
         raise ResourceCapError(f"l^n = {modulus} exceeds materialization cap {mg.SL2_MODULUS_CAP}")
@@ -229,6 +239,7 @@ def goursat_audit(m: int, n: int, mode: str | None = None, trials: int = 1000, s
     """Surjecting onto both coprime factors forces all of SL2(Z/mnZ)."""
     if m < 1 or n < 1 or math.gcd(m, n) != 1:
         raise InvalidInputError("need coprime positive m, n")
+    _require_trials(trials)
     modulus = m * n
     if modulus > mg.SL2_MODULUS_CAP:
         raise ResourceCapError(f"mn = {modulus} exceeds materialization cap")

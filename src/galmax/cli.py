@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from .errors import GalmaxError, InvalidInputError, ResourceCapError
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_curve_value(sys.argv[1:] if argv is None else argv))
     try:
         report = args.run(args)
     except ResourceCapError as e:
@@ -83,6 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, default=2)
     p.set_defaults(run=_run_sieve_bound)
     return parser
+
+
+def _attach_curve_value(argv: list[str]) -> list[str]:
+    """Rewrite ``--curve -1,0`` as ``--curve=-1,0``: argparse reads a value
+    that starts with a minus sign and is not a plain number as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out[-1:] == ["--curve"] and re.match(r"-\d", arg):
+            out[-1] = f"--curve={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def _int_list(text: str) -> list[int]:

@@ -215,26 +215,32 @@ def rational_roots_of_monic_cubic(a: Fraction | int, b: Fraction | int) -> list[
     A = a * t * t
     B = b * t * t * t
     assert A.denominator == 1 and B.denominator == 1
-    A, B = int(A), int(B)
-    if B == 0:
-        roots = {Fraction(0)}
-        roots.update(Fraction(r, t) for r in _integer_roots_quadratic(A))
-        return sorted(roots)
-    import sympy
-
-    cands = set()
-    for d in sympy.divisors(abs(B)):
-        for y in (d, -d):
-            if y * y * y + A * y + B == 0:
-                cands.add(Fraction(y, t))
-    return sorted(cands)
+    return [Fraction(y, t) for y in _integer_roots_monic_cubic(int(A), int(B))]
 
 
-def _integer_roots_quadratic(A: int) -> list[int]:
-    # integer roots of y^2 + A = 0
-    if A > 0:
-        return []
-    if A == 0:
-        return [0]
-    r = math.isqrt(-A)
-    return [r, -r] if r * r == -A else []
+def _integer_roots_monic_cubic(A: int, B: int) -> list[int]:
+    """Sorted integer roots of f(y) = y^3 + A*y + B, found without factoring B.
+
+    f is monotone on the integers of each piece cut at the critical points
+    +-sqrt(-A/3), so bisection finds the one possible root of each piece.  A
+    root y != 0 has y^2 = -A - B/y <= |A| + |B|, which bounds the search.
+    """
+    f = lambda y: y * y * y + A * y + B
+    R = math.isqrt(abs(A) + abs(B)) + 1
+    if A >= 0:
+        pieces = [(-R, R, 1)]
+    else:
+        c = math.isqrt(-A // 3)  # floor of sqrt(-A/3)
+        pieces = [(-R, -c - 1, 1), (-c, c, -1), (c + 1, R, 1)]
+    roots = []
+    for lo, hi, sign in pieces:
+        # least y in [lo, hi] with sign * f(y) >= 0
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.append(lo)
+    return roots

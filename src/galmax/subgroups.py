@@ -18,6 +18,13 @@ can produce.  For m <= 4 the table is the literal full lattice; for primes
 and for m = 8, 9 it consists of the maximal such subgroups, which eliminate
 exactly the same observation sets (any smaller subgroup realizes a subset
 of the signatures of a maximal one).
+
+Every table is built with two group engines.  ``modgroup.closure_codes``
+gives the octahedral preimage at a prime.  ``SmallGroupTable`` gives the
+lattices for m <= 4 and, at m = 9, the maximal subgroups of GL2(F_3), the
+lattice of the mod-3 kernel and the complements in each quotient.
+``SmallGroupTable.conjugacy_representatives`` keeps one subgroup per
+conjugacy class.
 """
 from __future__ import annotations
 
@@ -194,16 +201,24 @@ class SmallGroupTable:
                     frontier.append(img)
         return list(seen.values())
 
+    def conjugacy_representatives(self, masks) -> list[tuple[np.ndarray, int]]:
+        """The first mask of each conjugacy class among ``masks``, in input
+        order, paired with the size of its class."""
+        gen_idxs = self.generator_idxs()
+        claimed: set[bytes] = set()
+        out = []
+        for msk in masks:
+            if msk.tobytes() in claimed:
+                continue
+            orbit = self.conjugacy_orbit_of_subgroup(msk, gen_idxs)
+            claimed.update(om.tobytes() for om in orbit)
+            out.append((msk, len(orbit)))
+        return out
+
     def generator_idxs(self) -> list[int]:
         gens = mg.sl2_generators(self.m) if self._looks_sl2() else mg.gl2_generators(self.m)
-        idxs = []
-        for g in gens:
-            i = int(self.index_of_code[g.code()])
-            if i >= 0:
-                idxs.append(i)
-        if not idxs:
-            idxs = list(range(min(self.n, 8)))
-        return idxs
+        idxs = [int(self.index_of_code[g.code()]) for g in gens]
+        return [i for i in idxs if i >= 0]
 
     def _looks_sl2(self) -> bool:
         return self.n == mg.sl2_order(self.m)
@@ -389,26 +404,12 @@ def subgroup_signature_table(m: int) -> SignatureTable:
 
 def _table_from_lattice(m: int) -> SignatureTable:
     table = SmallGroupTable.for_group(m, "GL2")
-    masks = table.subgroup_lattice()
-    sl2_codes = mg.enumerate_group(m, "SL2").code_array()
-    sl2_set = set(int(c) for c in sl2_codes)
-    gen_idxs = table.generator_idxs()
-    picked: list[tuple[np.ndarray, int]] = []
-    seen: set[bytes] = set()
-    for msk in masks:
-        codes = table.mask_to_codes(msk)
-        if codes.size == table.n:
-            continue
-        if not _det_is_full(codes, m):
-            continue
-        if sl2_set <= set(int(c) for c in codes):
-            continue
-        if msk.tobytes() in seen:
-            continue
-        orbit = table.conjugacy_orbit_of_subgroup(msk, gen_idxs)
-        for om in orbit:
-            seen.add(om.tobytes())
-        picked.append((msk, len(orbit)))
+    sl2_rows = table.index_of_code[mg.enumerate_group(m, "SL2").code_array()]
+    candidates = [
+        msk for msk in table.subgroup_lattice()
+        if not msk[sl2_rows].all() and _det_is_full(table.mask_to_codes(msk), m)
+    ]
+    picked = table.conjugacy_representatives(candidates)
     entries = []
     for k, (msk, n_conj) in enumerate(picked):
         codes = table.mask_to_codes(msk)
@@ -422,8 +423,7 @@ def _table_from_lattice(m: int) -> SignatureTable:
             )
         )
     entries.sort(key=lambda e: (-e.order, e.label))
-    full = signatures_of_codes(mg.enumerate_group(m, "GL2").code_array(), m)
-    return SignatureTable(m, tuple(entries), full, scope="all-subgroups")
+    return SignatureTable(m, tuple(entries), signatures_of_codes(table.codes, m), scope="all-subgroups")
 
 
 # -- prime level: Borel, Cartan normalizers, octahedral preimage -------------
@@ -454,83 +454,33 @@ def _least_nonresidue(ell: int) -> int:
     raise InvalidInputError(f"{ell} is not an odd prime")
 
 
-def _proj_canon(codes: np.ndarray, ell: int) -> np.ndarray:
-    """Canonical code of the projective class: scale so the first nonzero of
-    (a, b, c, d) equals 1."""
-    a, b, c, d = mg.decode(codes, ell)
-    lead = np.where(a != 0, a, np.where(b != 0, b, np.where(c != 0, c, d)))
-    inv_table = np.array([0] + [pow(x, -1, ell) for x in range(1, ell)], dtype=np.int64)
-    s = inv_table[lead]
-    return mg.encode((a * s) % ell, (b * s) % ell, (c * s) % ell, (d * s) % ell, ell)
-
-
 def _octahedral_preimage(ell: int) -> np.ndarray | None:
     """Full preimage in GL2(F_ell) of an S4 inside PGL2, when its determinant
     image is all the units (that is the only case a full-det subgroup can sit
-    inside it)."""
-    G = mg.enumerate_group(ell, "GL2")
-    codes = G.code_array()
-    proj = _proj_canon(codes, ell)
-    # s has projective order 4 (t^2/d = 2), searched over a fixed seed
-    s = None
-    for cand in codes:
-        M = mg.mat_from_code(int(cand), ell)
-        u = (M.trace * M.trace * pow(M.det, -1, ell)) % ell
-        if u == 2 % ell:
-            s = int(cand)
-            break
-    if s is None:
-        return None
-    for cand in codes:
-        M = mg.mat_from_code(int(cand), ell)
-        u = (M.trace * M.trace * pow(M.det, -1, ell)) % ell
-        if u != 1:
+    inside it).
+
+    A non-scalar g has projective order 2, 3 or 4 exactly when
+    u = trace^2 / det is 0, 1 or 2; S4 has 9, 8 and 6 elements of those
+    orders.  The preimage of <s, c> for s of projective order 4 and c of
+    order 3 is the closure of s, c and the scalars.
+    """
+    codes = mg.enumerate_group(ell, "GL2").code_array()
+    inv = np.array([0] + [pow(x, -1, ell) for x in range(1, ell)], dtype=np.int64)
+    tr = mg.trace_of_codes(codes, ell)
+    u = (tr * tr % ell) * inv[mg.det_of_codes(codes, ell)] % ell
+    a, b, c, d = mg.decode(codes, ell)
+    scalar = (b == 0) & (c == 0) & (a == d)
+    order = 24 * (ell - 1)
+    s = int(codes[np.argmax(u == 2)])
+    for cand in codes[u == 1].tolist():
+        pre = mg.closure_codes(ell, [s, cand, *codes[scalar].tolist()], stop_above=order)
+        if pre is None or pre.size != order:
             continue
-        group = _proj_closure(ell, [s, int(cand)], cap=25)
-        if group is None or len(group) != 24:
-            continue
-        profile = _proj_order_profile(ell, group)
-        if profile == {1: 1, 2: 9, 3: 8, 4: 6}:
-            mask = np.isin(proj, np.fromiter(group, dtype=np.int64))
-            pre = codes[mask]
-            if _det_is_full(pre, ell):
-                return pre
-            return None
+        rows = np.searchsorted(codes, pre)
+        counts = [int(((u[rows] == k) & ~scalar[rows]).sum()) for k in (0, 1, 2)]
+        if counts == [9 * (ell - 1), 8 * (ell - 1), 6 * (ell - 1)]:
+            return pre if _det_is_full(pre, ell) else None
     return None
-
-
-def _proj_closure(ell: int, seed_codes: list[int], cap: int) -> set[int] | None:
-    canon = lambda code: int(_proj_canon(np.array([code], dtype=np.int64), ell)[0])
-    seeds = [canon(c) for c in seed_codes]
-    group = {canon(mg.identity(ell).code())}
-    frontier = list(dict.fromkeys(seeds))
-    group.update(frontier)
-    while frontier:
-        new = []
-        for x in list(group):
-            Mx = mg.mat_from_code(x, ell)
-            for s in seeds:
-                y = canon(Mx.mul(mg.mat_from_code(s, ell)).code())
-                if y not in group:
-                    group.add(y)
-                    new.append(y)
-                    if len(group) > cap:
-                        return None
-        frontier = new
-    return group
-
-
-def _proj_order_profile(ell: int, group: set[int]) -> dict[int, int]:
-    prof: dict[int, int] = {}
-    ident = int(_proj_canon(np.array([mg.identity(ell).code()]), ell)[0])
-    for code in group:
-        M = mg.mat_from_code(code, ell)
-        x, k = M, 1
-        while int(_proj_canon(np.array([x.code()]), ell)[0]) != ident:
-            x = x.mul(M)
-            k += 1
-        prof[k] = prof.get(k, 0) + 1
-    return prof
 
 
 def _table_prime(ell: int) -> SignatureTable:
@@ -647,156 +597,66 @@ def _table_mod9() -> SignatureTable:
 def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
     """Maximal-subgroup candidates of GL2(Z/9).
 
-    Case (a): preimages of the maximal subgroups of GL2(F_3).
-    Case (b): subgroups meeting the mod-3 kernel K = I + 3*M2(F_3) in a
-    maximal invariant subspace and surjecting mod 3; these are preimages of
-    complements in the corresponding quotient.  Together these cover every
-    maximal subgroup: a maximal M either contains K (case a) or M.K = G with
-    M intersecting K in a maximal submodule (case b).
+    Case (a): preimages of the maximal subgroups of GL2(F_3), one per
+    conjugacy class.
+    Case (b): subgroups M that surject mod 3 and meet the mod-3 kernel
+    K = I + 3*M2(F_3) in a maximal GL2(Z/9)-normalized subgroup K0 of K.
+    K is elementary abelian of order 81 and conjugation acts on it through
+    GL2(F_3), so the K0 are the I + 3*S for the maximal invariant subspaces S
+    of M2(F_3); they are read off the lattice of K (212 subgroups) as the
+    maximal proper members every GL2(Z/9) generator conjugates into
+    themselves, largest first.  Each M is the preimage of a complement to
+    K/K0 in G/K0.  Together the cases cover every maximal subgroup: a
+    maximal M either contains K (case a) or M.K = G with M meeting K in a
+    maximal normal subgroup of G inside K (case b).
     """
-    G = mg.enumerate_group(9, "GL2")
-    codes = G.code_array()
+    codes = mg.enumerate_group(9, "GL2").code_array()
     red3 = mg.reduce_codes(codes, 9, 3)
     out: list[tuple[str, np.ndarray]] = []
 
-    # case (a), deduplicated by conjugacy (preimages of conjugates are conjugate)
+    # case (a): preimages of conjugates are conjugate
     t3 = SmallGroupTable.for_group(3, "GL2")
     proper3 = [msk for msk in t3.subgroup_lattice() if not msk.all()]
     maximal3 = _maximal(proper3, lambda msk: set(np.flatnonzero(msk).tolist()))
-    gen_idxs3 = t3.generator_idxs()
-    claimed: set[bytes] = set()
-    k = 0
-    for msk in maximal3:
-        if msk.tobytes() in claimed:
-            continue
-        for om in t3.conjugacy_orbit_of_subgroup(msk, gen_idxs3):
-            claimed.add(om.tobytes())
-        member_codes3 = set(int(c) for c in t3.mask_to_codes(msk))
-        sel = np.isin(red3, np.fromiter(member_codes3, dtype=np.int64))
+    for k, (msk, _) in enumerate(t3.conjugacy_representatives(maximal3)):
+        sel = np.isin(red3, t3.mask_to_codes(msk))
         out.append((f"pre-mod3-max{k}(order {int(sel.sum())})", codes[sel]))
-        k += 1
 
     # case (b)
-    for name, K0_vectors, W_dim in _maximal_invariant_subspaces_mod3():
-        for j, member_codes in enumerate(_complement_preimages_mod9(K0_vectors)):
+    K = codes[red3 == mg.identity(3).code()]
+    kt = SmallGroupTable(K, np.arange(9**4), 9)
+    gens = mg.gl2_generators(9)
+    normalized = [
+        sub for sub in (kt.mask_to_codes(msk) for msk in kt.subgroup_lattice())
+        if sub.size < K.size and all(np.isin(mg.conj_codes(g, sub), sub).all() for g in gens)
+    ]
+    for K0 in sorted(_maximal(normalized, lambda sub: set(sub.tolist())), key=lambda sub: -sub.size):
+        name = f"dim{round(math.log(K0.size, 3))}"
+        for j, member_codes in enumerate(_complement_preimages_mod9(K0, K)):
             out.append((f"level9-{name}-complement{j}(order {member_codes.size})", member_codes))
     return out
 
 
-def _maximal_invariant_subspaces_mod3():
-    """Maximal GL2(F3)-invariant subspaces of M2(F3) under conjugation."""
-    # enumerate all subspaces of F_3^4 (vectors = matrices (a,b,c,d))
-    vectors = [(a, b, c, d) for a in range(3) for b in range(3) for c in range(3) for d in range(3)]
-    all_subspaces: set[frozenset] = {frozenset({(0, 0, 0, 0)})}
-    frontier = [frozenset({(0, 0, 0, 0)})]
-    while frontier:
-        S = frontier.pop()
-        for v in vectors:
-            if v in S:
-                continue
-            span = set()
-            for w in S:
-                for c in range(3):
-                    span.add(tuple((w[i] + c * v[i]) % 3 for i in range(4)))
-            span = frozenset(span)
-            if span not in all_subspaces:
-                all_subspaces.add(span)
-                frontier.append(span)
-    gens = mg.gl2_generators(3)
-    invariant = []
-    for S in all_subspaces:
-        if len(S) == 81:
-            continue
-        ok = True
-        for g in gens:
-            gi = g.inv()
-            for v in S:
-                if _conj_vec(g, gi, v) not in S:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            invariant.append(S)
-    named = []
-    for S in _maximal(invariant, lambda S: S):
-        dim = round(math.log(len(S), 3))
-        name = f"dim{dim}"
-        named.append((name, sorted(S), 4 - dim))
-    return named
-
-
-def _conj_vec(g: mg.MatModM, gi: mg.MatModM, v: tuple) -> tuple:
-    a, b, c, d = v
-    # g * v
-    xa = (g.a * a + g.b * c) % 3
-    xb = (g.a * b + g.b * d) % 3
-    xc = (g.c * a + g.d * c) % 3
-    xd = (g.c * b + g.d * d) % 3
-    # (g v) * g^-1
-    ya = (xa * gi.a + xb * gi.c) % 3
-    yb = (xa * gi.b + xb * gi.d) % 3
-    yc = (xc * gi.a + xd * gi.c) % 3
-    yd = (xc * gi.b + xd * gi.d) % 3
-    return (ya, yb, yc, yd)
-
-
-def _complement_preimages_mod9(K0_vectors: list[tuple]) -> list[np.ndarray]:
+def _complement_preimages_mod9(K0: np.ndarray, K: np.ndarray) -> list[np.ndarray]:
     """Subgroups M of GL2(Z/9) with M mod 3 full and M meeting the mod-3
-    kernel exactly in I + 3*K0, found as complements in G/(I + 3*K0)."""
-    G = mg.enumerate_group(9, "GL2")
-    codes = G.code_array()
-    K0_codes = np.array(
-        sorted(mg.encode(
-            np.array([(1 + 3 * v[0]) % 9 for v in K0_vectors]),
-            np.array([(3 * v[1]) % 9 for v in K0_vectors]),
-            np.array([(3 * v[2]) % 9 for v in K0_vectors]),
-            np.array([(1 + 3 * v[3]) % 9 for v in K0_vectors]),
-            9,
-        ).tolist()),
-        dtype=np.int64,
-    )
+    kernel K exactly in K0, found as complements in G/K0."""
+    codes = mg.enumerate_group(9, "GL2").code_array()
     # coset key: minimal code in g * K0 (codes outside G are their own key)
     key_of_code = np.arange(9**4, dtype=np.int64)
-    key_of_code[codes] = np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(int(k), 9)) for k in K0_codes])
+    key_of_code[codes] = np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(int(k), 9)) for k in K0])
     qt = SmallGroupTable(np.unique(key_of_code[codes]), key_of_code, 9)
-    # W = image of the full mod-3 kernel
-    full_kernel = codes[np.all(
-        np.stack(mg.decode(mg.reduce_codes(codes, 9, 3), 3)) == np.array([1, 0, 0, 1])[:, None],
-        axis=0,
-    )]
     W_mask = np.zeros(qt.n, dtype=bool)
-    W_mask[qt.index_of_code[full_kernel]] = True
-    w_size = int(W_mask.sum())
-    target = qt.n // w_size
+    W_mask[qt.index_of_code[K]] = True
+    target = qt.n // int(W_mask.sum())
     # Sylow 2-subgroup of the quotient
-    P = _sylow2(qt)
-    out_masks: list[np.ndarray] = []
-    seen: set[bytes] = set()
-    order3 = np.nonzero(qt.order_of == 3)[0]
-    p_idx = np.nonzero(P)[0].tolist()
-    for t in order3.tolist():
+    p_idx = np.nonzero(_sylow2(qt))[0].tolist()
+    complements = []
+    for t in np.nonzero(qt.order_of == 3)[0].tolist():
         C = qt.closure_mask(p_idx + [t])
-        if int(C.sum()) != target:
-            continue
-        if int((C & W_mask).sum()) != 1:
-            continue
-        key = C.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        out_masks.append(C)
-    # conjugacy dedup inside the quotient, then pull back to GL2(Z/9)
-    gen_idxs = [int(qt.index_of_code[g.code()]) for g in mg.gl2_generators(9)]
-    result = []
-    claimed: set[bytes] = set()
-    for C in out_masks:
-        if C.tobytes() in claimed:
-            continue
-        for om in qt.conjugacy_orbit_of_subgroup(C, gen_idxs):
-            claimed.add(om.tobytes())
-        result.append(codes[C[qt.index_of_code[codes]]])
-    return result
+        if int(C.sum()) == target and int((C & W_mask).sum()) == 1:
+            complements.append(C)
+    # one complement per conjugacy class, pulled back to GL2(Z/9)
+    return [codes[C[qt.index_of_code[codes]]] for C, _ in qt.conjugacy_representatives(complements)]
 
 
 def _sylow2(qt: SmallGroupTable) -> np.ndarray:

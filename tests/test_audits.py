@@ -24,6 +24,21 @@ def test_coverage_randomized_m4_m9():
         assert r.trials == 300 and r.seed == 1
 
 
+def test_coverage_cap_is_checked_before_any_work():
+    with pytest.raises(ResourceCapError):
+        audits.coverage_implies_sl2_audit(2**61 - 1)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_audits_reject_nonpositive_trials(trials):
+    with pytest.raises(InvalidInputError):
+        audits.coverage_implies_sl2_audit(16, trials=trials)
+    with pytest.raises(InvalidInputError):
+        audits.reduction_lemma_audit(2, 4, trials=trials)
+    with pytest.raises(InvalidInputError):
+        audits.goursat_audit(4, 3, trials=trials)
+
+
 def test_coverage_boundary_ell3_nonsquare_det():
     """The coverage implication genuinely fails at (ell, d) = (3, 2): the
     Sylow 2-subgroup of GL2(F_3) meets all three determinant-2 classes but

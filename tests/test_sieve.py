@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -252,9 +253,19 @@ def test_cli_weil_count():
         ["omega-dist", "--p", "9"],
         ["weil-count", "--p", "25"],
         ["omega-dist", "--p", "1000000000000000003"],
+        ["group-audit", "--m", "16", "--trials", "0"],
+        ["group-audit", "--m", "16", "--trials", "-5"],
     ],
 )
 def test_cli_bad_input_is_a_usage_error(argv):
     proc = subprocess.run([sys.executable, "-m", "galmax.cli", *argv], capture_output=True, text=True, timeout=60)
     assert proc.returncode in (2, 3), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_curve_with_negative_leading_coefficient():
+    argv = ["certify", "--curve", "-3,1", "--prime-bound", "500", "--l-max", "13"]
+    proc = subprocess.run([sys.executable, "-m", "galmax.cli", *argv], capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    corpus = Path(__file__).resolve().parent / "corpus" / "certify_curve_m3_1_prime_bound_500_l_max_13.txt"
+    assert proc.stdout == corpus.read_bytes()
