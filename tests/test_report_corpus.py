@@ -4,8 +4,11 @@ Each case is one ``galmax`` command line; its expected stdout is stored in
 ``tests/corpus/<slug>.txt``.  A refactoring that is meant to keep behaviour
 must keep every report identical.  The signature tables are pinned the same
 way, by a sha256 digest per level in ``tests/corpus/signature_tables.json``,
-because the CLI corpus never reaches the prime tables or m = 2, 3.  When a
-change alters a report or a table on purpose, regenerate both and review the
+because the CLI corpus never reaches the prime tables or m = 2, 3.  The
+Frobenius signature lists of a few curves and of one box are pinned by
+digest in ``tests/corpus/frobenius_signatures.json``, because a report shows
+only witness primes and failure counts.  When a change alters a report, a
+table or a signature list on purpose, regenerate all three and review the
 diff:
 
     PYTHONPATH=src python tests/test_report_corpus.py --regenerate
@@ -16,16 +19,18 @@ import io
 import json
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from galmax import cli
+from galmax import certify, cli, ecff, numfield, sieve
 from galmax import subgroups as sg
 
 CORPUS = Path(__file__).resolve().parent / "corpus"
 TABLE_DIGESTS = CORPUS / "signature_tables.json"
 TABLE_LEVELS = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+SIGNATURE_DIGESTS = CORPUS / "frobenius_signatures.json"
 
 CASES = [
     ["certify", "--curve", "1,1", "--prime-bound", "500", "--l-max", "13"],
@@ -84,6 +89,41 @@ def test_signature_table_matches_digest(m):
     assert table_digest(m) == json.loads(TABLE_DIGESTS.read_text())[str(m)]
 
 
+def _rational_signatures(a, b):
+    curve = ecff.validate(Fraction(a), Fraction(b))
+    return certify.collect_signatures(curve, certify.CertParams(prime_bound=2000))
+
+
+def _cubic_field_signatures():
+    K = numfield.MonogenicField([1, 1, 0, 1])
+    curve = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))
+    return certify.collect_signatures(curve, certify.CertParams(prime_bound=2000), K)
+
+
+SIGNATURE_CASES = {
+    "q_1_1_prime_bound_2000": lambda: _rational_signatures(1, 1),
+    "q_m3_1_prime_bound_2000": lambda: _rational_signatures(-3, 1),
+    "q_1_4_1_8_prime_bound_2000": lambda: _rational_signatures(Fraction(1, 4), Fraction(1, 8)),
+    "cubic_field_readme_prime_bound_2000": _cubic_field_signatures,
+    "box_10_prime_bound_500": lambda: sieve.batch_signatures(list(sieve.enumerate_box(10)), 500),
+}
+
+
+def signature_digest(name: str) -> str:
+    """sha256 over the to_json form of a case's signatures (a list of
+    signatures, or one list per curve for a box)."""
+
+    def plain(x):
+        return [plain(y) for y in x] if isinstance(x, list) else x.to_json()
+
+    return hashlib.sha256(json.dumps(plain(SIGNATURE_CASES[name]())).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", SIGNATURE_CASES)
+def test_frobenius_signatures_match_digest(name):
+    assert signature_digest(name) == json.loads(SIGNATURE_DIGESTS.read_text())[name]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
@@ -92,3 +132,5 @@ if __name__ == "__main__":
         (CORPUS / f"{slug(argv)}.txt").write_bytes(report_bytes(argv))
     digests = {str(m): table_digest(m) for m in TABLE_LEVELS}
     TABLE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+    digests = {name: signature_digest(name) for name in SIGNATURE_CASES}
+    SIGNATURE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
