@@ -30,8 +30,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from . import ecff, nt, numfield
-from .errors import InvalidInputError
+from .errors import InvalidInputError, ResourceCapError
 from .subgroups import subgroup_signature_table
 from .verdict import Verdict, certified, inconclusive, obstruction
 
@@ -39,6 +41,14 @@ from .verdict import Verdict, certified, inconclusive, obstruction
 ENTANGLEMENT_DISCRIMINANTS = (-3, -4, 8, -8, 12, 24, -24)
 
 _EPS_BY_PATTERN = {(1, 1, 1): 1, (2, 1): -1, (3,): 1}
+
+# nt.primes_up_to allocates one byte per integer up to the bound, and the
+# int64 products of the per-prime kernel and of psi3_splits_over_fp2 stay
+# exact only while p^3 < 2^63
+PRIME_BOUND_CAP = 10**6
+
+CUBIC_PATTERN_BY_ROOTS = {0: (3,), 1: (2, 1), 3: (1, 1, 1)}
+PSI3_PATTERN_BY_ROOTS = {1: (3, 1), 2: (2, 1, 1), 4: (1, 1, 1, 1)}
 
 
 @dataclass(frozen=True)
@@ -52,6 +62,8 @@ class CertParams:
     def __post_init__(self):
         if self.prime_bound < 30:
             raise InvalidInputError("prime_bound must be >= 30")
+        if self.prime_bound > PRIME_BOUND_CAP:
+            raise ResourceCapError(f"prime_bound {self.prime_bound} exceeds cap {PRIME_BOUND_CAP}")
         if self.l_max < 5:
             raise InvalidInputError("l_max must be >= 5")
 
@@ -119,7 +131,7 @@ def _collect_rational(curve, params) -> list[FrobSignature]:
     for p in nt.primes_up_to(params.prime_bound):
         if p < 5 or delta % p == 0:
             continue
-        out.append(_signature_at(p, A % p, B % p, root=None))
+        out += signatures_at(p, [A % p], [B % p])
     return out
 
 
@@ -136,17 +148,36 @@ def _collect_over_field(curve, K, params) -> list[FrobSignature]:
             continue
         ap_ = numfield.reduce_elem(a, P)
         bp_ = numfield.reduce_elem(b, P)
-        out.append(_signature_at(P.p, ap_, bp_, root=P.c))
+        out += signatures_at(P.p, [ap_], [bp_], roots=[P.c])
     return out
 
 
-def _signature_at(p: int, a: int, b: int, root: int | None) -> FrobSignature:
-    _, ap = ecff.point_count(p, a, b)
-    cubic = ecff.cubic_type(p, a, b)
-    psi3, has_pt = ecff.psi3_type(p, a, b)
-    return FrobSignature(
-        norm=p, ap=ap, p=p, root=root, cubic_pattern=cubic, psi3_pattern=psi3, has_3pt=has_pt
-    )
+def signatures_at(p: int, A, B, roots=None) -> list[FrobSignature]:
+    """Signatures of the curves y^2 = x^3 + A[k] x + B[k] at a prime p >= 5
+    where all of them have good reduction, from one batch_curve_data run.
+
+    A and B are reduced mod p (int64 arrays or lists of ints); roots[k] is
+    the root of the field polynomial for a prime over k, None over Q.  A
+    rootless psi3 factors as (2,2) or (4) by psi3_splits_over_fp2.
+    """
+    ap, cubic_roots, psi3_roots, has_3pt = ecff.batch_curve_data(p, A, B)
+    psi3 = [PSI3_PATTERN_BY_ROOTS.get(r) for r in psi3_roots.tolist()]
+    rootless = [k for k, pattern in enumerate(psi3) if pattern is None]
+    if rootless:
+        a = np.asarray(A, dtype=np.int64)[rootless]
+        b = np.asarray(B, dtype=np.int64)[rootless]
+        if len(rootless) == 1:  # Python ints: nt.poly_mulmod is far slower on one-element arrays
+            a, b = int(a[0]), int(b[0])
+        splits = np.atleast_1d(ecff.psi3_splits_over_fp2(p, a, b)).tolist()
+        for k, split in zip(rootless, splits):
+            psi3[k] = (2, 2) if split else (4,)
+    if roots is None:
+        roots = [None] * len(psi3)
+    return [
+        FrobSignature(norm=p, ap=t, p=p, root=c, cubic_pattern=CUBIC_PATTERN_BY_ROOTS[n3],
+                      psi3_pattern=pattern, has_3pt=flag)
+        for t, n3, pattern, flag, c in zip(ap.tolist(), cubic_roots.tolist(), psi3, has_3pt.tolist(), roots)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -511,25 +542,6 @@ def assemble_maximality(per_m: Mapping[int, Verdict], disc_sqrt: Verdict, disc_c
         f"levels 4, 9 and primes 5..{l_max} certified; discriminant root conditions certified",
         l_max=l_max,
     )
-
-
-def lmax_heuristic(curve: ecff.ShortWeierstrass, c: float = 1.0, gamma: float = 1.0,
-                   field_degree: int = 1, cap: int = 97) -> int:
-    """Advisory bound on the primes to check: ceil(c * max(degree, h(j))^gamma).
-
-    The constants default to 1 and are a documented heuristic, not derived
-    values; clamped to [5, cap].
-    """
-    h = height_logj_or_zero(curve)
-    val = math.ceil(c * max(field_degree, h) ** gamma)
-    return max(5, min(cap, val))
-
-
-def height_logj_or_zero(curve) -> float:
-    try:
-        return ecff.height_logj(curve)
-    except Exception:
-        return 0.0
 
 
 def _primes_in(lo: int, hi: int) -> list[int]:

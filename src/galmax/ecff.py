@@ -2,9 +2,12 @@
 and over the rationals, plus the exhaustive family counts used by the
 statistics harness.
 
-Counting is Legendre-symbol based (O(p) per curve), with a quadratic
-character table per prime; family scans over all coefficient pairs mod p are
-vectorized to O(p^2).
+One per-prime kernel, ``batch_curve_data``, computes everything a Frobenius
+signature needs (the trace, the root count of the cubic, the root count of
+the 3-division quartic and the 3-torsion flag) for one curve or a whole box
+at once: a single vectorised sweep over x in F_p, in blocks of x values by
+curves.  ``point_count`` is its one-curve case.  Family scans over all
+coefficient pairs mod p are vectorized to O(p^2).
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from . import nt
 from .errors import BadReductionError, InvalidInputError, ResourceCapError, SingularCurveError
 
 FAMILY_SCAN_P_CAP = 2000
+BATCH_CELLS = 1 << 16  # (x, curve) cells per block of the batch_curve_data sweep
 
 
 def discriminant(a, b):
@@ -128,68 +132,11 @@ def quadratic_character_table(p: int) -> np.ndarray:
 
 
 def point_count(p: int, a: int, b: int) -> tuple[int, int]:
-    """(#E(F_p), trace a_p) by the character sum N = p + 1 + sum chi(x^3+ax+b)."""
-    _check_p(p)
-    a, b = a % p, b % p
-    if discriminant(a, b) % p == 0:
-        raise BadReductionError(f"singular reduction at p={p}")
-    chi = quadratic_character_table(p)
-    x = np.arange(p, dtype=np.int64)
-    vals = (x * x % p * x + a * x + b) % p
-    s = int(chi[vals].sum())
-    N = p + 1 + s
-    ap = p + 1 - N
+    """(#E(F_p), trace a_p), read off the one-curve run of batch_curve_data."""
+    _check_p(p)  # before a % p, which would divide by zero at p = 0
+    ap = int(batch_curve_data(p, [a % p], [b % p])[0][0])
     assert ap * ap <= 4 * p, "Hasse bound violated"
-    return N, ap
-
-
-def cubic_type(p: int, a: int, b: int) -> tuple[int, ...]:
-    """Splitting pattern of x^3 + ax + b over F_p: (3), (2,1) or (1,1,1).
-
-    With p not dividing the discriminant the cubic is separable, so the root
-    count in {0, 1, 3} determines the pattern.
-    """
-    _check_p(p)
-    a, b = a % p, b % p
-    if discriminant(a, b) % p == 0:
-        raise BadReductionError(f"singular reduction at p={p}")
-    x = np.arange(p, dtype=np.int64)
-    roots = int(((x * x % p * x + a * x + b) % p == 0).sum())
-    return {0: (3,), 1: (2, 1), 3: (1, 1, 1)}[roots]
-
-
-def psi3_type(p: int, a: int, b: int) -> tuple[tuple[int, ...], bool]:
-    """Factor-degree pattern of the 3-division polynomial, plus whether some
-    root carries a rational 3-torsion point (x0^3 + a x0 + b a square).
-
-    psi3 = 3x^4 + 6ax^2 + 12bx - a^2; its roots are the x-coordinates of the
-    four order-3 subgroups, distinct when p does not divide 3*Delta.
-    """
-    _check_p(p)
-    a, b = a % p, b % p
-    if (3 * discriminant(a, b)) % p == 0:
-        raise BadReductionError(f"p={p} divides 3*Delta")
-    chi = quadratic_character_table(p)
-    x = np.arange(p, dtype=np.int64)
-    x2 = x * x % p
-    vals = (3 * x2 % p * x2 + 6 * a * x2 + 12 * b * x + (p - a * a % p)) % p
-    root_list = x[vals == 0]
-    n_roots = int(root_list.size)
-    has_point = False
-    for x0 in root_list.tolist():
-        if chi[(x0 * x0 % p * x0 + a * x0 + b) % p] == 1:
-            has_point = True
-            break
-    if n_roots == 4:
-        return (1, 1, 1, 1), has_point
-    if n_roots == 2:
-        return (2, 1, 1), has_point
-    if n_roots == 1:
-        return (3, 1), has_point
-    if n_roots != 0:
-        raise AssertionError("separable quartic cannot have exactly 3 roots")
-    # rootless: either irreducible or a product of two irreducible quadratics
-    return ((2, 2) if psi3_splits_over_fp2(p, a, b) else (4,)), False
+    return p + 1 - ap, ap
 
 
 def psi3_splits_over_fp2(p: int, a, b):
@@ -338,38 +285,54 @@ def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
     return count, deviation
 
 
-def batch_curve_data(p: int, A: np.ndarray, B: np.ndarray):
-    """Traces and splitting data for many curves at one prime, in O(p * n).
+def bad_reduction_mask(p: int, A, B) -> np.ndarray:
+    """True where p divides the discriminant of y^2 = x^3 + A[k] x + B[k].
 
-    Returns (ap, cubic_roots, psi3_roots, psi3_point_flag) arrays; callers
-    must pre-filter curves with p | Delta.  Rootless quartics still need the
-    irreducibility split (see psi3_splits_over_fp2).
+    A and B are int64 arrays; reducing after every product keeps the test
+    exact for any p below 2^31.
     """
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
+    return (4 * (A * A % p) % p * A + 27 * (B * B % p)) % p == 0
+
+
+def batch_curve_data(p: int, A, B):
+    """Traces and splitting data for n curves at one good prime p >= 5.
+
+    Returns (ap, cubic_roots, psi3_roots, psi3_point_flag), one entry per
+    curve: the trace a_p, the number of roots of x^3 + Ax + B, the number of
+    roots of psi3 = 3x^4 + 6Ax^2 + 12Bx - A^2 (the x-coordinates of the four
+    order-3 subgroups) and whether some psi3 root carries a rational 3-torsion
+    point (x0^3 + A x0 + B a nonzero square).  A and B are int64 arrays (or
+    sequences of ints that fit); raises BadReductionError if p divides any
+    curve's discriminant.  The sweep over x runs in blocks of about
+    BATCH_CELLS (x, curve) cells, so one curve at p < BATCH_CELLS takes a
+    single vectorised pass.  Rootless quartics still need the (2,2)/(4)
+    split, see psi3_splits_over_fp2.
+    """
+    _check_p(p)
+    A = np.asarray(A, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    if bad_reduction_mask(p, A, B).any():
+        raise BadReductionError(f"singular reduction at p={p}")
     chi = quadratic_character_table(p)
     ap = np.zeros(A.shape, dtype=np.int64)
-    cubic_roots = np.zeros(A.shape, dtype=np.int16)
-    psi3_roots = np.zeros(A.shape, dtype=np.int16)
+    cubic_roots = np.zeros(A.shape, dtype=np.int64)
+    psi3_roots = np.zeros(A.shape, dtype=np.int64)
     psi3_flag = np.zeros(A.shape, dtype=bool)
     A2 = A * A % p
-    for x in range(p):
+    block = max(1, BATCH_CELLS // max(A.size, 1))
+    for x0 in range(0, p, block):
+        x = np.arange(x0, min(x0 + block, p), dtype=np.int64)[:, None]
         x2 = x * x % p
-        x3 = x2 * x % p
-        cub = (x3 + A * x + B) % p
+        cub = (x2 * x % p + A * x + B) % p
         cv = chi[cub]
-        ap -= cv
-        is_root = cub == 0
-        cubic_roots += is_root
-        quart = (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A2) % p
-        q_root = quart == 0
-        psi3_roots += q_root
-        psi3_flag |= q_root & (cv == 1)
+        ap -= cv.sum(axis=0)
+        cubic_roots += (cub == 0).sum(axis=0)
+        q_root = (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A2) % p == 0
+        psi3_roots += q_root.sum(axis=0)
+        psi3_flag |= (q_root & (cv == 1)).any(axis=0)
     return ap, cubic_roots, psi3_roots, psi3_flag
-
-
-CUBIC_PATTERN_BY_ROOTS = {0: (3,), 1: (2, 1), 3: (1, 1, 1)}
-PSI3_PATTERN_BY_ROOTS = {1: (3, 1), 2: (2, 1, 1), 4: (1, 1, 1, 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -42,14 +42,18 @@ def kronecker(d: int, n: int) -> int:
             return 0
         if d % 8 in (3, 5):
             result = -result
-    if n == 1:
-        return result
-    dd = d % n
-    if dd == 0:
-        return 0
-    import sympy
-
-    return result * int(sympy.jacobi_symbol(dd, n))
+    # Jacobi symbol (d/n) for odd n by quadratic reciprocity
+    d %= n
+    while d:
+        while d % 2 == 0:
+            d //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        d, n = n, d
+        if d % 4 == 3 and n % 4 == 3:
+            result = -result
+        d %= n
+    return result if n == 1 else 0
 
 
 def is_perfect_square(n: int) -> bool:

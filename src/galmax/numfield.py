@@ -19,13 +19,10 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
-import sympy
 
 from . import nt
 from .errors import BadReductionError, InvalidInputError
 from .verdict import Verdict, certified, inconclusive
-
-_X = sympy.symbols("x")
 
 CANDIDATE_CHARACTER_CAP = 4096
 FACTOR_DIGIT_CAP = 70
@@ -40,7 +37,9 @@ class MonogenicField:
             raise InvalidInputError("need a monic integer polynomial of degree >= 2 (little-endian, leading 1)")
         self.coeffs = coeffs
         self.degree = len(coeffs) - 1
-        poly = sympy.Poly(list(reversed(coeffs)), _X)
+        import sympy
+
+        poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
         if not poly.is_irreducible:
             raise InvalidInputError(f"{poly.as_expr()} is reducible over Q")
         self.disc_f = int(sympy.discriminant(poly))
@@ -149,17 +148,22 @@ class FieldElem:
         return self.coeffs[0]
 
     def as_sympy(self):
-        return sum(sympy.Rational(c.numerator, c.denominator) * _X**i for i, c in enumerate(self.coeffs))
+        import sympy
+
+        x = self.field._poly.gen
+        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(self.coeffs))
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        g = sympy.Poly(self.as_sympy(), _X, domain="QQ")
+        import sympy
+
         f = self.field._poly
+        g = sympy.Poly(self.as_sympy(), f.gen, domain="QQ")
         s, _, h = sympy.gcdex(g, f)
-        if sympy.degree(h, _X) != 0:
+        if sympy.degree(h, f.gen) != 0:
             raise InvalidInputError("element not invertible (reducible modulus?)")
-        inv = (s / h).as_poly(_X, domain="QQ")
+        inv = (s / h).as_poly(f.gen, domain="QQ")
         coeffs = [Fraction(0)] * self.field.degree
         for (i,), c in inv.terms():
             coeffs[i] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
@@ -172,7 +176,10 @@ class FieldElem:
         """Field norm: the resultant of f with the representing polynomial."""
         if self.is_zero():
             return Fraction(0)
-        res = sympy.resultant(self.field._poly.as_expr(), self.as_sympy(), _X)
+        import sympy
+
+        f = self.field._poly
+        res = sympy.resultant(f.as_expr(), self.as_sympy(), f.gen)
         res = sympy.Rational(res)
         return Fraction(int(sympy.numer(res)), int(sympy.denom(res)))
 

@@ -1,9 +1,11 @@
 """Box scans, equidistribution reports, and the large-sieve bound evaluator.
 
-Boxes are sup-norm boxes of short Weierstrass coefficients.  Scans batch the
-per-prime work across every curve in the box (one pass over x in F_p updates
-traces and splitting data for all curves at once), which keeps a full
-Serre-criterion scan over tens of thousands of curves in the minutes range.
+Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan hands
+every curve with good reduction at a prime to the same per-prime kernel that
+certifies one curve (``certify.signatures_at`` over ``ecff.batch_curve_data``),
+so each prime costs one blocked sweep over x in F_p for the whole box, which
+keeps a full Serre-criterion scan over tens of thousands of curves in the
+minutes range.
 """
 from __future__ import annotations
 
@@ -77,41 +79,17 @@ def box_count(x: int) -> int:
 
 
 def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[list[certify.FrobSignature]]:
-    """Frobenius signatures for every curve in the list, batched per prime."""
-    n = len(pairs)
-    A = np.array([p[0] for p in pairs], dtype=np.int64)
-    B = np.array([p[1] for p in pairs], dtype=np.int64)
-    deltas = np.array([ecff.discriminant(int(a), int(b)) for a, b in pairs], dtype=object)
-    sigs: list[list[certify.FrobSignature]] = [[] for _ in range(n)]
+    """Frobenius signatures for every curve in the list: at each prime, one
+    certify.signatures_at call over all curves with good reduction there."""
+    A = np.array([a for a, _ in pairs], dtype=np.int64)
+    B = np.array([b for _, b in pairs], dtype=np.int64)
+    sigs: list[list[certify.FrobSignature]] = [[] for _ in pairs]
     for p in nt.primes_up_to(prime_bound):
         if p < 5:
             continue
-        good = np.array([int(d % p) != 0 for d in deltas])
-        if not good.any():
-            continue
-        idx = np.nonzero(good)[0]
-        ap, croots, qroots, qflag = ecff.batch_curve_data(p, A[idx], B[idx])
-        rootless = np.nonzero(qroots == 0)[0]
-        split22 = {}
-        if rootless.size:
-            flags = ecff.psi3_splits_over_fp2(p, A[idx][rootless] % p, B[idx][rootless] % p)
-            split22 = {int(rootless[k]): bool(flags[k]) for k in range(rootless.size)}
-        for k in range(idx.size):
-            nr = int(qroots[k])
-            if nr == 0:
-                pat = (2, 2) if split22[k] else (4,)
-            else:
-                pat = ecff.PSI3_PATTERN_BY_ROOTS[nr]
-            sigs[int(idx[k])].append(
-                certify.FrobSignature(
-                    norm=p,
-                    ap=int(ap[k]),
-                    p=p,
-                    cubic_pattern=ecff.CUBIC_PATTERN_BY_ROOTS[int(croots[k])],
-                    psi3_pattern=pat,
-                    has_3pt=bool(qflag[k]),
-                )
-            )
+        good = np.flatnonzero(~ecff.bad_reduction_mask(p, A, B))
+        for k, sig in zip(good.tolist(), certify.signatures_at(p, A[good] % p, B[good] % p)):
+            sigs[k].append(sig)
     return sigs
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from galmax import certify, ecff
 from galmax import numfield as nf
-from galmax.errors import InvalidInputError
+from galmax.errors import InvalidInputError, ResourceCapError
 from galmax.verdict import certified, inconclusive, obstruction
 
 E11 = ecff.validate(Fraction(1), Fraction(1))
@@ -22,6 +22,9 @@ def test_cert_params_validation():
         certify.CertParams(prime_bound=10)
     with pytest.raises(InvalidInputError):
         certify.CertParams(l_max=3)
+    assert certify.CertParams(prime_bound=certify.PRIME_BOUND_CAP).prime_bound == 10**6
+    with pytest.raises(ResourceCapError):
+        certify.CertParams(prime_bound=certify.PRIME_BOUND_CAP + 1)
 
 
 def test_frob_signature_hasse():
@@ -43,11 +46,11 @@ def test_collect_signatures_e11(sigs_e11):
     assert all(s.ap * s.ap <= 4 * s.norm for s in sigs_e11)
     # bad primes skipped: 2, 31 divide 6 * 496
     assert 2 not in by_p and 3 not in by_p and 31 not in by_p
-    # signatures match direct curve computations
+    # signatures match the engine run on a batch that holds other curves too
     for s in list(by_p.values())[:20]:
-        assert s.cubic_pattern == ecff.cubic_type(s.p, 1, 1)
-        pat, flag = ecff.psi3_type(s.p, 1, 1)
-        assert (s.psi3_pattern, s.has_3pt) == (pat, flag)
+        # 4a^3 + 27b^2 is the prime 239 for (-1, 3) and 1823 for (5, 7)
+        batch = certify.signatures_at(s.p, [s.p - 1, 1, 5 % s.p], [3, 1, 7 % s.p])
+        assert batch[1] == s
 
 
 def test_certify_mod_ell_empty_is_inconclusive():
@@ -251,12 +254,3 @@ def test_obstruction_dominates():
     per_m[5] = obstruction("bad")
     v = certify.assemble_maximality(per_m, inconclusive(), certified("c"))
     assert v.is_obstruction
-
-
-def test_lmax_heuristic():
-    import math
-
-    assert certify.lmax_heuristic(E11) == max(5, math.ceil(math.log(6912)))
-    assert certify.lmax_heuristic(ecff.validate(Fraction(0), Fraction(1))) == 5  # clamped floor
-    assert certify.lmax_heuristic(E11, c=20.0, cap=30) == 30  # clamped cap
-    assert certify.lmax_heuristic(E11, field_degree=50) == 50

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from galmax import ecff, nt, numfield as nf
+from galmax import certify, ecff, nt, numfield as nf
 from galmax.errors import BadReductionError, InvalidInputError, ResourceCapError, SingularCurveError
 
 
@@ -54,6 +54,11 @@ def exhaustive_point_count(p, a, b):
     return n
 
 
+def signature(p, a, b):
+    """The signature engine's output for one curve at p."""
+    return certify.signatures_at(p, [a % p], [b % p])[0]
+
+
 def test_point_count_f5():
     assert ecff.point_count(5, 1, 1) == (9, -3)
 
@@ -88,13 +93,13 @@ def test_isomorphism_invariance():
         N1, _ = ecff.point_count(p, 1, 1)
         N2, _ = ecff.point_count(p, pow(u, 4, p), pow(u, 6, p))
         assert N1 == N2
-        assert ecff.cubic_type(p, 1, 1) == ecff.cubic_type(p, pow(u, 4, p), pow(u, 6, p))
+        assert signature(p, 1, 1).cubic_pattern == signature(p, pow(u, 4, p), pow(u, 6, p)).cubic_pattern
 
 
 def test_cubic_type():
-    assert ecff.cubic_type(7, -1, 0) == (1, 1, 1)  # x^3 - x = x(x-1)(x+1)
-    assert ecff.cubic_type(5, 0, 1) == (2, 1)  # x^3 + 1 = (x+1)(x^2-x+1), quadratic inert mod 5
-    assert ecff.cubic_type(5, 1, 1) == (3,)
+    assert signature(7, -1, 0).cubic_pattern == (1, 1, 1)  # x^3 - x = x(x-1)(x+1)
+    assert signature(5, 0, 1).cubic_pattern == (2, 1)  # x^3 + 1 = (x+1)(x^2-x+1), quadratic inert mod 5
+    assert signature(5, 1, 1).cubic_pattern == (3,)
 
 
 def test_cubic_type_distribution_near_class_proportions():
@@ -113,7 +118,8 @@ def test_psi3_type_degrees_partition_four():
             for b in range(1, 4):
                 if (3 * ecff.discriminant(a, b)) % p == 0:
                     continue
-                pattern, has_pt = ecff.psi3_type(p, a, b)
+                sig = signature(p, a, b)
+                pattern, has_pt = sig.psi3_pattern, sig.has_3pt
                 assert sum(pattern) == 4
                 if has_pt:
                     N, _ = ecff.point_count(p, a, b)
@@ -122,9 +128,57 @@ def test_psi3_type_degrees_partition_four():
 
 def test_psi3_type_example():
     # psi3 of E(0,1) over F_7 is 3x^4 + 12x = 3x(x^3 + 4); x^3 + 4 has no root mod 7
-    pattern, has_pt = ecff.psi3_type(7, 0, 1)
-    assert pattern == (3, 1)
-    assert has_pt  # x0 = 0 gives y^2 = 1
+    sig = signature(7, 0, 1)
+    assert sig.psi3_pattern == (3, 1)
+    assert sig.has_3pt  # x0 = 0 gives y^2 = 1
+
+
+def reference_signature(p, a, b):
+    """(a_p, cubic pattern, psi3 pattern, has_3pt) without the signature engine:
+    brute-force point count, distinct-degree factorization, and a direct scan
+    of the quartic's roots."""
+    ap = p + 1 - exhaustive_point_count(p, a, b)
+    cubic = tuple(nt.factor_degrees_mod_p([b, a, 0, 1], p))
+    inv3 = pow(3, -1, p)
+    quartic = [-a * a * inv3, 4 * b, 2 * a, 0, 1]  # psi3 / 3, monic
+    psi3 = tuple(nt.factor_degrees_mod_p(quartic, p))
+    roots = [x for x in range(p) if sum(c * x**i for i, c in enumerate(quartic)) % p == 0]
+    has_3pt = any(nt.legendre(x**3 + a * x + b, p) == 1 for x in roots)
+    return ap, cubic, psi3, has_3pt
+
+
+@pytest.mark.parametrize("batch", [1, 7001])
+def test_signature_engine_matches_brute_force(batch):
+    # 7001 curves do not fill a whole number of x blocks, so the last block is ragged
+    rng = random.Random(batch)
+    for p in (5, 7, 11, 101, 499):
+        pairs = []
+        while len(pairs) < max(batch, 30):
+            a, b = rng.randrange(p), rng.randrange(p)
+            if ecff.discriminant(a, b) % p:
+                pairs.append((a, b))
+        sigs = []
+        for k in range(0, len(pairs), batch):
+            A, B = (np.array(col, dtype=np.int64) for col in zip(*pairs[k : k + batch]))
+            sigs += certify.signatures_at(p, A, B)
+        assert len(sigs) == len(pairs)
+        engine = {}
+        for ab, s in zip(pairs, sigs):
+            # a pair repeated in the batch must repeat its signature
+            assert engine.setdefault(ab, (s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)) == (
+                s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)
+        for a, b in list(engine)[:30]:
+            assert engine[a, b] == reference_signature(p, a, b), (p, a, b)
+
+
+def test_batch_with_one_singular_curve_raises():
+    A = np.array([1, 2, 0, 3], dtype=np.int64)
+    B = np.array([1, 5, 0, 4], dtype=np.int64)
+    with pytest.raises(BadReductionError):
+        ecff.batch_curve_data(11, A, B)
+    with pytest.raises(BadReductionError):
+        certify.signatures_at(11, A, B)
+    assert ecff.bad_reduction_mask(11, A, B).tolist() == [False, False, True, False]
 
 
 def test_quartic_split_arrays_match_scalar_path():

@@ -18,6 +18,14 @@ def test_prime_divisors_and_phi_match_sympy():
         assert nt.euler_phi(n) == sympy.totient(n), n
 
 
+def test_kronecker_matches_sympy():
+    rng = random.Random(5)
+    for _ in range(20000):
+        d = rng.randint(-10**6, 10**6)
+        n = rng.randint(1, 10**5) * rng.choice((1, 2, 4, 8))
+        assert nt.kronecker(d, n) == sympy.kronecker_symbol(d, n), (d, n)
+
+
 def divisor_roots(A, B):
     """Reference: integer roots of y^3 + A y + B among the divisors of B."""
     if B == 0:

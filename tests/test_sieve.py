@@ -235,6 +235,37 @@ def test_cli_resource_cap_exit_3():
     assert proc.returncode == 3
 
 
+@pytest.mark.parametrize("argv", [["certify", "--curve", "1,1"], ["serre-scan", "--x", "5"]])
+def test_cli_huge_prime_bound_hits_the_cap(argv):
+    # the prime sieve would otherwise allocate one byte per integer up to the bound
+    proc = subprocess.run(
+        [sys.executable, "-m", "galmax.cli", *argv, "--prime-bound", "1000000000000"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_over_q_leaves_sympy_unloaded():
+    # only the field constructors and factoring need sympy
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import galmax.cli",
+        "loaded = ['sympy' in sys.modules]",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert galmax.cli.main(['certify', '--curve', '1,1', '--prime-bound', '500', '--l-max', '13']) == 0",
+        "    loaded.append('sympy' in sys.modules)",
+        "    assert galmax.cli.main(['serre-scan', '--x', '5']) == 0",
+        "    loaded.append('sympy' in sys.modules)",
+        "print(loaded)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False, False]"
+
+
 def test_cli_weil_count():
     code, out = run_cli("weil-count", "--p", "13,29", "--r", "2")
     data = json.loads(out)
