@@ -12,6 +12,11 @@ splitting data at good primes) into one-sided verdicts:
 * ``serre_check`` combines those with the quadratic entanglement conditions
   at the 2-power levels to certify the Serre-curve criterion over Q.
 
+Every level test has one implementation, ``LevelAccumulator``: it runs
+over n curves at once, fed signature cells in columns, so the functions
+above feed it one curve's signature list and box scans (``sieve``) feed it
+one prime of a whole box at a time.
+
 A subtlety the level-72 step depends on: containment of SL2 at levels 8 and
 9 in the separate projections does not by itself give SL2(Z/72Z) in the
 joint image; the obstructions are exactly couplings of the 2-torsion
@@ -28,27 +33,43 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import ecff, nt, numfield
 from .errors import InvalidInputError, ResourceCapError
-from .subgroups import subgroup_signature_table
+from .subgroups import SignatureTable, subgroup_signature_table
 from .verdict import Verdict, certified, inconclusive, obstruction
 
 # the quadratic subfields of Q(mu_72), by fundamental discriminant
 ENTANGLEMENT_DISCRIMINANTS = (-3, -4, 8, -8, 12, 24, -24)
-
-_EPS_BY_PATTERN = {(1, 1, 1): 1, (2, 1): -1, (3,): 1}
 
 # nt.primes_up_to allocates one byte per integer up to the bound, and the
 # int64 products of the per-prime kernel and of psi3_splits_over_fp2 stay
 # exact only while p^3 < 2^63
 PRIME_BOUND_CAP = 10**6
 
-CUBIC_PATTERN_BY_ROOTS = {0: (3,), 1: (2, 1), 3: (1, 1, 1)}
-PSI3_PATTERN_BY_ROOTS = {1: (3, 1), 2: (2, 1, 1), 4: (1, 1, 1, 1)}
+# splitting patterns, numbered in sorted-tuple order so that sorting
+# signatures by pattern id sorts them by pattern
+CUBIC_PATTERNS = ((1, 1, 1), (2, 1), (3,))
+PSI3_PATTERNS = ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
+_CUBIC_ID = {pattern: i for i, pattern in enumerate(CUBIC_PATTERNS)}
+_PSI3_ID = {pattern: i for i, pattern in enumerate(PSI3_PATTERNS)}
+# pattern id by root count of the cubic / of psi3 (-1: impossible count, or
+# a rootless psi3 that psi3_splits_over_fp2 resolves)
+_CUBIC_ID_BY_ROOTS = np.array([_CUBIC_ID[(3,)], _CUBIC_ID[(2, 1)], -1, _CUBIC_ID[(1, 1, 1)]])
+_PSI3_ID_BY_ROOTS = np.array([-1, _PSI3_ID[(3, 1)], _PSI3_ID[(2, 1, 1)], -1, _PSI3_ID[(1, 1, 1, 1)]])
+# sign of the Frobenius permutation of the 2-torsion points, by cubic pattern id
+_EPS_BY_CUBIC_ID = np.array([1, -1, 1])
+
+_MOD_ELL_WITNESSES = ("split semisimple", "nonsplit semisimple", "projective order > 5")
+_MOD_ELL_CONDITIONS = (
+    "split semisimple with nonzero trace",
+    "nonsplit semisimple with nonzero trace",
+    "projective order > 5",
+)
 
 
 @dataclass(frozen=True)
@@ -152,32 +173,268 @@ def _collect_over_field(curve, K, params) -> list[FrobSignature]:
     return out
 
 
-def signatures_at(p: int, A, B, roots=None) -> list[FrobSignature]:
-    """Signatures of the curves y^2 = x^3 + A[k] x + B[k] at a prime p >= 5
-    where all of them have good reduction, from one batch_curve_data run.
+def signature_columns(p: int, A, B):
+    """Frobenius signatures of the curves y^2 = x^3 + A[k] x + B[k] at a
+    prime p >= 5 where all of them have good reduction, as int64 columns
+    (a_p, cubic pattern id, psi3 pattern id, 3-torsion flag), one entry per
+    curve, from one batch_curve_data run.
 
-    A and B are reduced mod p (int64 arrays or lists of ints); roots[k] is
-    the root of the field polynomial for a prime over k, None over Q.  A
-    rootless psi3 factors as (2,2) or (4) by psi3_splits_over_fp2.
+    A and B are reduced mod p (int64 arrays or lists of ints).  Pattern ids
+    index CUBIC_PATTERNS and PSI3_PATTERNS.  A rootless psi3 factors as
+    (2,2) or (4) by psi3_splits_over_fp2.
     """
     ap, cubic_roots, psi3_roots, has_3pt = ecff.batch_curve_data(p, A, B)
-    psi3 = [PSI3_PATTERN_BY_ROOTS.get(r) for r in psi3_roots.tolist()]
-    rootless = [k for k, pattern in enumerate(psi3) if pattern is None]
-    if rootless:
+    psi3 = _PSI3_ID_BY_ROOTS[psi3_roots]
+    rootless = np.flatnonzero(psi3_roots == 0)
+    if rootless.size:
         a = np.asarray(A, dtype=np.int64)[rootless]
         b = np.asarray(B, dtype=np.int64)[rootless]
-        if len(rootless) == 1:  # Python ints: nt.poly_mulmod is far slower on one-element arrays
+        if rootless.size == 1:  # Python ints: nt.poly_mulmod is far slower on one-element arrays
             a, b = int(a[0]), int(b[0])
-        splits = np.atleast_1d(ecff.psi3_splits_over_fp2(p, a, b)).tolist()
-        for k, split in zip(rootless, splits):
-            psi3[k] = (2, 2) if split else (4,)
+        split = np.atleast_1d(ecff.psi3_splits_over_fp2(p, a, b))
+        psi3[rootless] = np.where(split, _PSI3_ID[(2, 2)], _PSI3_ID[(4,)])
+    return ap, _CUBIC_ID_BY_ROOTS[cubic_roots], psi3, has_3pt.astype(np.int64)
+
+
+def signatures_at(p: int, A, B, roots=None) -> list[FrobSignature]:
+    """FrobSignature records of signature_columns(p, A, B); roots[k] is the
+    root of the field polynomial for a prime over k, None over Q."""
+    ap, cubic, psi3, has_3pt = signature_columns(p, A, B)
     if roots is None:
-        roots = [None] * len(psi3)
+        roots = [None] * len(ap)
     return [
-        FrobSignature(norm=p, ap=t, p=p, root=c, cubic_pattern=CUBIC_PATTERN_BY_ROOTS[n3],
-                      psi3_pattern=pattern, has_3pt=flag)
-        for t, n3, pattern, flag, c in zip(ap.tolist(), cubic_roots.tolist(), psi3, has_3pt.tolist(), roots)
+        FrobSignature(norm=p, ap=t, p=p, root=c, cubic_pattern=CUBIC_PATTERNS[i],
+                      psi3_pattern=PSI3_PATTERNS[j], has_3pt=bool(flag))
+        for t, i, j, flag, c in zip(ap.tolist(), cubic.tolist(), psi3.tolist(), has_3pt.tolist(), roots)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the level tests, for one curve or a box
+
+
+def check_ell(ell: int) -> None:
+    """Raise InvalidInputError unless ell is a prime >= 5 (a mod-l level)."""
+    if ell < 5 or not nt.is_prime(ell):
+        raise InvalidInputError("certify_mod_ell needs a prime l >= 5")
+
+
+def _mod_ell_hits(ell: int, norm, ap) -> np.ndarray:
+    """hits[i, k]: whether cell k witnesses condition i of certify_mod_ell
+    (split, nonsplit, projective order > 5); never where ell divides the norm.
+
+    With t, d the trace and determinant mod ell and u = t^2/d, the tests
+    u in {0, 1, 2, 4} and u^2 - 3u + 1 = 0 are taken times d and d^2, so no
+    inverse is needed and every product stays below ell^2.
+    """
+    t, d = ap % ell, norm % ell
+    t2 = t * t % ell
+    disc = (t2 - 4 * d) % ell
+    chi = ecff.quadratic_character_table(ell)[disc]
+    split = (t != 0) & (disc != 0) & (chi == 1)
+    nonsplit = (t != 0) & (chi == -1)
+    order = (t2 != 0) & (t2 != d) & (t2 != 2 * d % ell) & (t2 != 4 * d % ell)
+    order &= (t2 * t2 - 3 * t2 * d + d * d) % ell != 0
+    return np.stack([split, nonsplit, order]) & (d != 0)
+
+
+@lru_cache(maxsize=None)
+def _entanglement_characters() -> np.ndarray:
+    """chi[i, n mod 24] = (D_i / n) for the coupling discriminants D_i, all
+    of which are discriminants dividing 24, so (D/n) has period |D| in n."""
+    return np.array([[nt.kronecker(D, r) for r in range(24)] for D in ENTANGLEMENT_DISCRIMINANTS])
+
+
+def _cell_keys(m: int, norm, ap, cubic, psi3, flag) -> np.ndarray:
+    """Dense key of each cell's level-m signature (trace and determinant mod
+    m, plus the cubic pattern at m = 4, 8 or the psi3 pattern and 3-torsion
+    flag at m = 9), -1 where the cell has none."""
+    key = ap % m * m + norm % m
+    usable = np.gcd(norm, m) == 1
+    if m in (4, 8):
+        usable &= cubic >= 0
+        key = key * len(CUBIC_PATTERNS) + cubic
+    elif m == 9:
+        usable &= (psi3 >= 0) & (flag >= 0)
+        key = (key * len(PSI3_PATTERNS) + psi3) * 2 + flag
+    return np.where(usable, key, -1)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """An elimination level: signature classes numbered in sorted order, the
+    class of each dense cell key (-1: not realizable in GL2(Z/m)), and the
+    entries x classes membership matrix of the table."""
+
+    table: SignatureTable
+    classes: tuple
+    class_of_key: np.ndarray
+    member: np.ndarray
+    units: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _level(m: int) -> _Level:
+    if m in (2, 3):
+        raise InvalidInputError("signature elimination handles m = 4, 8, 9 and primes 5..13")
+    table = subgroup_signature_table(m)
+    classes = tuple(sorted(table.full_signatures))
+    t, d = (np.array([sig[i] for sig in classes], dtype=np.int64) for i in (0, 1))
+    cubic = np.array([_CUBIC_ID[sig[2]] if m in (4, 8) else 0 for sig in classes], dtype=np.int64)
+    psi3 = np.array([_PSI3_ID[sig[2]] if m == 9 else 0 for sig in classes], dtype=np.int64)
+    flag = np.array([int(sig[3]) if m == 9 else 0 for sig in classes], dtype=np.int64)
+    class_of_key = np.full(m * m * len(CUBIC_PATTERNS) * len(PSI3_PATTERNS) * 2, -1, dtype=np.int64)
+    class_of_key[_cell_keys(m, d, t, cubic, psi3, flag)] = np.arange(len(classes))
+    member = np.array([[sig in e.signatures for sig in classes] for e in table.entries], dtype=bool)
+    units = np.array([math.gcd(u, m) == 1 for u in range(m)])
+    return _Level(table, classes, class_of_key, member, units)
+
+
+class LevelAccumulator:
+    """Streaming state of the level tests for n curves.
+
+    ``feed`` takes a batch of cells as equal-length columns (curve index,
+    norm, a_p, cubic and psi3 pattern ids, 3-torsion flag; -1 for a missing
+    pattern or flag), such as
+    one prime's signature_columns over a box or a whole signature list of
+    one curve.  Cells are numbered in feed order.  Per curve it keeps the
+    first cell witnessing each condition of certify_mod_ell at each ell, the
+    first cell refuting each entanglement coupling, and the observed-class
+    and determinant bitmaps of each elimination level m.
+    """
+
+    UNSET = np.iinfo(np.int64).max
+
+    def __init__(self, n: int, ells=(), ms=(), entanglement: bool = False):
+        for ell in ells:
+            check_ell(ell)
+        self.n = n
+        self.cells = 0
+        self.witnesses = {ell: np.full((3, n), self.UNSET) for ell in ells}
+        self.levels = {m: _level(m) for m in ms}
+        self.observed = {m: np.zeros((n, len(lv.classes)), dtype=bool) for m, lv in self.levels.items()}
+        self.dets = {m: np.zeros((n, m), dtype=bool) for m in ms}
+        self.refuted = np.full((len(ENTANGLEMENT_DISCRIMINANTS), n), self.UNSET) if entanglement else None
+
+    def feed(self, curves, norm, ap, cubic, psi3, flag) -> None:
+        curves, norm, ap, cubic, psi3, flag = (
+            np.asarray(v, dtype=np.int64) for v in (curves, norm, ap, cubic, psi3, flag)
+        )
+        over = ap * ap > 4 * norm
+        if over.any():
+            k = np.flatnonzero(over)[0]
+            raise InvalidInputError(f"trace {ap[k]} violates the Hasse bound at {norm[k]}")
+        order = self.cells + np.arange(curves.size)
+        self.cells += curves.size
+        for ell, first in self.witnesses.items():
+            self._first(first, _mod_ell_hits(ell, norm, ap), curves, order)
+        for m, lv in self.levels.items():
+            keys = _cell_keys(m, norm, ap, cubic, psi3, flag)
+            use = keys >= 0
+            classes = lv.class_of_key[keys[use]]
+            if (classes < 0).any():
+                stray = sorted(set(norm[use][classes < 0].tolist()))
+                raise AssertionError(f"signatures at {stray} not realizable in GL2(Z/{m}): internal bug")
+            self.observed[m][curves[use], classes] = True
+            self.dets[m][curves[use], norm[use] % m] = True
+        if self.refuted is not None:
+            use = (cubic >= 0) & (norm % 2 != 0) & (norm % 3 != 0)
+            eps = _EPS_BY_CUBIC_ID[cubic]
+            self._first(self.refuted, use & (_entanglement_characters()[:, norm % 24] != eps), curves, order)
+
+    @staticmethod
+    def _first(first, hits, curves, order) -> None:
+        """Lower first[i, k] to the order of curve k's first cell in hits[i]."""
+        for row, hit in zip(first, hits):
+            np.minimum.at(row, curves[hit], order[hit])
+
+    # -- per-curve outcomes, as bool arrays over the n curves
+
+    def mod_ell_certified(self, ell: int) -> np.ndarray:
+        return (self.witnesses[ell] != self.UNSET).all(axis=0)
+
+    def elimination_state(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(usable, covered, eliminated): whether curve k observed any level-m
+        signature, whether its determinants cover the units mod m, and
+        eliminated[k, e], whether it observed a class outside table entry e."""
+        observed = self.observed[m]
+        covered = (self.dets[m] == self.levels[m].units).all(axis=1)
+        return observed.any(axis=1), covered, observed @ ~self.levels[m].member.T
+
+    def elimination_certified(self, m: int) -> np.ndarray:
+        usable, covered, eliminated = self.elimination_state(m)
+        return usable & covered & eliminated.all(axis=1)
+
+    def entanglement_certified(self) -> np.ndarray:
+        return (self.refuted != self.UNSET).all(axis=0)
+
+    def certified(self) -> np.ndarray:
+        """Curves for which every level test the accumulator runs certified."""
+        out = np.ones(self.n, dtype=bool)
+        for ell in self.witnesses:
+            out &= self.mod_ell_certified(ell)
+        for m in self.levels:
+            out &= self.elimination_certified(m)
+        if self.refuted is not None:
+            out &= self.entanglement_certified()
+        return out
+
+    # -- verdicts for one curve fed the signature list sigs
+
+    def mod_ell_verdict(self, ell: int, sigs: list[FrobSignature]) -> Verdict:
+        first = self.witnesses[ell][:, 0]
+        if self.mod_ell_certified(ell)[0]:
+            return certified(
+                *({"condition": c, "p": sigs[i].p, "ap": sigs[i].ap} for c, i in zip(_MOD_ELL_WITNESSES, first)),
+                ell=ell,
+            )
+        return inconclusive(ell=ell, unmet_conditions=[c for c, i in zip(_MOD_ELL_CONDITIONS, first) if i == self.UNSET])
+
+    def elimination_verdict(self, m: int) -> Verdict:
+        lv = self.levels[m]
+        usable, covered, eliminated = (state[0] for state in self.elimination_state(m))
+        if not usable:
+            return inconclusive(m=m, reason="no usable signatures")
+        if not covered:
+            return inconclusive(m=m, reason="determinant coverage incomplete", seen=np.flatnonzero(self.dets[m][0]).tolist())
+        entries = lv.table.entries
+        if not eliminated.all():
+            survivors = [e.label for e, out in zip(entries, eliminated) if not out]
+            return inconclusive(m=m, surviving_subgroups=survivors, table_scope=lv.table.scope)
+        # the first missed class id is the least missed signature
+        first_missed = (self.observed[m][0] & ~lv.member).argmax(axis=1)
+        return certified(
+            *({"eliminated": e.label, "by_signature": lv.classes[c]} for e, c in zip(entries, first_missed.tolist())),
+            m=m,
+            table_scope=lv.table.scope,
+        )
+
+    def entanglement_verdict(self, sigs: list[FrobSignature]) -> Verdict:
+        first = self.refuted[:, 0]
+        if self.entanglement_certified()[0]:
+            return certified(
+                *(
+                    {"coupling_discriminant": D, "p": sigs[i].p, "pattern": sigs[i].cubic_pattern}
+                    for D, i in zip(ENTANGLEMENT_DISCRIMINANTS, first)
+                ),
+                statement="no quadratic entanglement of conductor dividing 72",
+            )
+        return inconclusive(surviving_discriminants=[D for D, i in zip(ENTANGLEMENT_DISCRIMINANTS, first) if i == self.UNSET])
+
+
+def _accumulate(sigs: Iterable[FrobSignature], **levels) -> tuple[list[FrobSignature], LevelAccumulator]:
+    """Feed one curve's signature list, in order, to a one-curve accumulator."""
+    sigs = list(sigs)
+    acc = LevelAccumulator(1, **levels)
+    acc.feed(
+        np.zeros(len(sigs), dtype=np.int64),
+        [s.norm for s in sigs],
+        [s.ap for s in sigs],
+        [_CUBIC_ID.get(s.cubic_pattern, -1) for s in sigs],
+        [_PSI3_ID.get(s.psi3_pattern, -1) for s in sigs],
+        [-1 if s.has_3pt is None else int(s.has_3pt) for s in sigs],
+    )
+    return sigs, acc
 
 
 # ---------------------------------------------------------------------------
@@ -193,58 +450,15 @@ def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
     nonsplit Cartan normalizer; witness (ii), nonsplit with nonzero trace,
     escapes the Borel and the split Cartan normalizer; witness (iii), with
     u = t^2/d outside {0, 1, 2, 4} and u^2 - 3u + 1 != 0, has projective
-    order > 5 and escapes the exceptional groups.
+    order > 5 and escapes the exceptional groups.  Each witness is the first
+    signature in the list that meets its condition.
     """
-    if ell < 5 or not nt.is_prime(ell):
-        raise InvalidInputError("certify_mod_ell needs a prime l >= 5")
-    wit_split = wit_nonsplit = wit_order = None
-    for s in sigs:
-        if s.norm % ell == 0:
-            continue
-        t, d = s.residues(ell)
-        disc = (t * t - 4 * d) % ell
-        if t != 0 and disc != 0 and wit_split is None and nt.legendre(disc, ell) == 1:
-            wit_split = s
-        if t != 0 and wit_nonsplit is None and nt.legendre(disc, ell) == -1:
-            wit_nonsplit = s
-        if wit_order is None and d % ell != 0:
-            u = t * t * pow(d, -1, ell) % ell
-            if u not in (0, 1, 2, 4 % ell) and (u * u - 3 * u + 1) % ell != 0:
-                wit_order = s
-        if wit_split and wit_nonsplit and wit_order:
-            return certified(
-                {"condition": "split semisimple", "p": wit_split.p, "ap": wit_split.ap},
-                {"condition": "nonsplit semisimple", "p": wit_nonsplit.p, "ap": wit_nonsplit.ap},
-                {"condition": "projective order > 5", "p": wit_order.p, "ap": wit_order.ap},
-                ell=ell,
-            )
-    missing = [
-        name
-        for name, w in [
-            ("split semisimple with nonzero trace", wit_split),
-            ("nonsplit semisimple with nonzero trace", wit_nonsplit),
-            ("projective order > 5", wit_order),
-        ]
-        if w is None
-    ]
-    return inconclusive(ell=ell, unmet_conditions=missing)
+    sigs, acc = _accumulate(sigs, ells=(ell,))
+    return acc.mod_ell_verdict(ell, sigs)
 
 
 # ---------------------------------------------------------------------------
 # elimination against signature tables
-
-
-def _signature_tuple(s: FrobSignature, m: int):
-    t, d = s.residues(m)
-    if m in (4, 8):
-        if s.cubic_pattern is None:
-            return None
-        return (t, d, s.cubic_pattern)
-    if m == 9:
-        if s.psi3_pattern is None or s.has_3pt is None:
-            return None
-        return (t, d, s.psi3_pattern, s.has_3pt)
-    return (t, d)
 
 
 def signature_elimination(sigs: Iterable[FrobSignature], m: int) -> Verdict:
@@ -252,38 +466,11 @@ def signature_elimination(sigs: Iterable[FrobSignature], m: int) -> Verdict:
 
     Certified requires (1) the observed determinants to cover all units mod m
     (so the image provably has full determinant and the table applies) and
-    (2) every table entry to miss at least one observed signature.
+    (2) every table entry to miss at least one observed signature; the
+    witness for an entry is the least observed signature it misses.
     """
-    table = subgroup_signature_table(m)
-    observed = set()
-    dets = set()
-    for s in sigs:
-        if math.gcd(s.norm, m) != 1:
-            continue
-        sig = _signature_tuple(s, m)
-        if sig is None:
-            continue
-        observed.add(sig)
-        dets.add(s.norm % m)
-    if not observed:
-        return inconclusive(m=m, reason="no usable signatures")
-    stray = observed - table.full_signatures
-    if stray:
-        raise AssertionError(f"observed signatures {stray} not realizable in GL2(Z/{m}): internal bug")
-    units = {u for u in range(1, m) if math.gcd(u, m) == 1}
-    if dets != units:
-        return inconclusive(m=m, reason="determinant coverage incomplete", seen=sorted(dets))
-    survivors = []
-    witnesses = []
-    for e in table.entries:
-        missed = observed - e.signatures
-        if missed:
-            witnesses.append({"eliminated": e.label, "by_signature": sorted(missed)[0]})
-        else:
-            survivors.append(e.label)
-    if survivors:
-        return inconclusive(m=m, surviving_subgroups=survivors, table_scope=table.scope)
-    return certified(*witnesses, m=m, table_scope=table.scope)
+    _, acc = _accumulate(sigs, ms=(m,))
+    return acc.elimination_verdict(m)
 
 
 def certify_mod_small(sigs: Iterable[FrobSignature], m: int) -> Verdict:
@@ -301,18 +488,8 @@ def quadratic_entanglement_check(sigs: Iterable[FrobSignature]) -> Verdict:
     sign of the Frobenius permutation of the three 2-torsion points would
     equal the Kronecker symbol (D/p) at every good prime.
     """
-    alive: dict[int, dict | None] = {D: None for D in ENTANGLEMENT_DISCRIMINANTS}
-    for s in sigs:
-        if s.cubic_pattern is None or s.norm % 2 == 0 or s.norm % 3 == 0:
-            continue
-        eps = _EPS_BY_PATTERN[s.cubic_pattern]
-        for D in [D for D, w in alive.items() if w is None]:
-            if nt.kronecker(D, s.norm) != eps:
-                alive[D] = {"coupling_discriminant": D, "p": s.p, "pattern": s.cubic_pattern}
-        if all(w is not None for w in alive.values()):
-            return certified(*alive.values(), statement="no quadratic entanglement of conductor dividing 72")
-    survivors = [D for D, w in alive.items() if w is None]
-    return inconclusive(surviving_discriminants=survivors)
+    sigs, acc = _accumulate(sigs, entanglement=True)
+    return acc.entanglement_verdict(sigs)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +530,7 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
         raise InvalidInputError("serre_check applies to curves over Q")
     A, B = integer_model(curve.a, curve.b)
     report = SerreReport(verdict=inconclusive(), params=params, curve=(A, B))
-    verdict, levels = _serre_obstructions(A, B)
+    verdict, levels = serre_obstruction(A, B), {}
     if verdict is None:
         sigs = collect_signatures(curve, params)
         verdict, levels = _serre_levels(sigs, params)
@@ -366,39 +543,32 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
     return report
 
 
-def serre_verdict_from_signatures(a: int, b: int, sigs: list[FrobSignature], params: CertParams) -> Verdict:
-    """Serre verdict for an integer curve with pre-collected signatures."""
-    verdict, _ = _serre_obstructions(a, b)
-    if verdict is not None:
-        return verdict
-    verdict, _ = _serre_levels(sigs, params)
-    return verdict
-
-
-def _serre_obstructions(A: int, B: int):
+def serre_obstruction(A: int, B: int) -> Verdict | None:
+    """The structural obstruction of the integer curve y^2 = x^3 + Ax + B
+    (an integer root of the cubic, or one of the thirteen CM j-invariants),
+    None if it has neither."""
     structural = []
-    roots = nt.rational_roots_of_monic_cubic(Fraction(A), Fraction(B))
+    roots = nt._integer_roots_monic_cubic(A, B)
     if roots:
         structural.append({"kind": "rational 2-torsion", "x": str(roots[0])})
-    cm = ecff.cm_screen(ecff.validate(Fraction(A), Fraction(B)))
-    if cm.status == "definitely-cm":
-        structural.append({"kind": "complex multiplication", "j": str(cm.j)})
+    j_num, j_den = -1728 * 64 * A**3, ecff.discriminant(A, B)
+    if j_num % j_den == 0 and j_num // j_den in ecff.CM_J_INVARIANTS:
+        structural.append({"kind": "complex multiplication", "j": str(j_num // j_den)})
     if structural:
-        return (
-            obstruction(*structural, statement="the adelic index exceeds 2 (proper mod-2 image / CM)"),
-            {},
-        )
-    return None, {}
+        return obstruction(*structural, statement="the adelic index exceeds 2 (proper mod-2 image / CM)")
+    return None
+
+
+def serre_level_tests(params: CertParams) -> dict:
+    """The level tests of the Serre criterion, as LevelAccumulator keywords."""
+    return {"ells": _primes_in(5, params.l_max), "ms": (4, 9, 8), "entanglement": True}
 
 
 def _serre_levels(sigs: list[FrobSignature], params: CertParams):
-    levels: dict = {}
-    for ell in _primes_in(5, params.l_max):
-        levels[ell] = certify_mod_ell(sigs, ell)
-    levels[4] = certify_mod_small(sigs, 4)
-    levels[9] = certify_mod_small(sigs, 9)
-    levels[8] = signature_elimination(sigs, 8)
-    levels["entanglement"] = quadratic_entanglement_check(sigs)
+    sigs, acc = _accumulate(sigs, **serre_level_tests(params))
+    levels: dict = {ell: acc.mod_ell_verdict(ell, sigs) for ell in acc.witnesses}
+    levels.update((m, acc.elimination_verdict(m)) for m in acc.levels)
+    levels["entanglement"] = acc.entanglement_verdict(sigs)
     pending = [k for k, v in levels.items() if not v.is_certified]
     if pending:
         return inconclusive(unresolved_levels=[str(k) for k in pending]), levels
@@ -476,9 +646,9 @@ def certify_maximal(
         )
     if K is None:
         K = curve.a.field
-    sigs = collect_signatures(curve, params, K)
-    cond_a = {ell: certify_mod_ell(sigs, ell) for ell in _primes_in(5, params.l_max)}
-    cond_b = {4: certify_mod_small(sigs, 4), 9: certify_mod_small(sigs, 9)}
+    sigs, acc = _accumulate(collect_signatures(curve, params, K), ells=_primes_in(5, params.l_max), ms=(4, 9))
+    cond_a = {ell: acc.mod_ell_verdict(ell, sigs) for ell in acc.witnesses}
+    cond_b = {m: acc.elimination_verdict(m) for m in acc.levels}
     cond_c = numfield.sqrt_cyclotomic_certificate(curve.delta, K, prime_budget=params.prime_bound)
     mu3 = numfield.mu_n_membership(K, 3)
     if mu3.is_certified:

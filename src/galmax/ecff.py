@@ -208,49 +208,43 @@ def trace_histogram(p: int, m: int) -> dict[int, int]:
 
     Exploits the twist orbit: for fixed (r, s) with rs != 0 the p-1 pairs
     (u^2 r, u^3 s) are exactly the isomorphism class and its quadratic twist,
-    with a_p equal to chi(u) * a_p(r, s).  One point count per orbit brings
-    the scan to O(p^2) total.
+    with a_p equal to chi(u) * a_p(r, s).  The orbit representatives, and
+    every curve with rs = 0, are counted in one batch_curve_data run.
     """
     _check_p(p)
     if p > FAMILY_SCAN_P_CAP:
         raise ResourceCapError(f"family scan at p={p} exceeds cap {FAMILY_SCAN_P_CAP}")
     if m < 1:
         raise InvalidInputError("modulus must be >= 1")
-    chi = quadratic_character_table(p)
-    hist: dict[int, int] = {t: 0 for t in range(m)}
-    visited = np.zeros((p, p), dtype=bool)
     u = np.arange(1, p, dtype=np.int64)
     u2 = u * u % p
     u3 = u2 * u % p
     n_square = (p - 1) // 2
 
-    # j = 0 and j = 1728 columns: count each curve directly
-    for s0 in range(1, p):
-        if not visited[0, s0]:
-            _, ap = point_count(p, 0, s0)
-            hist[ap % m] += 1
-            visited[0, s0] = True
-    for r0 in range(1, p):
-        if not visited[r0, 0]:
-            _, ap = point_count(p, r0, 0)
-            hist[ap % m] += 1
-            visited[r0, 0] = True
-
+    # j = 0 and j = 1728 columns: every curve is its own representative
+    axis = list(range(1, p))
+    R, S = [0] * (p - 1) + axis, axis + [0] * (p - 1)
+    n_axis = len(R)
+    visited = np.zeros((p, p), dtype=bool)
     for r0 in range(1, p):
         row = visited[r0]
-        for s0 in range(1, p):
+        for s0 in (np.flatnonzero(~row[1:]) + 1).tolist():
             if row[s0]:
                 continue
             if (4 * r0 * r0 * r0 + 27 * s0 * s0) % p == 0:
-                visited[r0, s0] = True
                 continue
-            rr = u2 * r0 % p
-            ss = u3 * s0 % p
-            visited[rr, ss] = True
-            _, ap = point_count(p, r0, s0)
-            hist[ap % m] += n_square
-            hist[(-ap) % m] += (p - 1) - n_square
-    return hist
+            visited[u2 * r0 % p, u3 * s0 % p] = True
+            R.append(r0)
+            S.append(s0)
+    ap = batch_curve_data(p, R, S)[0]
+    assert (ap * ap <= 4 * p).all(), "Hasse bound violated"
+    orbit = ap[n_axis:]
+    hist = (
+        np.bincount(ap[:n_axis] % m, minlength=m)
+        + n_square * np.bincount(orbit % m, minlength=m)
+        + (p - 1 - n_square) * np.bincount(-orbit % m, minlength=m)
+    )
+    return {t: int(hist[t]) for t in range(m)}
 
 
 def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:

@@ -1,11 +1,13 @@
 """Box scans, equidistribution reports, and the large-sieve bound evaluator.
 
-Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan hands
-every curve with good reduction at a prime to the same per-prime kernel that
-certifies one curve (``certify.signatures_at`` over ``ecff.batch_curve_data``),
-so each prime costs one blocked sweep over x in F_p for the whole box, which
-keeps a full Serre-criterion scan over tens of thousands of curves in the
-minutes range.
+Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan runs the
+same per-prime kernel and the same level tests that certify one curve: at
+each prime, ``certify.signature_columns`` over every curve of the box with
+good reduction there (one blocked ``ecff.batch_curve_data`` sweep over x in
+F_p) is fed as one batch of cells to a ``certify.LevelAccumulator``.  Memory
+is O(curves x signature classes), and a curve's verdict is a few array
+operations at the end instead of a loop over its signatures.
+``batch_signatures`` is the per-curve list view of the same columns.
 """
 from __future__ import annotations
 
@@ -78,19 +80,37 @@ def box_count(x: int) -> int:
 # batched signature collection over a box
 
 
-def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[list[certify.FrobSignature]]:
-    """Frobenius signatures for every curve in the list: at each prime, one
-    certify.signatures_at call over all curves with good reduction there."""
+def _box_primes(pairs: list[tuple[int, int]], prime_bound: int):
+    """Yield (p, indices of the curves with good reduction at p, their A and
+    B mod p) for every prime 5 <= p <= prime_bound."""
     A = np.array([a for a, _ in pairs], dtype=np.int64)
     B = np.array([b for _, b in pairs], dtype=np.int64)
-    sigs: list[list[certify.FrobSignature]] = [[] for _ in pairs]
     for p in nt.primes_up_to(prime_bound):
         if p < 5:
             continue
         good = np.flatnonzero(~ecff.bad_reduction_mask(p, A, B))
-        for k, sig in zip(good.tolist(), certify.signatures_at(p, A[good] % p, B[good] % p)):
+        yield p, good, A[good] % p, B[good] % p
+
+
+def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[list[certify.FrobSignature]]:
+    """Frobenius signatures for every curve in the list: at each prime, one
+    certify.signatures_at call over all curves with good reduction there."""
+    sigs: list[list[certify.FrobSignature]] = [[] for _ in pairs]
+    for p, good, a, b in _box_primes(pairs, prime_bound):
+        for k, sig in zip(good.tolist(), certify.signatures_at(p, a, b)):
             sigs[k].append(sig)
     return sigs
+
+
+def scan_levels(pairs: list[tuple[int, int]], prime_bound: int, **tests) -> certify.LevelAccumulator:
+    """Run level tests over every curve in the list: each prime's
+    certify.signature_columns over the curves with good reduction there is
+    fed, as one batch of cells, to a certify.LevelAccumulator(len(pairs),
+    **tests).  Memory is O(curves x signature classes), not O(curves x primes)."""
+    acc = certify.LevelAccumulator(len(pairs), **tests)
+    for p, good, a, b in _box_primes(pairs, prime_bound):
+        acc.feed(good, np.full(good.size, p), *certify.signature_columns(p, a, b))
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +166,20 @@ def density_scan(
     The asymptotic decay exponents are NOT reproducible at desk scale; the
     report only exhibits the trend.
     """
+    if check not in ("serre", "mod-ell", "disc-square"):
+        raise InvalidInputError(f"unknown check {check!r}")
+    if check == "mod-ell":
+        certify.check_ell(ell)
     xs = [int(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise InvalidInputError("xs must be strictly increasing")
+    for x in xs:
+        if check == "serre" and x > SERRE_SCAN_X_CAP:
+            raise ResourceCapError(f"serre scan bound {x} exceeds cap {SERRE_SCAN_X_CAP}")
     if params is None:
         params = certify.CertParams(prime_bound=500, l_max=13)
     rows = []
     for x in xs:
-        if check == "serre" and x > SERRE_SCAN_X_CAP:
-            raise ResourceCapError(f"serre scan bound {x} exceeds cap {SERRE_SCAN_X_CAP}")
         pairs = list(enumerate_box(x))
         if not pairs:
             rows.append(ScanRow(x, 0, 0))
@@ -163,10 +188,8 @@ def density_scan(
             failures = sum(1 for a, b in pairs if _is_square(ecff.discriminant(a, b)))
         elif check == "serre":
             failures = _serre_failures(pairs, params)
-        elif check == "mod-ell":
-            failures = _mod_ell_failures(pairs, params, ell)
         else:
-            raise InvalidInputError(f"unknown check {check!r}")
+            failures = _mod_ell_failures(pairs, params, ell)
         rows.append(ScanRow(x, len(pairs), failures))
     caveats = [
         "desk-scale trend check only; asymptotic exponents are out of reach at these box sizes",
@@ -179,20 +202,16 @@ def _is_square(n) -> bool:
 
 
 def _serre_failures(pairs, params) -> int:
-    sigs_by_curve = batch_signatures(pairs, params.prime_bound)
-    failures = 0
-    for (a, b), sigs in zip(pairs, sigs_by_curve):
-        verdict = certify.serre_verdict_from_signatures(a, b, sigs, params)
-        if not verdict.is_certified and not verdict.is_obstruction:
-            failures += 1
-        elif verdict.is_obstruction:
-            failures += 1
-    return failures
+    """Curves failing the Serre criterion: every level test over the box,
+    then the structural screen on the curves whose levels all certified (a
+    curve failing either fails the criterion)."""
+    certified = scan_levels(pairs, params.prime_bound, **certify.serre_level_tests(params)).certified()
+    obstructed = sum(1 for k in np.flatnonzero(certified).tolist() if certify.serre_obstruction(*pairs[k]) is not None)
+    return len(pairs) - int(certified.sum()) + obstructed
 
 
 def _mod_ell_failures(pairs, params, ell) -> int:
-    sigs_by_curve = batch_signatures(pairs, params.prime_bound)
-    return sum(1 for sigs in sigs_by_curve if not certify.certify_mod_ell(sigs, ell).is_certified)
+    return len(pairs) - int(scan_levels(pairs, params.prime_bound, ells=(ell,)).certified().sum())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from galmax import certify, ecff
+from galmax import certify, ecff, nt, sieve
 from galmax import numfield as nf
 from galmax.errors import InvalidInputError, ResourceCapError
+from galmax.subgroups import subgroup_signature_table
 from galmax.verdict import certified, inconclusive, obstruction
 
 E11 = ecff.validate(Fraction(1), Fraction(1))
@@ -254,3 +257,186 @@ def test_obstruction_dominates():
     per_m[5] = obstruction("bad")
     v = certify.assemble_maximality(per_m, inconclusive(), certified("c"))
     assert v.is_obstruction
+
+
+# ---------------------------------------------------------------------------
+# plain-Python reference: the per-signature loops the level accumulator
+# replaced, kept verbatim as the specification of its verdicts
+
+
+def _ref_certify_mod_ell(sigs, ell):
+    wit_split = wit_nonsplit = wit_order = None
+    for s in sigs:
+        if s.norm % ell == 0:
+            continue
+        t, d = s.residues(ell)
+        disc = (t * t - 4 * d) % ell
+        if t != 0 and disc != 0 and wit_split is None and nt.legendre(disc, ell) == 1:
+            wit_split = s
+        if t != 0 and wit_nonsplit is None and nt.legendre(disc, ell) == -1:
+            wit_nonsplit = s
+        if wit_order is None and d % ell != 0:
+            u = t * t * pow(d, -1, ell) % ell
+            if u not in (0, 1, 2, 4 % ell) and (u * u - 3 * u + 1) % ell != 0:
+                wit_order = s
+        if wit_split and wit_nonsplit and wit_order:
+            return certified(
+                {"condition": "split semisimple", "p": wit_split.p, "ap": wit_split.ap},
+                {"condition": "nonsplit semisimple", "p": wit_nonsplit.p, "ap": wit_nonsplit.ap},
+                {"condition": "projective order > 5", "p": wit_order.p, "ap": wit_order.ap},
+                ell=ell,
+            )
+    missing = [
+        name
+        for name, w in [
+            ("split semisimple with nonzero trace", wit_split),
+            ("nonsplit semisimple with nonzero trace", wit_nonsplit),
+            ("projective order > 5", wit_order),
+        ]
+        if w is None
+    ]
+    return inconclusive(ell=ell, unmet_conditions=missing)
+
+
+def _ref_signature_tuple(s, m):
+    t, d = s.residues(m)
+    if m in (4, 8):
+        if s.cubic_pattern is None:
+            return None
+        return (t, d, s.cubic_pattern)
+    if m == 9:
+        if s.psi3_pattern is None or s.has_3pt is None:
+            return None
+        return (t, d, s.psi3_pattern, s.has_3pt)
+    return (t, d)
+
+
+def _ref_signature_elimination(sigs, m):
+    table = subgroup_signature_table(m)
+    observed = set()
+    dets = set()
+    for s in sigs:
+        if math.gcd(s.norm, m) != 1:
+            continue
+        sig = _ref_signature_tuple(s, m)
+        if sig is None:
+            continue
+        observed.add(sig)
+        dets.add(s.norm % m)
+    if not observed:
+        return inconclusive(m=m, reason="no usable signatures")
+    stray = observed - table.full_signatures
+    if stray:
+        raise AssertionError(f"observed signatures {stray} not realizable in GL2(Z/{m}): internal bug")
+    units = {u for u in range(1, m) if math.gcd(u, m) == 1}
+    if dets != units:
+        return inconclusive(m=m, reason="determinant coverage incomplete", seen=sorted(dets))
+    survivors = []
+    witnesses = []
+    for e in table.entries:
+        missed = observed - e.signatures
+        if missed:
+            witnesses.append({"eliminated": e.label, "by_signature": sorted(missed)[0]})
+        else:
+            survivors.append(e.label)
+    if survivors:
+        return inconclusive(m=m, surviving_subgroups=survivors, table_scope=table.scope)
+    return certified(*witnesses, m=m, table_scope=table.scope)
+
+
+_REF_EPS_BY_PATTERN = {(1, 1, 1): 1, (2, 1): -1, (3,): 1}
+
+
+def _ref_quadratic_entanglement_check(sigs):
+    alive = {D: None for D in certify.ENTANGLEMENT_DISCRIMINANTS}
+    for s in sigs:
+        if s.cubic_pattern is None or s.norm % 2 == 0 or s.norm % 3 == 0:
+            continue
+        eps = _REF_EPS_BY_PATTERN[s.cubic_pattern]
+        for D in [D for D, w in alive.items() if w is None]:
+            if nt.kronecker(D, s.norm) != eps:
+                alive[D] = {"coupling_discriminant": D, "p": s.p, "pattern": s.cubic_pattern}
+        if all(w is not None for w in alive.values()):
+            return certified(*alive.values(), statement="no quadratic entanglement of conductor dividing 72")
+    survivors = [D for D, w in alive.items() if w is None]
+    return inconclusive(surviving_discriminants=survivors)
+
+
+LEVEL_CHECKS = (
+    [(f"ell={ell}", lambda s, ell=ell: certify.certify_mod_ell(s, ell), lambda s, ell=ell: _ref_certify_mod_ell(s, ell))
+     for ell in (5, 7, 11, 13)]
+    + [(f"m={m}", lambda s, m=m: certify.signature_elimination(s, m),
+        lambda s, m=m: _ref_signature_elimination(s, m)) for m in (4, 8, 9)]
+    + [("entanglement", certify.quadratic_entanglement_check, _ref_quadratic_entanglement_check)]
+)
+
+
+def _assert_levels_match_reference(sigs, label):
+    for name, engine, reference in LEVEL_CHECKS:
+        assert engine(sigs).to_json() == reference(sigs).to_json(), (label, name)
+
+
+@pytest.fixture(scope="module")
+def box10():
+    pairs = list(sieve.enumerate_box(10))
+    return pairs, sieve.batch_signatures(pairs, 500)
+
+
+def test_levels_match_reference_on_box(box10):
+    pairs, sigs_by_curve = box10
+    assert len(pairs) == 438
+    for pair, sigs in zip(pairs, sigs_by_curve):
+        _assert_levels_match_reference(sigs, pair)
+
+
+def test_box_scan_matches_reference_per_curve(box10):
+    # the box path feeds the accumulator one prime at a time; per curve it
+    # must certify exactly when every reference verdict of the criterion does
+    pairs, sigs_by_curve = box10
+    params = certify.CertParams(prime_bound=500, l_max=13)
+    box = sieve.scan_levels(pairs, 500, **certify.serre_level_tests(params)).certified()
+    for k, sigs in enumerate(sigs_by_curve):
+        verdicts = [_ref_certify_mod_ell(sigs, ell) for ell in (5, 7, 11, 13)]
+        verdicts += [_ref_signature_elimination(sigs, m) for m in (4, 9, 8)]
+        verdicts.append(_ref_quadratic_entanglement_check(sigs))
+        assert box[k] == all(v.is_certified for v in verdicts), pairs[k]
+
+
+def test_levels_match_reference_on_cubic_field_curve():
+    K = nf.MonogenicField([1, 1, 0, 1])
+    E = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))
+    sigs = certify.collect_signatures(E, certify.CertParams(prime_bound=2000), K)
+    _assert_levels_match_reference(sigs, "cubic field")
+
+
+def test_levels_match_reference_on_short_and_partial_lists(sigs_e11):
+    _assert_levels_match_reference([], "empty")
+    for s in sigs_e11[:12]:
+        _assert_levels_match_reference([s], s.p)
+    # primes 1 mod 4 only: determinant coverage fails at 4 and 8
+    _assert_levels_match_reference([s for s in sigs_e11 if s.p % 4 == 1], "p = 1 mod 4")
+    # signatures without splitting data only feed the mod-l conditions
+    bare = [certify.FrobSignature(norm=s.norm, ap=s.ap, p=s.p) for s in sigs_e11[:60]]
+    _assert_levels_match_reference(bare, "bare")
+
+
+def test_accumulator_keeps_the_signature_checks():
+    acc = certify.LevelAccumulator(2, ells=(5,), ms=(4,), entanglement=True)
+    with pytest.raises(InvalidInputError):  # the Hasse bound: a_7 = 6 > 2 sqrt(7)
+        acc.feed([0], [7], [6], [0], [0], [0])
+    with pytest.raises(AssertionError):  # odd trace with trivial mod-2 image
+        acc.feed([1], [5], [1], [certify.CUBIC_PATTERNS.index((1, 1, 1))], [0], [0])
+    with pytest.raises(InvalidInputError):
+        certify.LevelAccumulator(1, ells=(9,))
+    # determinant coverage: primes 1 mod 4 alone eliminate every entry at
+    # m = 4 for E(1, 1) but never show determinant 3
+    half = certify.LevelAccumulator(1, ms=(4,))
+    for p in [p for p in nt.primes_up_to(500) if p % 4 == 1]:
+        half.feed([0], [p], *certify.signature_columns(p, [1], [1]))
+    usable, covered, eliminated = half.elimination_state(4)
+    assert usable[0] and eliminated.all() and not covered[0]
+    assert not half.certified()[0]
+    fresh = certify.LevelAccumulator(3, ells=(5,), ms=(4,), entanglement=True)
+    assert not fresh.certified().any()
+    assert certify.LevelAccumulator(1).certified().all()  # no level tests asked
+

@@ -99,6 +99,24 @@ def test_density_scan_mod_ell():
     assert 0 <= rep.rows[0].failures < 118
 
 
+def test_density_scan_serre_pins_the_x20_box():
+    rep = sieve.density_scan([20])
+    assert (rep.rows[0].total, rep.rows[0].failures) == (1676, 298)
+
+
+@pytest.mark.parametrize("check, ell", [("mod-ell", 4), ("mod-ell", 9), ("bogus", 5)])
+def test_density_scan_validates_before_scanning(monkeypatch, check, ell):
+    def fail(*args, **kwargs):
+        raise AssertionError("box enumerated or scanned before validation")
+
+    monkeypatch.setattr(ecff, "batch_curve_data", fail)
+    monkeypatch.setattr(sieve, "enumerate_box", fail)
+    with pytest.raises(InvalidInputError):
+        sieve.density_scan([40], check, ell=ell)
+    with pytest.raises(ResourceCapError):
+        sieve.density_scan([20, 300], "serre")
+
+
 def test_density_scan_totals_match_box():
     rep = sieve.density_scan([10, 15], "disc-square")
     assert [r.total for r in rep.rows] == [sieve.box_count(10), sieve.box_count(15)]
