@@ -1,21 +1,16 @@
 """Frobenius sampling and sound certification of large torsion Galois images.
 
-Everything here turns lists of Frobenius signatures (trace, norm, torsion
-splitting data at good primes) into one-sided verdicts:
-
-* ``certify_mod_ell`` certifies image >= SL2(F_l) for primes l >= 5 from
-  characteristic-polynomial conditions that rule out the Borel, the two
-  Cartan normalizers, and the exceptional projective images.
-* ``certify_mod_small`` certifies image >= SL2(Z/mZ) for m = 4, 9 by
-  eliminating every proper full-determinant subgroup against enriched
-  signatures (trace, determinant, torsion splitting pattern).
-* ``serre_check`` combines those with the quadratic entanglement conditions
-  at the 2-power levels to certify the Serre-curve criterion over Q.
-
-Every level test has one implementation, ``LevelAccumulator``: it runs
-over n curves at once, fed signature cells in columns, so the functions
-above feed it one curve's signature list and box scans (``sieve``) feed it
-one prime of a whole box at a time.
+Everything here turns Frobenius signatures (trace, norm, torsion splitting
+data at good degree-one primes) into one-sided verdicts.  ``prime_axis``
+walks the good primes of n curves, over Q or a monogenic field, and
+``signature_columns`` turns each prime into int64 columns.  Every level test
+(mod l >= 5 by characteristic-polynomial witnesses, mod 4, 8, 9 by table
+elimination, the quadratic entanglement conditions) is one
+``LevelAccumulator`` fed those columns: ``serre_check`` and
+``certify_maximal`` feed it one curve's columns once and read each witness
+off them, and box scans (``sieve``) feed it one prime of a whole box at a
+time.  ``FrobSignature`` records and the list-taking level functions are
+only a view of the columns, kept for digests and reference tests.
 
 A subtlety the level-72 step depends on: containment of SL2 at levels 8 and
 9 in the separate projections does not by itself give SL2(Z/72Z) in the
@@ -34,7 +29,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -50,6 +45,9 @@ ENTANGLEMENT_DISCRIMINANTS = (-3, -4, 8, -8, 12, 24, -24)
 # int64 products of the per-prime kernel and of psi3_splits_over_fp2 stay
 # exact only while p^3 < 2^63
 PRIME_BOUND_CAP = 10**6
+# every prime up to l_max is a mod-l level, and each level's witness test
+# reads a quadratic character table of length l
+L_MAX_CAP = 100
 
 # splitting patterns, numbered in sorted-tuple order so that sorting
 # signatures by pattern id sorts them by pattern
@@ -78,7 +76,6 @@ class CertParams:
 
     prime_bound: int = 10**4
     l_max: int = 37
-    seed: int = 0
 
     def __post_init__(self):
         if self.prime_bound < 30:
@@ -87,6 +84,8 @@ class CertParams:
             raise ResourceCapError(f"prime_bound {self.prime_bound} exceeds cap {PRIME_BOUND_CAP}")
         if self.l_max < 5:
             raise InvalidInputError("l_max must be >= 5")
+        if self.l_max > L_MAX_CAP:
+            raise ResourceCapError(f"l_max {self.l_max} exceeds cap {L_MAX_CAP}")
 
 
 @dataclass(frozen=True)
@@ -128,49 +127,75 @@ def integer_model(a, b) -> tuple[int, int]:
     return int(A), int(B)
 
 
-def collect_signatures(
+class SignatureColumns(NamedTuple):
+    """Frobenius signatures as equal-length int64 columns, one entry per
+    cell: the prime p (the norm of a degree-one prime), the root c of the
+    field polynomial (-1 over Q), a_p, the cubic and psi3 pattern ids and
+    the 3-torsion flag (-1: missing)."""
+
+    p: np.ndarray
+    root: np.ndarray
+    ap: np.ndarray
+    cubic: np.ndarray
+    psi3: np.ndarray
+    flag: np.ndarray
+
+    @classmethod
+    def of_rows(cls, rows) -> "SignatureColumns":
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, len(cls._fields)).T)
+
+
+def prime_axis(A, B, prime_bound: int, K: numfield.MonogenicField | None = None):
+    """Yield (p, c, curves, A mod P, B mod P) for every degree-one prime
+    P = (p, c) with 5 <= p <= prime_bound, in increasing order of p: the
+    indices of the curves y^2 = x^3 + A[k] x + B[k] with good reduction at
+    P, and their coefficients reduced mod P, as int64 arrays.
+
+    Over Q (K None), A and B hold exact integers of any size, reduced mod p
+    before any int64 conversion; c is None and a curve is good at p when p
+    does not divide its discriminant.  Over K they hold field elements, c
+    runs over the roots of f mod p, and a curve is good at every P over p
+    when p does not divide 6 disc(f) N(Delta) times its coefficient
+    denominators.
+    """
+    if K is None:
+        A, B = np.array(A, dtype=object), np.array(B, dtype=object)
+        disc = ecff.discriminant(A, B)
+        for p in nt.primes_up_to(prime_bound):
+            if p >= 5:
+                good = np.flatnonzero(disc % p != 0)
+                yield p, None, good, (A[good] % p).astype(np.int64), (B[good] % p).astype(np.int64)
+        return
+    bad = np.array([_bad_number(K, a, b) for a, b in zip(A, B)], dtype=object)
+    for P in numfield.degree_one_primes(K, prime_bound):
+        if P.p >= 5:
+            good = np.flatnonzero(bad % P.p != 0)
+            a, b = ([numfield.reduce_elem(C[k], P) for k in good.tolist()] for C in (A, B))
+            yield P.p, P.c, good, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+
+
+def _bad_number(K: numfield.MonogenicField, a, b) -> int:
+    norm = int(numfield._integerize_power_class(ecff.discriminant(a, b), 1).norm())
+    return 6 * abs(K.disc_f) * abs(norm) * math.lcm(a.denominator_lcm(), b.denominator_lcm())
+
+
+def curve_columns(
     curve: ecff.ShortWeierstrass,
     params: CertParams = CertParams(),
     K: numfield.MonogenicField | None = None,
-) -> list[FrobSignature]:
-    """Signatures at every good (degree-one) prime up to the bound.
-
-    Over Q all good rational primes are used; over a monogenic field, the
-    degree-one primes of the defining order.  Bad primes are skipped.
-    """
+) -> SignatureColumns:
+    """One curve's signatures at every good degree-one prime of prime_axis
+    up to the bound: over Q for the integer model, over K (default: the
+    field of the coefficients) for the power-basis coefficients."""
     if curve.is_rational:
-        return _collect_rational(curve, params)
-    if K is None:
-        K = curve.a.field
-    return _collect_over_field(curve, K, params)
-
-
-def _collect_rational(curve, params) -> list[FrobSignature]:
-    A, B = integer_model(curve.a, curve.b)
-    delta = ecff.discriminant(A, B)
-    out = []
-    for p in nt.primes_up_to(params.prime_bound):
-        if p < 5 or delta % p == 0:
-            continue
-        out += signatures_at(p, [A % p], [B % p])
-    return out
-
-
-def _collect_over_field(curve, K, params) -> list[FrobSignature]:
-    a, b = curve.a, curve.b
-    delta = curve.delta
-    d_int = numfield._integerize_power_class(delta, 1)
-    norm = int(d_int.norm())
-    den = math.lcm(a.denominator_lcm(), b.denominator_lcm())
-    bad = 6 * abs(K.disc_f) * abs(norm) * den
-    out = []
-    for P in numfield.degree_one_primes(K, params.prime_bound):
-        if P.p < 5 or bad % P.p == 0:
-            continue
-        ap_ = numfield.reduce_elem(a, P)
-        bp_ = numfield.reduce_elem(b, P)
-        out += signatures_at(P.p, [ap_], [bp_], roots=[P.c])
-    return out
+        (a, b), K = integer_model(curve.a, curve.b), None
+    else:
+        a, b, K = curve.a, curve.b, K or curve.a.field
+    return SignatureColumns.of_rows([
+        (p, -1 if c is None else c, *(int(v[0]) for v in signature_columns(p, a_p, b_p)))
+        for p, c, good, a_p, b_p in prime_axis([a], [b], params.prime_bound, K)
+        if good.size
+    ])
 
 
 def signature_columns(p: int, A, B):
@@ -196,17 +221,34 @@ def signature_columns(p: int, A, B):
     return ap, _CUBIC_ID_BY_ROOTS[cubic_roots], psi3, has_3pt.astype(np.int64)
 
 
-def signatures_at(p: int, A, B, roots=None) -> list[FrobSignature]:
-    """FrobSignature records of signature_columns(p, A, B); roots[k] is the
-    root of the field polynomial for a prime over k, None over Q."""
-    ap, cubic, psi3, has_3pt = signature_columns(p, A, B)
-    if roots is None:
-        roots = [None] * len(ap)
+def _records(cols: SignatureColumns) -> list[FrobSignature]:
     return [
-        FrobSignature(norm=p, ap=t, p=p, root=c, cubic_pattern=CUBIC_PATTERNS[i],
+        FrobSignature(norm=p, ap=t, p=p, root=None if c < 0 else c, cubic_pattern=CUBIC_PATTERNS[i],
                       psi3_pattern=PSI3_PATTERNS[j], has_3pt=bool(flag))
-        for t, i, j, flag, c in zip(ap.tolist(), cubic.tolist(), psi3.tolist(), has_3pt.tolist(), roots)
+        for p, c, t, i, j, flag in zip(*(col.tolist() for col in cols))
     ]
+
+
+def _record_columns(sigs: Iterable[FrobSignature]) -> SignatureColumns:
+    return SignatureColumns.of_rows(
+        [(s.norm, -1 if s.root is None else s.root, s.ap, _CUBIC_ID.get(s.cubic_pattern, -1),
+          _PSI3_ID.get(s.psi3_pattern, -1), -1 if s.has_3pt is None else int(s.has_3pt)) for s in sigs]
+    )
+
+
+def signatures_at(p: int, A, B) -> list[FrobSignature]:
+    """FrobSignature records of signature_columns(p, A, B) over Q."""
+    ap, cubic, psi3, has_3pt = signature_columns(p, A, B)
+    return _records(SignatureColumns(np.full(ap.size, p), np.full(ap.size, -1), ap, cubic, psi3, has_3pt))
+
+
+def collect_signatures(
+    curve: ecff.ShortWeierstrass,
+    params: CertParams = CertParams(),
+    K: numfield.MonogenicField | None = None,
+) -> list[FrobSignature]:
+    """FrobSignature records of curve_columns(curve, params, K)."""
+    return _records(curve_columns(curve, params, K))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +256,10 @@ def signatures_at(p: int, A, B, roots=None) -> list[FrobSignature]:
 
 
 def check_ell(ell: int) -> None:
-    """Raise InvalidInputError unless ell is a prime >= 5 (a mod-l level)."""
+    """Raise InvalidInputError unless ell is a prime >= 5 (a mod-l level),
+    ResourceCapError if it exceeds L_MAX_CAP."""
+    if ell > L_MAX_CAP:
+        raise ResourceCapError(f"l = {ell} exceeds cap {L_MAX_CAP}")
     if ell < 5 or not nt.is_prime(ell):
         raise InvalidInputError("certify_mod_ell needs a prime l >= 5")
 
@@ -296,8 +341,8 @@ class LevelAccumulator:
     ``feed`` takes a batch of cells as equal-length columns (curve index,
     norm, a_p, cubic and psi3 pattern ids, 3-torsion flag; -1 for a missing
     pattern or flag), such as
-    one prime's signature_columns over a box or a whole signature list of
-    one curve.  Cells are numbered in feed order.  Per curve it keeps the
+    one prime's signature_columns over a box or all of one curve's
+    curve_columns.  Cells are numbered in feed order.  Per curve it keeps the
     first cell witnessing each condition of certify_mod_ell at each ell, the
     first cell refuting each entanglement coupling, and the observed-class
     and determinant bitmaps of each elimination level m.
@@ -379,13 +424,13 @@ class LevelAccumulator:
             out &= self.entanglement_certified()
         return out
 
-    # -- verdicts for one curve fed the signature list sigs
+    # -- verdicts for one curve fed the columns cols
 
-    def mod_ell_verdict(self, ell: int, sigs: list[FrobSignature]) -> Verdict:
+    def mod_ell_verdict(self, ell: int, cols: SignatureColumns) -> Verdict:
         first = self.witnesses[ell][:, 0]
         if self.mod_ell_certified(ell)[0]:
             return certified(
-                *({"condition": c, "p": sigs[i].p, "ap": sigs[i].ap} for c, i in zip(_MOD_ELL_WITNESSES, first)),
+                *({"condition": c, "p": int(cols.p[i]), "ap": int(cols.ap[i])} for c, i in zip(_MOD_ELL_WITNESSES, first)),
                 ell=ell,
             )
         return inconclusive(ell=ell, unmet_conditions=[c for c, i in zip(_MOD_ELL_CONDITIONS, first) if i == self.UNSET])
@@ -409,12 +454,12 @@ class LevelAccumulator:
             table_scope=lv.table.scope,
         )
 
-    def entanglement_verdict(self, sigs: list[FrobSignature]) -> Verdict:
+    def entanglement_verdict(self, cols: SignatureColumns) -> Verdict:
         first = self.refuted[:, 0]
         if self.entanglement_certified()[0]:
             return certified(
                 *(
-                    {"coupling_discriminant": D, "p": sigs[i].p, "pattern": sigs[i].cubic_pattern}
+                    {"coupling_discriminant": D, "p": int(cols.p[i]), "pattern": CUBIC_PATTERNS[cols.cubic[i]]}
                     for D, i in zip(ENTANGLEMENT_DISCRIMINANTS, first)
                 ),
                 statement="no quadratic entanglement of conductor dividing 72",
@@ -422,19 +467,11 @@ class LevelAccumulator:
         return inconclusive(surviving_discriminants=[D for D, i in zip(ENTANGLEMENT_DISCRIMINANTS, first) if i == self.UNSET])
 
 
-def _accumulate(sigs: Iterable[FrobSignature], **levels) -> tuple[list[FrobSignature], LevelAccumulator]:
-    """Feed one curve's signature list, in order, to a one-curve accumulator."""
-    sigs = list(sigs)
+def _accumulate(cols: SignatureColumns, **levels) -> LevelAccumulator:
+    """Feed one curve's columns, in order, to a one-curve accumulator."""
     acc = LevelAccumulator(1, **levels)
-    acc.feed(
-        np.zeros(len(sigs), dtype=np.int64),
-        [s.norm for s in sigs],
-        [s.ap for s in sigs],
-        [_CUBIC_ID.get(s.cubic_pattern, -1) for s in sigs],
-        [_PSI3_ID.get(s.psi3_pattern, -1) for s in sigs],
-        [-1 if s.has_3pt is None else int(s.has_3pt) for s in sigs],
-    )
-    return sigs, acc
+    acc.feed(np.zeros(cols.p.size, dtype=np.int64), cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -453,8 +490,8 @@ def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
     order > 5 and escapes the exceptional groups.  Each witness is the first
     signature in the list that meets its condition.
     """
-    sigs, acc = _accumulate(sigs, ells=(ell,))
-    return acc.mod_ell_verdict(ell, sigs)
+    cols = _record_columns(sigs)
+    return _accumulate(cols, ells=(ell,)).mod_ell_verdict(ell, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +506,7 @@ def signature_elimination(sigs: Iterable[FrobSignature], m: int) -> Verdict:
     (2) every table entry to miss at least one observed signature; the
     witness for an entry is the least observed signature it misses.
     """
-    _, acc = _accumulate(sigs, ms=(m,))
-    return acc.elimination_verdict(m)
+    return _accumulate(_record_columns(sigs), ms=(m,)).elimination_verdict(m)
 
 
 def certify_mod_small(sigs: Iterable[FrobSignature], m: int) -> Verdict:
@@ -488,8 +524,8 @@ def quadratic_entanglement_check(sigs: Iterable[FrobSignature]) -> Verdict:
     sign of the Frobenius permutation of the three 2-torsion points would
     equal the Kronecker symbol (D/p) at every good prime.
     """
-    sigs, acc = _accumulate(sigs, entanglement=True)
-    return acc.entanglement_verdict(sigs)
+    cols = _record_columns(sigs)
+    return _accumulate(cols, entanglement=True).entanglement_verdict(cols)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +568,7 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
     report = SerreReport(verdict=inconclusive(), params=params, curve=(A, B))
     verdict, levels = serre_obstruction(A, B), {}
     if verdict is None:
-        sigs = collect_signatures(curve, params)
-        verdict, levels = _serre_levels(sigs, params)
+        verdict, levels = _serre_levels(curve_columns(curve, params), params)
     report.levels = levels
     report.verdict = verdict
     report.notes.append(
@@ -564,11 +599,11 @@ def serre_level_tests(params: CertParams) -> dict:
     return {"ells": _primes_in(5, params.l_max), "ms": (4, 9, 8), "entanglement": True}
 
 
-def _serre_levels(sigs: list[FrobSignature], params: CertParams):
-    sigs, acc = _accumulate(sigs, **serre_level_tests(params))
-    levels: dict = {ell: acc.mod_ell_verdict(ell, sigs) for ell in acc.witnesses}
+def _serre_levels(cols: SignatureColumns, params: CertParams):
+    acc = _accumulate(cols, **serre_level_tests(params))
+    levels: dict = {ell: acc.mod_ell_verdict(ell, cols) for ell in acc.witnesses}
     levels.update((m, acc.elimination_verdict(m)) for m in acc.levels)
-    levels["entanglement"] = acc.entanglement_verdict(sigs)
+    levels["entanglement"] = acc.entanglement_verdict(cols)
     pending = [k for k, v in levels.items() if not v.is_certified]
     if pending:
         return inconclusive(unresolved_levels=[str(k) for k in pending]), levels
@@ -646,8 +681,9 @@ def certify_maximal(
         )
     if K is None:
         K = curve.a.field
-    sigs, acc = _accumulate(collect_signatures(curve, params, K), ells=_primes_in(5, params.l_max), ms=(4, 9))
-    cond_a = {ell: acc.mod_ell_verdict(ell, sigs) for ell in acc.witnesses}
+    cols = curve_columns(curve, params, K)
+    acc = _accumulate(cols, ells=_primes_in(5, params.l_max), ms=(4, 9))
+    cond_a = {ell: acc.mod_ell_verdict(ell, cols) for ell in acc.witnesses}
     cond_b = {m: acc.elimination_verdict(m) for m in acc.levels}
     cond_c = numfield.sqrt_cyclotomic_certificate(curve.delta, K, prime_budget=params.prime_bound)
     mu3 = numfield.mu_n_membership(K, 3)

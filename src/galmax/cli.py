@@ -21,6 +21,8 @@ from .errors import GalmaxError, InvalidInputError, ResourceCapError
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_curve_value(sys.argv[1:] if argv is None else argv))
+    if [] in vars(args).values():  # argparse reads the value of --flag=-- as an empty list
+        parser.error("an option value cannot be '--'")
     try:
         report = args.run(args)
     except ResourceCapError as e:
@@ -29,7 +31,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidInputError, GalmaxError, ValueError) as e:
         parser.error(str(e))  # exits 2
         return 2
-    _emit(report, args)
+    try:
+        _emit(report, args)
+    except OSError as e:  # an unwritable --out
+        parser.error(f"cannot write the report: {e}")
     return 0
 
 
@@ -73,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", default=None, help="f=[c0,c1,...,1] monic integer polynomial")
     p.add_argument("--prime-bound", type=int, default=10**4)
     p.add_argument("--l-max", type=int, default=37)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_run_certify)
 
     p = add_parser("sieve-bound", help="large sieve denominator L(Q) and bound shape")
@@ -99,7 +103,10 @@ def _attach_curve_value(argv: list[str]) -> list[str]:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+    values = [int(t) for t in text.split(",") if t.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +176,7 @@ def _run_scan(args) -> dict:
 
 
 def _run_certify(args) -> dict:
-    params = certify.CertParams(prime_bound=args.prime_bound, l_max=args.l_max, seed=args.seed)
+    params = certify.CertParams(prime_bound=args.prime_bound, l_max=args.l_max)
     if args.field:
         K = _parse_field(args.field)
         a, b = _parse_field_curve(args.curve, K)

@@ -11,11 +11,9 @@ coefficient pairs mod p are vectorized to O(p^2).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -330,7 +328,7 @@ def batch_curve_data(p: int, A, B):
 
 
 # ---------------------------------------------------------------------------
-# j-invariants, heights, complex multiplication screen
+# j-invariants and the rational CM j-invariants
 
 
 def j_invariant(curve: ShortWeierstrass):
@@ -338,19 +336,6 @@ def j_invariant(curve: ShortWeierstrass):
     a = curve.a
     num = -1728 * 64 * a * a * a
     return _divide(num, curve.delta)
-
-
-def height_logj(curve: ShortWeierstrass) -> float:
-    """Logarithmic height of j for rational curves: log max(|num|, |den|)."""
-    j = j_invariant(curve)
-    if isinstance(j, Fraction):
-        return math.log(max(abs(j.numerator), abs(j.denominator), 1))
-    # power-basis element: crude height from the coefficient fractions
-    coeffs = getattr(j, "coeffs", None)
-    if coeffs is None:
-        raise InvalidInputError("height supported for rational or power-basis j")
-    m = max(max(abs(c.numerator), c.denominator) for c in coeffs)
-    return math.log(max(m, 1))
 
 
 # The thirteen rational j-invariants of curves with complex multiplication
@@ -371,46 +356,3 @@ CM_J_INVARIANTS = {
     -147197952000: -67,
     -262537412640768000: -163,
 }
-
-
-@dataclass(frozen=True)
-class CMScreenResult:
-    status: str  # "definitely-cm" | "not-cm-rational-j" | "unknown"
-    j: object
-    note: str = ""
-
-    def to_json(self):
-        return {"status": self.status, "j": str(self.j), "note": self.note}
-
-
-def cm_screen(curve: ShortWeierstrass, moment_samples: Iterable[tuple[int, int]] = ()) -> CMScreenResult:
-    """Flag curves whose j-invariant is one of the thirteen rational CM values.
-
-    Non-rational j cannot be settled against the rational list; the verdict is
-    then "unknown", optionally annotated with normalized trace moments from
-    supplied (norm, a_p) samples (the fourth moment tends to 3 for CM curves
-    and 2 otherwise).
-    """
-    j = j_invariant(curve)
-    rational_j = None
-    if isinstance(j, Fraction):
-        if j.denominator == 1:
-            rational_j = j.numerator
-        else:
-            return CMScreenResult("not-cm-rational-j", j, "non-integral j is never CM")
-    elif hasattr(j, "as_rational"):
-        rat = j.as_rational()
-        if rat is not None and rat.denominator == 1:
-            rational_j = rat.numerator
-    if rational_j is not None:
-        if rational_j in CM_J_INVARIANTS:
-            return CMScreenResult("definitely-cm", j, f"CM discriminant {CM_J_INVARIANTS[rational_j]}")
-        return CMScreenResult("not-cm-rational-j", j, "integral j not on the class-number-one list")
-    samples = [(n, ap) for (n, ap) in moment_samples if n > 0]
-    note = "j not rational; CM status undetermined"
-    if samples:
-        m2 = sum(ap * ap / n for n, ap in samples) / len(samples)
-        m4 = sum((ap * ap / n) ** 2 for n, ap in samples) / len(samples)
-        guess = "CM-like" if abs(m4 - 3) < abs(m4 - 2) else "non-CM-like"
-        note += f"; normalized trace moments m2={m2:.2f}, m4={m4:.2f} ({guess})"
-    return CMScreenResult("unknown", j, note)

@@ -261,7 +261,6 @@ def sqrt_cyclotomic_certificate(
     delta: FieldElem,
     K: MonogenicField | None = None,
     prime_budget: int = 10**4,
-    modulus_M: int | None = None,
 ) -> Verdict:
     """Certify sqrt(delta) not in k^cyc, by quadratic symbol incoherence.
 
@@ -278,10 +277,7 @@ def sqrt_cyclotomic_certificate(
         raise InvalidInputError("delta must be nonzero")
     d0 = _integerize_power_class(delta, 2)
     n = int(d0.norm())
-    if modulus_M is not None:
-        support = sorted(q for q in nt.factorint(modulus_M) if q != 2)
-    else:
-        support = _support_primes(K, n)
+    support = _support_primes(K, n)
     if support is None:
         return inconclusive(reason="norm too large to factor for a conductor bound")
     candidates = _fundamental_discriminants(support)
@@ -341,7 +337,6 @@ def cbrt_cyclotomic_certificate(
     delta: FieldElem,
     K: MonogenicField | None = None,
     prime_budget: int = 10**4,
-    modulus_M: int | None = None,
 ) -> Verdict:
     """Certify the cube-root condition: either mu_3 is not in k (odd degree),
     or cbrt(delta) is not in k^cyc.
@@ -363,12 +358,9 @@ def cbrt_cyclotomic_certificate(
         )
     d0 = _integerize_power_class(delta, 3)
     n = int(d0.norm())
-    if modulus_M is not None:
-        support = sorted(q for q in nt.factorint(modulus_M) if q not in (2, 3))
-    else:
-        support = _support_primes(K, 3 * n)
-        if support is not None:
-            support = [q for q in support if q != 3]
+    support = _support_primes(K, 3 * n)
+    if support is not None:
+        support = [q for q in support if q != 3]
     use_characters = K.degree == 2 and support is not None
     cubic_mods = [q for q in (support or []) if q % 3 == 1] + [9]
     if use_characters:

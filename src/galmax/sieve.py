@@ -1,13 +1,15 @@
 """Box scans, equidistribution reports, and the large-sieve bound evaluator.
 
 Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan runs the
-same per-prime kernel and the same level tests that certify one curve: at
-each prime, ``certify.signature_columns`` over every curve of the box with
-good reduction there (one blocked ``ecff.batch_curve_data`` sweep over x in
-F_p) is fed as one batch of cells to a ``certify.LevelAccumulator``.  Memory
-is O(curves x signature classes), and a curve's verdict is a few array
-operations at the end instead of a loop over its signatures.
-``batch_signatures`` is the per-curve list view of the same columns.
+same prime axis, per-prime kernel and level tests that certify one curve:
+at each prime of ``certify.prime_axis``, ``certify.signature_columns`` over
+every curve of the box with good reduction there (one blocked
+``ecff.batch_curve_data`` sweep over x in F_p) is fed as one batch of cells
+to a ``certify.LevelAccumulator``.  Memory is O(curves x signature classes),
+and a curve's verdict is a few array operations at the end instead of a loop
+over its signatures.  ``batch_signatures`` is the per-curve FrobSignature
+record view of the same columns, kept for the signature digest and the
+reference tests.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import certify, ecff, modgroup, nt
+from . import certify, ecff, modgroup
 from .errors import InvalidInputError, ResourceCapError
 
 BOX_X_CAP = 400
@@ -80,23 +82,15 @@ def box_count(x: int) -> int:
 # batched signature collection over a box
 
 
-def _box_primes(pairs: list[tuple[int, int]], prime_bound: int):
-    """Yield (p, indices of the curves with good reduction at p, their A and
-    B mod p) for every prime 5 <= p <= prime_bound."""
-    A = np.array([a for a, _ in pairs], dtype=np.int64)
-    B = np.array([b for _, b in pairs], dtype=np.int64)
-    for p in nt.primes_up_to(prime_bound):
-        if p < 5:
-            continue
-        good = np.flatnonzero(~ecff.bad_reduction_mask(p, A, B))
-        yield p, good, A[good] % p, B[good] % p
+def _coefficients(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    return [a for a, _ in pairs], [b for _, b in pairs]
 
 
 def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[list[certify.FrobSignature]]:
     """Frobenius signatures for every curve in the list: at each prime, one
     certify.signatures_at call over all curves with good reduction there."""
     sigs: list[list[certify.FrobSignature]] = [[] for _ in pairs]
-    for p, good, a, b in _box_primes(pairs, prime_bound):
+    for p, _, good, a, b in certify.prime_axis(*_coefficients(pairs), prime_bound):
         for k, sig in zip(good.tolist(), certify.signatures_at(p, a, b)):
             sigs[k].append(sig)
     return sigs
@@ -108,7 +102,7 @@ def scan_levels(pairs: list[tuple[int, int]], prime_bound: int, **tests) -> cert
     fed, as one batch of cells, to a certify.LevelAccumulator(len(pairs),
     **tests).  Memory is O(curves x signature classes), not O(curves x primes)."""
     acc = certify.LevelAccumulator(len(pairs), **tests)
-    for p, good, a, b in _box_primes(pairs, prime_bound):
+    for p, _, good, a, b in certify.prime_axis(*_coefficients(pairs), prime_bound):
         acc.feed(good, np.full(good.size, p), *certify.signature_columns(p, a, b))
     return acc
 
@@ -168,8 +162,7 @@ def density_scan(
     """
     if check not in ("serre", "mod-ell", "disc-square"):
         raise InvalidInputError(f"unknown check {check!r}")
-    if check == "mod-ell":
-        certify.check_ell(ell)
+    certify.check_ell(ell)  # the report records ell whatever the check
     xs = [int(x) for x in xs]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise InvalidInputError("xs must be strictly increasing")
@@ -303,6 +296,10 @@ def sieve_bound(
     """
     if Q < 1:
         raise InvalidInputError("Q must be >= 1")
+    if degree < 1 or rank < 1:
+        raise InvalidInputError("degree and rank must be >= 1")
+    if x is not None and not (math.isfinite(x) and x >= 0):
+        raise InvalidInputError("x must be a finite number >= 0")
     ratios = {}
     for p, w in omega.items():
         w = Fraction(w)
@@ -325,5 +322,10 @@ def sieve_bound(
     expand(0, 1, Fraction(1))
     if x is None:
         return total, None
-    bound = (x ** (degree * rank) + Q ** (2 * rank)) / float(total)
+    try:  # float powers: an exact Q^(2 rank) could be huge before it overflows
+        bound = (x ** (degree * rank) + float(Q) ** (2 * rank)) / float(total)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise InvalidInputError("the sieve bound overflows a float")
     return total, bound

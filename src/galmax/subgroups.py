@@ -120,7 +120,7 @@ class SmallGroupTable:
         image = self.cayley[self.cayley[g, members], self.inv[g]]
         return bool(mask[image].all())
 
-    def subgroup_lattice(self, allow_nonsolvable_completion: bool = True) -> list[np.ndarray]:
+    def subgroup_lattice(self) -> list[np.ndarray]:
         """All subgroups, as boolean masks over the element list.
 
         Exact for solvable groups; for GL2/SL2 over F_5 and F_7 the SL2-
@@ -130,11 +130,10 @@ class SmallGroupTable:
         """
         order_primes = nt.prime_divisors(self.n)
         solvable = set(order_primes) <= {2, 3}
-        if not solvable:
-            if not (allow_nonsolvable_completion and self._is_gl2_like_57()):
-                raise InvalidInputError(
-                    f"exhaustive lattice supported only for solvable ambients or GL2/SL2 mod 5, 7 (order {self.n})"
-                )
+        if not solvable and not self._is_gl2_like_57():
+            raise InvalidInputError(
+                f"exhaustive lattice supported only for solvable ambients or GL2/SL2 mod 5, 7 (order {self.n})"
+            )
         pow_maps = {p: self.power_map(p) for p in order_primes}
         trivial = np.zeros(self.n, dtype=bool)
         trivial[self.identity] = True

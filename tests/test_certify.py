@@ -440,3 +440,41 @@ def test_accumulator_keeps_the_signature_checks():
     assert not fresh.certified().any()
     assert certify.LevelAccumulator(1).certified().all()  # no level tests asked
 
+
+def test_production_paths_build_no_frobsignature(monkeypatch):
+    # certify and box scans run on columns end to end; records are a view only
+    K = nf.MonogenicField([1, 1, 0, 1])
+    cubic = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))
+    runs = [
+        lambda: certify.serre_check(E11, PARAMS),
+        lambda: certify.serre_check(ecff.validate(Fraction(-3), Fraction(1)), PARAMS),
+        lambda: certify.certify_maximal(cubic, K, certify.CertParams(prime_bound=2000, l_max=13)),
+        lambda: sieve.density_scan([5, 10]),
+    ]
+    expected = [run().to_json() for run in runs]
+
+    class NoRecords:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a production path built a FrobSignature")
+
+    monkeypatch.setattr(certify, "FrobSignature", NoRecords)
+    assert [run().to_json() for run in runs] == expected
+
+
+def test_ell_cap_is_checked_before_any_work(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("primes or character tables built before the l cap was checked")
+
+    monkeypatch.setattr(nt, "primes_up_to", fail)
+    monkeypatch.setattr(ecff, "quadratic_character_table", fail)
+    assert certify.L_MAX_CAP == 100
+    with pytest.raises(ResourceCapError):
+        certify.CertParams(l_max=10**9)
+    with pytest.raises(ResourceCapError):
+        certify.check_ell(10**9 + 7)
+    with pytest.raises(ResourceCapError):
+        certify.LevelAccumulator(1, ells=(10**9 + 7,))
+    for check in ("serre", "mod-ell", "disc-square"):
+        with pytest.raises(ResourceCapError):
+            sieve.density_scan([1], check, ell=10**9 + 7)
+    assert certify.CertParams(l_max=certify.L_MAX_CAP).l_max == 100

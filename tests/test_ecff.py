@@ -171,6 +171,17 @@ def test_signature_engine_matches_brute_force(batch):
             assert engine[a, b] == reference_signature(p, a, b), (p, a, b)
 
 
+def test_curve_columns_of_a_huge_coefficient_match_brute_force():
+    # B = 10^84 + 1 is far outside int64: the prime axis reduces it mod p first
+    a, b = 1, 10**84 + 1
+    cols = certify.curve_columns(ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200))
+    good = [p for p in nt.primes_up_to(200) if p >= 5 and ecff.discriminant(a, b) % p]
+    assert cols.p.tolist() == good and (cols.root == -1).all()
+    for p, ap, cubic, psi3, flag in zip(*(col.tolist() for col in (cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag))):
+        engine = (ap, certify.CUBIC_PATTERNS[cubic], certify.PSI3_PATTERNS[psi3], bool(flag))
+        assert engine == reference_signature(p, a % p, b % p), p
+
+
 def test_batch_with_one_singular_curve_raises():
     A = np.array([1, 2, 0, 3], dtype=np.int64)
     B = np.array([1, 5, 0, 4], dtype=np.int64)
@@ -285,23 +296,5 @@ def test_j_invariant_values():
     assert ecff.j_invariant(ecff.validate(Fraction(1), Fraction(0))) == 1728
     j = ecff.j_invariant(ecff.validate(Fraction(1), Fraction(1)))
     assert j == Fraction(6912, 31)
-
-
-def test_height_logj():
-    E = ecff.validate(Fraction(1), Fraction(1))
-    assert math.isclose(ecff.height_logj(E), math.log(6912))
-
-
-def test_cm_screen():
-    assert ecff.cm_screen(ecff.validate(Fraction(0), Fraction(1))).status == "definitely-cm"
-    assert ecff.cm_screen(ecff.validate(Fraction(1), Fraction(0))).status == "definitely-cm"
-    assert ecff.cm_screen(ecff.validate(Fraction(1), Fraction(1))).status == "not-cm-rational-j"
-    # all thirteen class-number-one j-invariants are flagged
+    # the thirteen class-number-one j-invariants of the CM screen
     assert len(ecff.CM_J_INVARIANTS) == 13
-
-
-def test_cm_screen_nonrational_j_unknown():
-    K = nf.MonogenicField([1, 1, 0, 1])
-    E = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))
-    res = ecff.cm_screen(E)
-    assert res.status == "unknown"

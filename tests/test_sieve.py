@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -6,6 +8,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galmax import certify, cli, ecff, sieve
 from galmax import numfield as nf
@@ -318,3 +322,71 @@ def test_cli_curve_with_negative_leading_coefficient():
     assert proc.returncode == 0, proc.stderr
     corpus = Path(__file__).resolve().parent / "corpus" / "certify_curve_m3_1_prime_bound_500_l_max_13.txt"
     assert proc.stdout == corpus.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"x": 1e200}, {"x": 0.0, "rank": -1}, {"x": math.nan}, {"x": math.inf}, {"x": -1.0},
+     {"degree": -3}, {"rank": 0}, {"x": 100.0, "rank": 10**12}, {"x": 100.0, "degree": 10**21}],
+)
+def test_sieve_bound_rejects_bad_shape_parameters(kwargs):
+    with pytest.raises(InvalidInputError):
+        sieve.sieve_bound({2: Fraction(1, 2)}, 30, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# CLI boundary fuzz: malformed values for every flag of every subcommand
+
+TOKENS = (
+    "", " ", ",", ",,", "0", "1", "-1", "2", "3", "4", "7", "1000", "-1000", "1e3", "1.5", "nan", "inf", "-inf",
+    "1/0", "0/0", "1/2", "-1/2", "abc", "--", "1,", ",1", "1,,2", "0,0", "1,1", "-3,1", "1,1,1", "1,x", "[]",
+    "[1]", "[1],[1]", "[0,1],[1]", "[1,1],[1,0]", "[1,0,1]", "[1,1,0,1]", "f=[1,1,0,1]", "f=[-2,0,1]", "f=[]",
+    "[1.5,1]", "2=1/2", "2=1", "2=1/2,3=", "=", "serre", "mod-ell", "csv", "json",
+)
+# valid defaults that keep every run small: the mangled flag is appended last
+SUBCOMMANDS = {
+    "certify": (["--curve", "1,1", "--prime-bound", "100", "--l-max", "5"],
+                ["--curve", "--field", "--prime-bound", "--l-max"]),
+    "serre-scan": (["--x", "1", "--prime-bound", "100", "--l-max", "5"],
+                   ["--x", "--check", "--ell", "--prime-bound", "--l-max"]),
+    "group-audit": (["--m", "4", "--trials", "20"], ["--m", "--trials", "--seed"]),
+    "omega-dist": (["--p", "7"], ["--p", "--m"]),
+    "weil-count": (["--p", "7"], ["--p", "--r", "--gamma"]),
+    "sieve-bound": (["--Q", "6"], ["--Q", "--omega", "--x", "--degree", "--rank"]),
+}
+
+
+@st.composite
+def malformed_argv(draw):
+    command = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    defaults, flags = SUBCOMMANDS[command]
+    mangled = draw(st.lists(st.tuples(st.sampled_from(flags + ["--format", "--out"]), st.sampled_from(TOKENS)),
+                            min_size=1, max_size=3))
+    return [command, *defaults, *(f"{flag}={token}" for flag, token in mangled)]
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-out")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(argv=malformed_argv())
+@example(argv=["serre-scan", "--x="])
+@example(argv=["omega-dist", "--p="])
+@example(argv=["weil-count", "--p="])
+@example(argv=["sieve-bound", "--Q", "30", "--x", "1e200"])
+@example(argv=["sieve-bound", "--Q", "30", "--x", "0", "--rank=-1"])
+@example(argv=["sieve-bound", "--Q", "30", "--x", "nan"])
+@example(argv=["sieve-bound", "--Q", "30", "--degree=-3"])
+@example(argv=["sieve-bound", "--Q", "30", "--x", "100", "--rank", "1000000000000"])
+@example(argv=["serre-scan", "--x", "2", "--ell", "4"])
+@example(argv=["sieve-bound", "--Q", "30", "--out="])
+def test_cli_malformed_values_exit_cleanly(argv, out_dir):
+    argv = [f"--out={out_dir / a[6:]}" if a.startswith("--out=") else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse usage errors
+            code = e.code
+    assert code in (0, 2, 3), argv
