@@ -6,11 +6,17 @@ walks the good primes of n curves, over Q or a monogenic field, and
 ``signature_columns`` turns each prime into int64 columns.  Every level test
 (mod l >= 5 by characteristic-polynomial witnesses, mod 4, 8, 9 by table
 elimination, the quadratic entanglement conditions) is one
-``LevelAccumulator`` fed those columns: ``serre_check`` and
-``certify_maximal`` feed it one curve's columns once and read each witness
-off them, and box scans (``sieve``) feed it one prime of a whole box at a
-time.  ``FrobSignature`` records and the list-taking level functions are
-only a view of the columns, kept for digests and reference tests.
+``LevelAccumulator``, and ``stream_levels`` is the one loop that feeds it:
+it walks the axis for the curves still open, feeds their columns in chunks,
+and a curve leaves the stream as soon as every level test has certified it.
+``serre_check`` and ``certify_maximal`` stream one curve in chunks of
+doubling length and read each witness off the columns fed; box scans
+(``sieve``) stream a whole box one prime at a time.  Certification is
+monotone in the cells fed and every witness is the first cell (in prime
+order) meeting its condition, so an early stop changes no verdict and no
+witness, and a curve left uncertified sees every prime.
+``FrobSignature`` records and the list-taking level functions are only a
+view of the columns, kept for digests and reference tests.
 
 A subtlety the level-72 step depends on: containment of SL2 at levels 8 and
 9 in the separate projections does not by itself give SL2(Z/72Z) in the
@@ -29,7 +35,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -145,7 +151,7 @@ class SignatureColumns(NamedTuple):
         return cls(*np.array(rows, dtype=np.int64).reshape(-1, len(cls._fields)).T)
 
 
-def prime_axis(A, B, prime_bound: int, K: numfield.MonogenicField | None = None):
+def prime_axis(A, B, prime_bound: int, K: numfield.MonogenicField | None = None, live=None):
     """Yield (p, c, curves, A mod P, B mod P) for every degree-one prime
     P = (p, c) with 5 <= p <= prime_bound, in increasing order of p: the
     indices of the curves y^2 = x^3 + A[k] x + B[k] with good reduction at
@@ -157,19 +163,25 @@ def prime_axis(A, B, prime_bound: int, K: numfield.MonogenicField | None = None)
     runs over the roots of f mod p, and a curve is good at every P over p
     when p does not divide 6 disc(f) N(Delta) times its coefficient
     denominators.
+
+    live, if given, is a bool mask over the curves that the caller may
+    clear between primes: a curve is tested and reduced only while live.
     """
+    live = np.ones(len(A), dtype=bool) if live is None else live
     if K is None:
         A, B = np.array(A, dtype=object), np.array(B, dtype=object)
         disc = ecff.discriminant(A, B)
         for p in nt.primes_up_to(prime_bound):
             if p >= 5:
-                good = np.flatnonzero(disc % p != 0)
+                rows = np.flatnonzero(live)
+                good = rows[disc[rows] % p != 0]
                 yield p, None, good, (A[good] % p).astype(np.int64), (B[good] % p).astype(np.int64)
         return
     bad = np.array([_bad_number(K, a, b) for a, b in zip(A, B)], dtype=object)
     for P in numfield.degree_one_primes(K, prime_bound):
         if P.p >= 5:
-            good = np.flatnonzero(bad % P.p != 0)
+            rows = np.flatnonzero(live)
+            good = rows[bad[rows] % P.p != 0]
             a, b = ([numfield.reduce_elem(C[k], P) for k in good.tolist()] for C in (A, B))
             yield P.p, P.c, good, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
 
@@ -179,21 +191,26 @@ def _bad_number(K: numfield.MonogenicField, a, b) -> int:
     return 6 * abs(K.disc_f) * abs(norm) * math.lcm(a.denominator_lcm(), b.denominator_lcm())
 
 
+def _axis_coefficients(curve: ecff.ShortWeierstrass, K: numfield.MonogenicField | None):
+    """(A, B, K) of one curve for prime_axis: the integer model over Q, the
+    power-basis coefficients over K (default: the field of the coefficients)."""
+    if curve.is_rational:
+        a, b = integer_model(curve.a, curve.b)
+        return [a], [b], None
+    return [curve.a], [curve.b], K or curve.a.field
+
+
 def curve_columns(
     curve: ecff.ShortWeierstrass,
     params: CertParams = CertParams(),
     K: numfield.MonogenicField | None = None,
 ) -> SignatureColumns:
     """One curve's signatures at every good degree-one prime of prime_axis
-    up to the bound: over Q for the integer model, over K (default: the
-    field of the coefficients) for the power-basis coefficients."""
-    if curve.is_rational:
-        (a, b), K = integer_model(curve.a, curve.b), None
-    else:
-        a, b, K = curve.a, curve.b, K or curve.a.field
+    up to the bound, with no early stop: the source of the record view."""
+    A, B, K = _axis_coefficients(curve, K)
     return SignatureColumns.of_rows([
         (p, -1 if c is None else c, *(int(v[0]) for v in signature_columns(p, a_p, b_p)))
-        for p, c, good, a_p, b_p in prime_axis([a], [b], params.prime_bound, K)
+        for p, c, good, a_p, b_p in prime_axis(A, B, params.prime_bound, K)
         if good.size
     ])
 
@@ -230,10 +247,14 @@ def _records(cols: SignatureColumns) -> list[FrobSignature]:
 
 
 def _record_columns(sigs: Iterable[FrobSignature]) -> SignatureColumns:
-    return SignatureColumns.of_rows(
+    """Columns of a record list, its cells in prime order (stably), as a
+    stream feeds them."""
+    cols = SignatureColumns.of_rows(
         [(s.norm, -1 if s.root is None else s.root, s.ap, _CUBIC_ID.get(s.cubic_pattern, -1),
           _PSI3_ID.get(s.psi3_pattern, -1), -1 if s.has_3pt is None else int(s.has_3pt)) for s in sigs]
     )
+    order = np.argsort(cols.p, kind="stable")
+    return SignatureColumns(*(col[order] for col in cols))
 
 
 def signatures_at(p: int, A, B) -> list[FrobSignature]:
@@ -393,35 +414,39 @@ class LevelAccumulator:
         for row, hit in zip(first, hits):
             np.minimum.at(row, curves[hit], order[hit])
 
-    # -- per-curve outcomes, as bool arrays over the n curves
+    # -- per-curve outcomes, as bool arrays over the given curves (default: all)
 
-    def mod_ell_certified(self, ell: int) -> np.ndarray:
-        return (self.witnesses[ell] != self.UNSET).all(axis=0)
+    def mod_ell_certified(self, ell: int, curves=slice(None)) -> np.ndarray:
+        return (self.witnesses[ell][:, curves] != self.UNSET).all(axis=0)
 
-    def elimination_state(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def elimination_state(self, m: int, curves=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(usable, covered, eliminated): whether curve k observed any level-m
         signature, whether its determinants cover the units mod m, and
         eliminated[k, e], whether it observed a class outside table entry e."""
-        observed = self.observed[m]
-        covered = (self.dets[m] == self.levels[m].units).all(axis=1)
+        observed = self.observed[m][curves]
+        covered = (self.dets[m][curves] == self.levels[m].units).all(axis=1)
         return observed.any(axis=1), covered, observed @ ~self.levels[m].member.T
 
-    def elimination_certified(self, m: int) -> np.ndarray:
-        usable, covered, eliminated = self.elimination_state(m)
+    def elimination_certified(self, m: int, curves=slice(None)) -> np.ndarray:
+        usable, covered, eliminated = self.elimination_state(m, curves)
         return usable & covered & eliminated.all(axis=1)
 
-    def entanglement_certified(self) -> np.ndarray:
-        return (self.refuted != self.UNSET).all(axis=0)
+    def entanglement_certified(self, curves=slice(None)) -> np.ndarray:
+        return (self.refuted[:, curves] != self.UNSET).all(axis=0)
 
-    def certified(self) -> np.ndarray:
-        """Curves for which every level test the accumulator runs certified."""
-        out = np.ones(self.n, dtype=bool)
-        for ell in self.witnesses:
-            out &= self.mod_ell_certified(ell)
-        for m in self.levels:
-            out &= self.elimination_certified(m)
+    def certified(self, curves=slice(None)) -> np.ndarray:
+        """Which of the given curves every level test the accumulator runs
+        certified.  Each test reads only the curves all earlier tests passed,
+        so the elimination products are paid for the few curves left."""
+        tests = [lambda k, ell=ell: self.mod_ell_certified(ell, k) for ell in self.witnesses]
+        tests += [lambda k, m=m: self.elimination_certified(m, k) for m in self.levels]
         if self.refuted is not None:
-            out &= self.entanglement_certified()
+            tests.append(self.entanglement_certified)
+        rows = np.arange(self.n)[curves]
+        out = np.ones(rows.size, dtype=bool)
+        for test in tests:
+            passing = np.flatnonzero(out)
+            out[passing] = test(rows[passing])
         return out
 
     # -- verdicts for one curve fed the columns cols
@@ -435,7 +460,7 @@ class LevelAccumulator:
             )
         return inconclusive(ell=ell, unmet_conditions=[c for c, i in zip(_MOD_ELL_CONDITIONS, first) if i == self.UNSET])
 
-    def elimination_verdict(self, m: int) -> Verdict:
+    def elimination_verdict(self, m: int, cols: SignatureColumns) -> Verdict:
         lv = self.levels[m]
         usable, covered, eliminated = (state[0] for state in self.elimination_state(m))
         if not usable:
@@ -446,10 +471,16 @@ class LevelAccumulator:
         if not eliminated.all():
             survivors = [e.label for e, out in zip(entries, eliminated) if not out]
             return inconclusive(m=m, surviving_subgroups=survivors, table_scope=lv.table.scope)
-        # the first missed class id is the least missed signature
-        first_missed = (self.observed[m][0] & ~lv.member).argmax(axis=1)
+        # each entry's witness is the first cell whose class it misses
+        keys = _cell_keys(m, cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)
+        cells = np.flatnonzero(keys >= 0)
+        classes = lv.class_of_key[keys[cells]]
+        first = (~lv.member[:, classes]).argmax(axis=1)
         return certified(
-            *({"eliminated": e.label, "by_signature": lv.classes[c]} for e, c in zip(entries, first_missed.tolist())),
+            *(
+                {"eliminated": e.label, "by_signature": lv.classes[classes[i]], "p": int(cols.p[cells[i]])}
+                for e, i in zip(entries, first.tolist())
+            ),
             m=m,
             table_scope=lv.table.scope,
         )
@@ -474,6 +505,70 @@ def _accumulate(cols: SignatureColumns, **levels) -> LevelAccumulator:
     return acc
 
 
+# stream_levels feeds a chunk once it holds this many cells, or as many as
+# the curves have been fed on average if that is more
+_FIRST_CHUNK = 16
+
+
+def stream_levels(
+    acc: LevelAccumulator, A, B, prime_bound: int, K: numfield.MonogenicField | None = None
+) -> Iterator[tuple[np.ndarray, SignatureColumns]]:
+    """Feed acc the signature columns of the curves y^2 = x^3 + A[k] x + B[k]
+    (as prime_axis takes them) until acc certifies every curve or the primes
+    run out, and yield each fed chunk as (curve of each cell, its columns).
+
+    A chunk ends at the first prime that brings it to at least
+    max(_FIRST_CHUNK, cells fed so far / curves) cells: one prime of a box,
+    runs of 16, 16, 32, 64, ... primes for one curve, so a decided curve
+    stops within twice the primes it needed (or 16) and the accumulator is
+    fed only O(log primes) times.  After each chunk, the curves it fed that
+    acc now certifies leave the stream: later primes neither reduce nor feed
+    them.  Certification is monotone in the cells fed, so every curve ends
+    with the outcome a full feed gives; a curve left uncertified sees every
+    prime.
+    """
+    if acc.n == 0:
+        return
+    live = np.ones(acc.n, dtype=bool)
+    chunk, held, fed = [], 0, 0
+    for p, c, good, a, b in prime_axis(A, B, prime_bound, K, live):
+        if not good.size:
+            continue
+        root = -1 if c is None else c
+        chunk.append((good, np.full(good.size, p), np.full(good.size, root), *signature_columns(p, a, b)))
+        held += good.size
+        if held >= max(_FIRST_CHUNK, fed // acc.n):
+            yield _feed_chunk(acc, chunk, live)
+            chunk, held, fed = [], 0, fed + held
+            if not live.any():
+                return
+    if chunk:
+        yield _feed_chunk(acc, chunk, live)
+
+
+def _feed_chunk(acc: LevelAccumulator, chunk: list, live: np.ndarray) -> tuple[np.ndarray, SignatureColumns]:
+    """Feed the per-prime cells in chunk as one batch, then clear in live the
+    curves of the chunk that acc now certifies."""
+    curves, *cols = (np.concatenate(col) for col in zip(*chunk))
+    cols = SignatureColumns(*cols)
+    acc.feed(curves, cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)
+    rows = np.unique(curves)
+    live[rows[acc.certified(rows)]] = False
+    return curves, cols
+
+
+def _stream_curve(
+    curve: ecff.ShortWeierstrass, params: CertParams, K: numfield.MonogenicField | None = None, **levels
+) -> tuple[LevelAccumulator, SignatureColumns]:
+    """Stream one curve through a one-curve accumulator running the given
+    level tests; the accumulator and the columns it was fed, in feed order."""
+    acc = LevelAccumulator(1, **levels)
+    A, B, K = _axis_coefficients(curve, K)
+    chunks = [SignatureColumns.of_rows([])]
+    chunks += [cols for _, cols in stream_levels(acc, A, B, params.prime_bound, K)]
+    return acc, SignatureColumns(*(np.concatenate(col) for col in zip(*chunks)))
+
+
 # ---------------------------------------------------------------------------
 # mod-l certification for primes l >= 5
 
@@ -488,7 +583,7 @@ def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
     escapes the Borel and the split Cartan normalizer; witness (iii), with
     u = t^2/d outside {0, 1, 2, 4} and u^2 - 3u + 1 != 0, has projective
     order > 5 and escapes the exceptional groups.  Each witness is the first
-    signature in the list that meets its condition.
+    signature, in prime order, that meets its condition.
     """
     cols = _record_columns(sigs)
     return _accumulate(cols, ells=(ell,)).mod_ell_verdict(ell, cols)
@@ -504,9 +599,11 @@ def signature_elimination(sigs: Iterable[FrobSignature], m: int) -> Verdict:
     Certified requires (1) the observed determinants to cover all units mod m
     (so the image provably has full determinant and the table applies) and
     (2) every table entry to miss at least one observed signature; the
-    witness for an entry is the least observed signature it misses.
+    witness for an entry is the first signature, in prime order, whose
+    class the entry misses, with its prime p.
     """
-    return _accumulate(_record_columns(sigs), ms=(m,)).elimination_verdict(m)
+    cols = _record_columns(sigs)
+    return _accumulate(cols, ms=(m,)).elimination_verdict(m, cols)
 
 
 def certify_mod_small(sigs: Iterable[FrobSignature], m: int) -> Verdict:
@@ -539,11 +636,13 @@ class SerreReport:
     curve: tuple
     levels: dict = dc_field(default_factory=dict)
     notes: list = dc_field(default_factory=list)
+    primes_scanned: int = 0  # good primes fed before every level certified, or all of them
 
     def to_json(self):
         return {
             "curve": list(self.curve),
             "params": {"prime_bound": self.params.prime_bound, "l_max": self.params.l_max},
+            "primes_scanned": self.primes_scanned,
             "levels": {str(k): v.to_json() for k, v in self.levels.items()},
             "final": self.verdict.to_json(),
             "caveats": self.notes,
@@ -560,7 +659,9 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
     and in particular an adelic index of exactly 2 away from primes > l_max.
 
     Obstructions are structural only: a rational 2-torsion point (image
-    index >= 3) or a CM j-invariant (infinite index).
+    index >= 3) or a CM j-invariant (infinite index); an obstructed curve is
+    not streamed at all.  The stream stops as soon as every level is
+    certified, and primes_scanned counts the good primes it fed.
     """
     if not curve.is_rational:
         raise InvalidInputError("serre_check applies to curves over Q")
@@ -568,7 +669,9 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
     report = SerreReport(verdict=inconclusive(), params=params, curve=(A, B))
     verdict, levels = serre_obstruction(A, B), {}
     if verdict is None:
-        verdict, levels = _serre_levels(curve_columns(curve, params), params)
+        acc, cols = _stream_curve(curve, params, **serre_level_tests(params))
+        verdict, levels = _serre_levels(acc, cols, params)
+        report.primes_scanned = cols.p.size
     report.levels = levels
     report.verdict = verdict
     report.notes.append(
@@ -599,10 +702,9 @@ def serre_level_tests(params: CertParams) -> dict:
     return {"ells": _primes_in(5, params.l_max), "ms": (4, 9, 8), "entanglement": True}
 
 
-def _serre_levels(cols: SignatureColumns, params: CertParams):
-    acc = _accumulate(cols, **serre_level_tests(params))
+def _serre_levels(acc: LevelAccumulator, cols: SignatureColumns, params: CertParams):
     levels: dict = {ell: acc.mod_ell_verdict(ell, cols) for ell in acc.witnesses}
-    levels.update((m, acc.elimination_verdict(m)) for m in acc.levels)
+    levels.update((m, acc.elimination_verdict(m, cols)) for m in acc.levels)
     levels["entanglement"] = acc.entanglement_verdict(cols)
     pending = [k for k, v in levels.items() if not v.is_certified]
     if pending:
@@ -629,6 +731,7 @@ class MaximalityReport:
     params: CertParams
     curve: tuple
     field: tuple
+    primes_scanned: int = 0  # degree-one primes fed to conditions (a) and (b)
 
     def to_json(self):
         per_m = {}
@@ -638,6 +741,7 @@ class MaximalityReport:
             "curve": [str(c) for c in self.curve],
             "field": list(self.field),
             "params": {"prime_bound": self.params.prime_bound, "l_max": self.params.l_max},
+            "primes_scanned": self.primes_scanned,
             "per_m": per_m,
             "conditions": {
                 "a": {str(ell): v.to_json() for ell, v in self.conditions["a"].items()},
@@ -663,7 +767,8 @@ def certify_maximal(
 
     Conditions: (a) SL2 mod every prime 5..l_max, (b) SL2 mod 4 and mod 9,
     (c) sqrt(Delta) not cyclotomic, (d) no cube roots of unity in the field
-    or cbrt(Delta) not cyclotomic.
+    or cbrt(Delta) not cyclotomic.  (a) and (b) are one stream that stops
+    once both are certified; primes_scanned counts the primes it fed.
     """
     if curve.is_rational:
         return MaximalityReport(
@@ -681,10 +786,9 @@ def certify_maximal(
         )
     if K is None:
         K = curve.a.field
-    cols = curve_columns(curve, params, K)
-    acc = _accumulate(cols, ells=_primes_in(5, params.l_max), ms=(4, 9))
+    acc, cols = _stream_curve(curve, params, K, ells=_primes_in(5, params.l_max), ms=(4, 9))
     cond_a = {ell: acc.mod_ell_verdict(ell, cols) for ell in acc.witnesses}
-    cond_b = {m: acc.elimination_verdict(m) for m in acc.levels}
+    cond_b = {m: acc.elimination_verdict(m, cols) for m in acc.levels}
     cond_c = numfield.sqrt_cyclotomic_certificate(curve.delta, K, prime_budget=params.prime_bound)
     mu3 = numfield.mu_n_membership(K, 3)
     if mu3.is_certified:
@@ -709,6 +813,7 @@ def certify_maximal(
         params=params,
         curve=(curve.a, curve.b),
         field=K.coeffs,
+        primes_scanned=cols.p.size,
     )
 
 

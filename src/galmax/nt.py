@@ -63,19 +63,77 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-def factorint(n: int) -> dict[int, int]:
-    """Prime factorization of |n| (delegates to sympy)."""
-    import sympy
+# Pollard-Brent steps per polynomial before a cofactor is left to sympy
+RHO_STEPS = 1 << 16
 
-    return {int(p): int(e) for p, e in sympy.factorint(abs(n)).items()}
+
+def factorint(n: int) -> dict[int, int]:
+    """Prime factorization of |n| (|n| >= 1), primes ascending: trial
+    division by the primes below 2^10, then Pollard-Brent rho on the
+    cofactors.  A cofactor that rho does not split within RHO_STEPS steps
+    (two large prime factors) is factored by sympy, the only use of sympy
+    here; the factorization is unique, so the result never depends on which
+    method found it."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 has no prime factorization")
+    out: dict[int, int] = {}
+    for q in primes_up_to(1 << 10):
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+    cofactors = [n] if n > 1 else []
+    while cofactors:
+        m = cofactors.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = next(filter(None, (_pollard_brent(m, c) for c in (1, 3, 5))), None)
+        if d is None:
+            import sympy
+
+            for p, e in sympy.factorint(m).items():
+                out[int(p)] = out.get(int(p), 0) + int(e)
+        else:
+            cofactors += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _pollard_brent(n: int, c: int) -> int | None:
+    """A proper divisor of the odd composite n from Brent's cycle search on
+    x^2 + c mod n, or None within RHO_STEPS steps."""
+    y, r, q, g, steps = 2, 1, 1, 1, 0
+    x = ys = y
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = math.gcd(q, n)
+            k += 128
+        steps += r
+        r *= 2
+        if steps > RHO_STEPS:
+            return None
+    if g == n:  # the batched product overshot: replay its steps one at a time
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = math.gcd(abs(x - ys), n)
+    return g if g != n else None
 
 
 def is_prime(n: int) -> bool:
-    """Primality: trial division for n < 2^32, sympy's isprime above that."""
+    """Primality: trial division for n < 2^32, the Baillie-PSW test above
+    (a strong Fermat test to base 2 and a strong Lucas test, exact below
+    2^64 and with no known counterexample above)."""
     if n >= 1 << 32:
-        import sympy
-
-        return bool(sympy.isprime(n))
+        return all(n % q for q in primes_up_to(100)) and _strong_fermat_2(n) and _strong_lucas(n)
     if n < 4:
         return n >= 2
     if n % 2 == 0 or n % 3 == 0:
@@ -84,6 +142,56 @@ def is_prime(n: int) -> bool:
         if n % q == 0 or n % (q + 2) == 0:
             return False
     return True
+
+
+def _strong_fermat_2(n: int) -> bool:
+    """Strong probable-prime test to base 2 of the odd n > 2."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    """Strong Lucas probable-prime test of the odd n > 2 with no prime factor
+    below 100, with Selfridge's parameters: D the first of 5, -7, 9, -11, ...
+    with (D/n) = -1, P = 1, Q = (1 - D) / 4."""
+    if is_perfect_square(n):  # no such D exists
+        return False
+    D = 5
+    while (j := kronecker(D, n)) != -1:
+        if j == 0:  # D shares a factor with n > |D|
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def half(v):
+        v %= n
+        return (v + n if v % 2 else v) // 2
+
+    # U_k, V_k and Q^k mod n, for k running over the leading bits of d
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def prime_divisors(n: int) -> list[int]:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,15 +37,8 @@ class MonogenicField:
             raise InvalidInputError("need a monic integer polynomial of degree >= 2 (little-endian, leading 1)")
         self.coeffs = coeffs
         self.degree = len(coeffs) - 1
-        import sympy
-
-        poly = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
-        if not poly.is_irreducible:
-            raise InvalidInputError(f"{poly.as_expr()} is reducible over Q")
-        self.disc_f = int(sympy.discriminant(poly))
-        if self.disc_f == 0:
-            raise InvalidInputError("polynomial has vanishing discriminant")
-        self._poly = poly
+        if not _is_irreducible(coeffs):
+            raise InvalidInputError(f"{_poly_text(coeffs)} is reducible over Q")
         # reduction table: x^k mod f for k = d .. 2d-2, as integer rows
         d = self.degree
         rows = []
@@ -56,6 +49,9 @@ class MonogenicField:
             shifted = [s + prev[-1] * r for s, r in zip(shifted, rows[0])]
             rows.append(shifted)
         self._reduction_rows = rows
+        # disc f = (-1)^(d(d-1)/2) Res(f, f') = (-1)^(d(d-1)/2) N(f'(alpha)) for monic f
+        derivative = self.elem([k * c for k, c in enumerate(coeffs) if k])
+        self.disc_f = (-1) ** (d * (d - 1) // 2) * int(derivative.norm())
 
     def __eq__(self, other):
         return isinstance(other, MonogenicField) and self.coeffs == other.coeffs
@@ -64,7 +60,7 @@ class MonogenicField:
         return hash(self.coeffs)
 
     def __repr__(self):
-        return f"MonogenicField({self._poly.as_expr()})"
+        return f"MonogenicField({_poly_text(self.coeffs)})"
 
     def elem(self, coeffs) -> "FieldElem":
         coeffs = [Fraction(c) for c in coeffs]
@@ -147,47 +143,126 @@ class FieldElem:
             return None
         return self.coeffs[0]
 
-    def as_sympy(self):
-        import sympy
-
-        x = self.field._poly.gen
-        return sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(self.coeffs))
+    def _matrix(self) -> list[list[Fraction]]:
+        """The matrix of multiplication by self in the power basis: column j
+        holds the coordinates of self * alpha^j."""
+        columns, x = [], self
+        for _ in range(self.field.degree):
+            columns.append(x.coeffs)
+            x = x * self.field.alpha()
+        return [list(row) for row in zip(*columns)]
 
     def inverse(self) -> "FieldElem":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
-        import sympy
-
-        f = self.field._poly
-        g = sympy.Poly(self.as_sympy(), f.gen, domain="QQ")
-        s, _, h = sympy.gcdex(g, f)
-        if sympy.degree(h, f.gen) != 0:
-            raise InvalidInputError("element not invertible (reducible modulus?)")
-        inv = (s / h).as_poly(f.gen, domain="QQ")
-        coeffs = [Fraction(0)] * self.field.degree
-        for (i,), c in inv.terms():
-            coeffs[i] = Fraction(int(sympy.numer(c)), int(sympy.denom(c)))
-        return FieldElem(self.field, tuple(coeffs))
+        # solve (multiplication by self) x = 1 by Gauss-Jordan elimination
+        d = self.field.degree
+        rows = [row + [Fraction(int(i == 0))] for i, row in enumerate(self._matrix())]
+        for col in range(d):
+            pivot = next(r for r in range(col, d) if rows[r][col])
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            lead = rows[col][col]
+            rows[col] = [v / lead for v in rows[col]]
+            for r in range(d):
+                if r != col and rows[r][col]:
+                    factor = rows[r][col]
+                    rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
+        return FieldElem(self.field, tuple(row[d] for row in rows))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
 
     def norm(self) -> Fraction:
-        """Field norm: the resultant of f with the representing polynomial."""
-        if self.is_zero():
-            return Fraction(0)
-        import sympy
-
-        f = self.field._poly
-        res = sympy.resultant(f.as_expr(), self.as_sympy(), f.gen)
-        res = sympy.Rational(res)
-        return Fraction(int(sympy.numer(res)), int(sympy.denom(res)))
+        """Field norm: the determinant of multiplication by self (the
+        resultant of f with the representing polynomial)."""
+        t = self.denominator_lcm()
+        scaled = self * Fraction(t)
+        return Fraction(_integer_det([[int(v) for v in row] for row in scaled._matrix()]), t**self.field.degree)
 
     def denominator_lcm(self) -> int:
         return math.lcm(*(c.denominator for c in self.coeffs))
 
     def __repr__(self):
         return f"FieldElem({list(self.coeffs)})"
+
+
+def _integer_det(M: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss' fraction-free
+    elimination (every intermediate entry is a minor, so stays an integer)."""
+    M = [list(row) for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if M[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            M[k], M[pivot], sign = M[pivot], M[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def _is_irreducible(coeffs: tuple[int, ...]) -> bool:
+    """Irreducibility over Q of a monic integer polynomial (little-endian).
+
+    By Gauss's lemma a factorization over Q is one into monic integer
+    factors, so up to degree 3 the polynomial is irreducible iff it has no
+    integer root (a divisor of the constant term), and in degree 4 iff also
+    it is no product of two monic integer quadratics x^2 + bx + c and
+    x^2 + ex + g; c g is the constant term and the other coefficients fix b
+    and e.  Degrees above 4 are left to sympy.
+    """
+    d = len(coeffs) - 1
+    if d > 4:
+        import sympy
+
+        return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).is_irreducible
+    a0 = coeffs[0]
+    if a0 == 0:
+        return False
+    divisors = _divisors(abs(a0))
+    if any(sum(c * r**k for k, c in enumerate(coeffs)) == 0 for r in divisors + [-r for r in divisors]):
+        return False
+    if d < 4:
+        return True
+    _, a1, a2, a3, _ = coeffs
+    for c in divisors + [-r for r in divisors]:
+        g = a0 // c
+        if c != g:  # b g + c e = a1 and b + e = a3 give b
+            b, rest = divmod(a1 - c * a3, g - c)
+            if rest == 0 and b * (a3 - b) + c + g == a2:
+                return False
+        elif a1 == c * a3:  # b + e = a3 and b e = a2 - 2c: integer roots of t^2 - a3 t + a2 - 2c
+            disc = a3 * a3 - 4 * (a2 - 2 * c)
+            if nt.is_perfect_square(disc) and (a3 + math.isqrt(disc)) % 2 == 0:
+                return False
+    return True
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1."""
+    divisors = [1]
+    for q, e in nt.factorint(n).items():
+        divisors = [v * q**i for v in divisors for i in range(e + 1)]
+    return divisors
+
+
+def _poly_text(coeffs) -> str:
+    """An integer polynomial (little-endian coefficients) written in x, the
+    highest degree first, e.g. x**3 + x + 1."""
+    terms = []
+    for k in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[k]
+        if c:
+            power = "" if k == 0 else "x" if k == 1 else f"x**{k}"
+            body = str(abs(c)) if not power else power if abs(c) == 1 else f"{abs(c)}*{power}"
+            terms.append(("-" if c < 0 else "+", body))
+    if not terms:
+        return "0"
+    text = ("-" if terms[0][0] == "-" else "") + terms[0][1]
+    return text + "".join(f" {sign} {body}" for sign, body in terms[1:])
 
 
 class DegreeOnePrime(NamedTuple):
@@ -202,12 +277,16 @@ def degree_one_primes(
     K: MonogenicField,
     bound: int,
     congruence_filter: tuple[int, int] | None = None,
-) -> list[DegreeOnePrime]:
-    """All degree-one primes (p, c) with p <= bound, p coprime to disc(f),
-    optionally restricted to p = d mod m."""
+) -> Iterator[DegreeOnePrime]:
+    """The degree-one primes (p, c) with p <= bound, p coprime to disc(f),
+    optionally restricted to p = d mod m, in increasing order of p, found
+    lazily: a caller that stops early pays only for the primes it read."""
     if bound < 2:
         raise InvalidInputError("bound must be >= 2")
-    out = []
+    return _degree_one_primes(K, bound, congruence_filter)
+
+
+def _degree_one_primes(K: MonogenicField, bound: int, congruence_filter) -> Iterator[DegreeOnePrime]:
     disc = abs(K.disc_f)
     for p in nt.primes_up_to(bound):
         if disc % p == 0:
@@ -221,8 +300,7 @@ def degree_one_primes(
         for coeff in reversed(K.coeffs):
             vals = (vals * c + coeff % p) % p
         for root in np.nonzero(vals == 0)[0].tolist():
-            out.append(DegreeOnePrime(p, int(root)))
-    return out
+            yield DegreeOnePrime(p, int(root))
 
 
 def reduce_elem(x: FieldElem, P: DegreeOnePrime) -> int:

@@ -1,15 +1,19 @@
 """Box scans, equidistribution reports, and the large-sieve bound evaluator.
 
 Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan runs the
-same prime axis, per-prime kernel and level tests that certify one curve:
-at each prime of ``certify.prime_axis``, ``certify.signature_columns`` over
-every curve of the box with good reduction there (one blocked
-``ecff.batch_curve_data`` sweep over x in F_p) is fed as one batch of cells
-to a ``certify.LevelAccumulator``.  Memory is O(curves x signature classes),
-and a curve's verdict is a few array operations at the end instead of a loop
-over its signatures.  ``batch_signatures`` is the per-curve FrobSignature
-record view of the same columns, kept for the signature digest and the
-reference tests.
+same prime axis, per-prime kernel, level tests and stream that certify one
+curve: ``certify.stream_levels`` feeds a ``certify.LevelAccumulator`` over
+the box one prime at a time, each prime's ``certify.signature_columns``
+over the open curves with good reduction there (one blocked
+``ecff.batch_curve_data`` sweep over x in F_p), and a curve leaves the
+stream once every level test has certified it.  The Serre scan runs the
+structural screen (``certify.serre_obstruction``, exact integer arithmetic)
+on every curve first, and only unobstructed curves enter the stream.
+Memory is O(curves x signature classes), and a curve's verdict is a few
+array operations instead of a loop over its signatures.
+``batch_signatures`` is the per-curve FrobSignature record view of every
+cell, with no early stop, kept for the signature digest and the reference
+tests.
 """
 from __future__ import annotations
 
@@ -19,9 +23,8 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator
 
-import numpy as np
 
-from . import certify, ecff, modgroup
+from . import certify, ecff, modgroup, nt
 from .errors import InvalidInputError, ResourceCapError
 
 BOX_X_CAP = 400
@@ -97,13 +100,14 @@ def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[lis
 
 
 def scan_levels(pairs: list[tuple[int, int]], prime_bound: int, **tests) -> certify.LevelAccumulator:
-    """Run level tests over every curve in the list: each prime's
-    certify.signature_columns over the curves with good reduction there is
-    fed, as one batch of cells, to a certify.LevelAccumulator(len(pairs),
-    **tests).  Memory is O(curves x signature classes), not O(curves x primes)."""
+    """Run level tests over every curve in the list: certify.stream_levels
+    feeds a certify.LevelAccumulator(len(pairs), **tests) one prime of the
+    open curves at a time.  Each curve's certified() is the one a full feed
+    gives; a certified curve's bitmaps hold only the primes it was fed.
+    Memory is O(curves x signature classes), not O(curves x primes)."""
     acc = certify.LevelAccumulator(len(pairs), **tests)
-    for p, _, good, a, b in certify.prime_axis(*_coefficients(pairs), prime_bound):
-        acc.feed(good, np.full(good.size, p), *certify.signature_columns(p, a, b))
+    for _ in certify.stream_levels(acc, *_coefficients(pairs), prime_bound):
+        pass
     return acc
 
 
@@ -195,12 +199,12 @@ def _is_square(n) -> bool:
 
 
 def _serre_failures(pairs, params) -> int:
-    """Curves failing the Serre criterion: every level test over the box,
-    then the structural screen on the curves whose levels all certified (a
-    curve failing either fails the criterion)."""
-    certified = scan_levels(pairs, params.prime_bound, **certify.serre_level_tests(params)).certified()
-    obstructed = sum(1 for k in np.flatnonzero(certified).tolist() if certify.serre_obstruction(*pairs[k]) is not None)
-    return len(pairs) - int(certified.sum()) + obstructed
+    """Curves failing the Serre criterion: the structural screen on every
+    curve, then every level test over the unobstructed ones (a curve
+    failing either fails the criterion)."""
+    open_pairs = [pair for pair in pairs if certify.serre_obstruction(*pair) is None]
+    certified = scan_levels(open_pairs, params.prime_bound, **certify.serre_level_tests(params)).certified()
+    return len(pairs) - int(certified.sum())
 
 
 def _mod_ell_failures(pairs, params, ell) -> int:
@@ -291,8 +295,9 @@ def sieve_bound(
     """Exact L(Q) and the sieve bound shape (x^(degree*rank) + Q^(2*rank)) / L(Q).
 
     L(Q) sums, over squarefree q <= Q supported on the given primes, the
-    products of omega_p / (1 - omega_p).  The implied constant of the bound
-    is reported as 1: shape only, not a certified inequality.
+    products of omega_p / (1 - omega_p); every key of omega must be a prime.
+    The implied constant of the bound is reported as 1: shape only, not a
+    certified inequality.
     """
     if Q < 1:
         raise InvalidInputError("Q must be >= 1")
@@ -302,6 +307,8 @@ def sieve_bound(
         raise InvalidInputError("x must be a finite number >= 0")
     ratios = {}
     for p, w in omega.items():
+        if not nt.is_prime(p):
+            raise InvalidInputError(f"omega key {p} is not a prime")
         w = Fraction(w)
         if not (0 <= w < 1):
             raise InvalidInputError(f"omega_{p} = {w} outside [0, 1)")

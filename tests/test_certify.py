@@ -313,7 +313,7 @@ def _ref_signature_tuple(s, m):
 
 def _ref_signature_elimination(sigs, m):
     table = subgroup_signature_table(m)
-    observed = set()
+    observed = {}  # signature -> the first signature record showing it
     dets = set()
     for s in sigs:
         if math.gcd(s.norm, m) != 1:
@@ -321,11 +321,11 @@ def _ref_signature_elimination(sigs, m):
         sig = _ref_signature_tuple(s, m)
         if sig is None:
             continue
-        observed.add(sig)
+        observed.setdefault(sig, s)
         dets.add(s.norm % m)
     if not observed:
         return inconclusive(m=m, reason="no usable signatures")
-    stray = observed - table.full_signatures
+    stray = observed.keys() - table.full_signatures
     if stray:
         raise AssertionError(f"observed signatures {stray} not realizable in GL2(Z/{m}): internal bug")
     units = {u for u in range(1, m) if math.gcd(u, m) == 1}
@@ -334,9 +334,10 @@ def _ref_signature_elimination(sigs, m):
     survivors = []
     witnesses = []
     for e in table.entries:
-        missed = observed - e.signatures
-        if missed:
-            witnesses.append({"eliminated": e.label, "by_signature": sorted(missed)[0]})
+        # the first signature in list order whose class the entry misses
+        first = next((s for sig, s in observed.items() if sig not in e.signatures), None)
+        if first is not None:
+            witnesses.append({"eliminated": e.label, "by_signature": _ref_signature_tuple(first, m), "p": first.p})
         else:
             survivors.append(e.label)
     if survivors:
@@ -478,3 +479,74 @@ def test_ell_cap_is_checked_before_any_work(monkeypatch):
         with pytest.raises(ResourceCapError):
             sieve.density_scan([1], check, ell=10**9 + 7)
     assert certify.CertParams(l_max=certify.L_MAX_CAP).l_max == 100
+
+
+# ---------------------------------------------------------------------------
+# the early-stopping stream
+
+
+CUBIC_FIELD = nf.MonogenicField([1, 1, 0, 1])
+
+
+def _report(case, prime_bound):
+    params = certify.CertParams(prime_bound=prime_bound)
+    if case == "cubic":
+        E = ecff.validate(CUBIC_FIELD.elem([0, 1296]), CUBIC_FIELD.elem([0, 0, 11664]))
+        return certify.certify_maximal(E, CUBIC_FIELD, params).to_json()
+    a, b = (Fraction(v) for v in case.split(","))
+    return certify.serre_check(ecff.validate(a, b), params).to_json()
+
+
+@pytest.mark.parametrize("case", ["1,1", "1/4,1/8", "cubic"])
+def test_certified_reports_do_not_depend_on_the_prime_bound(case):
+    # the stream stops where every level is certified, and each witness is
+    # the first cell meeting its condition, so a larger bound changes nothing
+    short, full = (_report(case, bound) for bound in (2000, 10**4))
+    assert full["final"]["status"] == "certified"
+    assert short.pop("params") != full.pop("params")
+    assert short == full
+    assert 16 <= full["primes_scanned"] <= 64
+
+
+def test_certified_curve_runs_the_kernel_at_few_primes(monkeypatch):
+    kernel, primes = ecff.batch_curve_data, []
+
+    def counting(p, A, B):
+        primes.append(p)
+        return kernel(p, A, B)
+
+    monkeypatch.setattr(ecff, "batch_curve_data", counting)
+    rep = certify.serre_check(E11, certify.CertParams(prime_bound=10**4))
+    assert rep.verdict.is_certified
+    assert 0 < len(primes) <= 64
+    assert rep.primes_scanned == len(set(primes)) == len(primes)
+
+
+def test_primes_scanned_counts_every_prime_of_an_undecided_curve():
+    E = ecff.validate(Fraction(-3), Fraction(1))  # square discriminant: m = 4 never certifies
+    rep = certify.serre_check(E, PARAMS)
+    assert rep.verdict.is_inconclusive
+    assert rep.primes_scanned == certify.curve_columns(E, PARAMS).p.size == rep.to_json()["primes_scanned"]
+    assert certify.serre_check(ecff.validate(Fraction(0), Fraction(1)), PARAMS).primes_scanned == 0  # obstructed
+
+
+def _full_feed(pairs, prime_bound, **tests):
+    """Every cell of every curve of the list, fed at once with no early stop."""
+    cells = [
+        (good, np.full(good.size, p), *certify.signature_columns(p, a, b))
+        for p, _, good, a, b in certify.prime_axis([a for a, _ in pairs], [b for _, b in pairs], prime_bound)
+    ]
+    acc = certify.LevelAccumulator(len(pairs), **tests)
+    acc.feed(*(np.concatenate(col) for col in zip(*cells)))
+    return acc
+
+
+@pytest.mark.parametrize("x", [10, 20])
+def test_box_stream_certifies_what_a_full_feed_certifies(x):
+    pairs = list(sieve.enumerate_box(x))
+    tests = certify.serre_level_tests(certify.CertParams(prime_bound=500, l_max=13))
+    stream = sieve.scan_levels(pairs, 500, **tests)
+    full = _full_feed(pairs, 500, **tests)
+    assert stream.cells < full.cells / 2  # decided curves left the stream early
+    assert np.array_equal(stream.certified(), full.certified())
+    assert full.certified().any() and not full.certified().all()

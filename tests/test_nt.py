@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from galmax import nt
@@ -59,3 +60,37 @@ def test_cubic_roots_with_large_known_roots():
     # the coefficient that used to stall the divisor enumeration
     assert nt.rational_roots_of_monic_cubic(1, 10**84 + 1) == []
     assert nt.rational_roots_of_monic_cubic(Fraction(-1, 4), Fraction(0)) == [Fraction(-1, 2), 0, Fraction(1, 2)]
+
+
+def test_is_prime_matches_sympy_above_2_32():
+    # Baillie-PSW above 2^32: random odd numbers, primes, semiprimes, prime
+    # squares, Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1) and a
+    # strong pseudoprime to every prime base up to 23
+    rng = random.Random(6)
+    ns = [rng.randrange(2**32, 2**100) | 1 for _ in range(1500)]
+    ns += [int(sympy.nextprime(rng.randrange(2**32, 2**90))) for _ in range(100)]
+    ns += [int(sympy.nextprime(rng.randrange(2**17, 2**45))) * int(sympy.nextprime(rng.randrange(2**17, 2**45)))
+           for _ in range(200)]
+    ns += [int(sympy.nextprime(rng.randrange(2**16, 2**40))) ** 2 for _ in range(50)]
+    ns += [(6 * k + 1) * (12 * k + 1) * (18 * k + 1) for k in range(300, 3000)
+           if all(sympy.isprime(j * k + 1) for j in (6, 12, 18))]
+    ns += [3825123056546413051, 318665857834031151167461, 2**61 - 1, 2**89 - 1, 2**64 + 13]
+    for n in ns:
+        assert nt.is_prime(n) == sympy.isprime(n), n
+
+
+def test_factorint_matches_sympy(monkeypatch):
+    rng = random.Random(7)
+    ns = [1, 2, 2**40, 3**30 * 7, 600851475143, (10**9 + 7) ** 3 * 11]
+    ns += [rng.randrange(1, 10**18) for _ in range(100)]
+    ns += [math.prod(int(sympy.nextprime(rng.randrange(2, 2**28))) for _ in range(rng.randint(2, 4)))
+           for _ in range(60)]
+    for n in ns:
+        assert nt.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}, n
+    assert nt.factorint(-12) == {2: 2, 3: 1}
+    with pytest.raises(ValueError):
+        nt.factorint(0)
+    # a cofactor rho does not split within its budget is left to sympy
+    monkeypatch.setattr(nt, "RHO_STEPS", 0)
+    n = int(sympy.nextprime(2**40)) * int(sympy.nextprime(2**41)) * 5
+    assert nt.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -32,13 +33,45 @@ def test_field_arithmetic():
     assert CUBIC.elem([7]).norm() == 343  # N of a rational is its cube
 
 
+def test_field_constructor_and_norm_match_sympy():
+    # irreducibility, discriminant, norm, inverse and repr without sympy,
+    # checked against sympy on random small quadratics, cubics and quartics
+    # and on products of two quadratics (x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2))
+    import random
+
+    import sympy
+
+    x = sympy.Symbol("x")
+    rng = random.Random(3)
+    polys = [[rng.randint(-12, 12) for _ in range(d)] + [1] for d in rng.choices((2, 3, 4), k=400)]
+    for _ in range(100):
+        b, c, e, g = (rng.randint(-9, 9) for _ in range(4))
+        polys.append([int(v) for v in reversed(sympy.Poly((x**2 + b * x + c) * (x**2 + e * x + g), x).all_coeffs())])
+    polys += [[4, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 0, 1, 0, 1], [-1, 0, 0, 0, 1]]
+    for coeffs in polys:
+        P = sympy.Poly(list(reversed(coeffs)), x)
+        if not P.is_irreducible:
+            with pytest.raises(InvalidInputError, match=re.escape(f"{P.as_expr()} is reducible over Q")):
+                nf.MonogenicField(coeffs)
+            continue
+        K = nf.MonogenicField(coeffs)
+        assert K.disc_f == int(sympy.discriminant(P)), coeffs
+        assert repr(K) == f"MonogenicField({P.as_expr()})"
+        el = K.elem([Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(K.degree)])
+        if el.is_zero():
+            continue
+        g = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(el.coeffs))
+        assert el.norm() == Fraction(str(sympy.resultant(P.as_expr(), g, x))), coeffs
+        assert (el * el.inverse()).as_rational() == 1
+
+
 def test_norm_of_alpha():
     assert CUBIC.alpha().norm() == -1  # (-1)^3 * f(0)
     assert EISENSTEIN.alpha().norm() == 1
 
 
 def test_degree_one_primes_examples():
-    primes = nf.degree_one_primes(CUBIC, 50)
+    primes = list(nf.degree_one_primes(CUBIC, 50))
     assert nf.DegreeOnePrime(3, 1) in primes  # f(1) = 3
     assert all(p != 2 for p, _ in primes)  # f has no root mod 2
     # at most deg f primes over any p
@@ -52,13 +85,13 @@ def test_degree_one_primes_examples():
 
 
 def test_degree_one_primes_congruence_filter():
-    primes = nf.degree_one_primes(CUBIC, 200, congruence_filter=(1, 3))
+    primes = list(nf.degree_one_primes(CUBIC, 200, congruence_filter=(1, 3)))
     assert primes and all(p % 3 == 1 for p, _ in primes)
 
 
 def test_degree_one_prime_density_chebotarev_band():
     """Soft sanity: total root count over p <= 10^4 tracks pi(10^4) within 10%."""
-    primes = nf.degree_one_primes(CUBIC, 10**4)
+    primes = list(nf.degree_one_primes(CUBIC, 10**4))
     n_primes = len(nt.primes_up_to(10**4))
     assert abs(len(primes) - n_primes) / n_primes < 0.10
 

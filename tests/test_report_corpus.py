@@ -12,6 +12,9 @@ table or a signature list on purpose, regenerate all three and review the
 diff:
 
     PYTHONPATH=src python tests/test_report_corpus.py --regenerate
+
+It prints each corpus file and digest whose bytes changed and leaves every
+other file untouched.
 """
 import contextlib
 import hashlib
@@ -124,13 +127,28 @@ def test_frobenius_signatures_match_digest(name):
     assert signature_digest(name) == json.loads(SIGNATURE_DIGESTS.read_text())[name]
 
 
+def _write_if_changed(path: Path, data: bytes) -> None:
+    """Write data to path unless it already holds exactly those bytes."""
+    if path.exists() and path.read_bytes() == data:
+        return
+    path.write_bytes(data)
+    print(f"regenerated {path.relative_to(CORPUS.parent.parent)}")
+
+
+def _write_digests(path: Path, digests: dict) -> None:
+    """Rewrite a digest file if any digest changed, naming each one that did."""
+    old = json.loads(path.read_text()) if path.exists() else {}
+    for name, digest in digests.items():
+        if old.get(name) != digest:
+            print(f"digest {path.name}[{name}]: {old.get(name)} -> {digest}")
+    _write_if_changed(path, (json.dumps(digests, indent=1) + "\n").encode())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     CORPUS.mkdir(exist_ok=True)
     for argv in CASES:
-        (CORPUS / f"{slug(argv)}.txt").write_bytes(report_bytes(argv))
-    digests = {str(m): table_digest(m) for m in TABLE_LEVELS}
-    TABLE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
-    digests = {name: signature_digest(name) for name in SIGNATURE_CASES}
-    SIGNATURE_DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+        _write_if_changed(CORPUS / f"{slug(argv)}.txt", report_bytes(argv))
+    _write_digests(TABLE_DIGESTS, {str(m): table_digest(m) for m in TABLE_LEVELS})
+    _write_digests(SIGNATURE_DIGESTS, {name: signature_digest(name) for name in SIGNATURE_CASES})

@@ -271,7 +271,7 @@ def test_cli_huge_prime_bound_hits_the_cap(argv):
 
 
 def test_cli_over_q_leaves_sympy_unloaded():
-    # only the field constructors and factoring need sympy
+    # only fields of degree > 4 and factorizations that resist Pollard rho need sympy
     code = "\n".join([
         "import contextlib, io, sys",
         "import galmax.cli",
@@ -286,6 +286,22 @@ def test_cli_over_q_leaves_sympy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False, False]"
+
+
+def test_cli_over_fields_of_degree_up_to_4_leaves_sympy_unloaded():
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "import galmax.cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert galmax.cli.main(['certify', '--curve', '[0,1296],[0,0,11664]', '--field', 'f=[1,1,0,1]',",
+        "                            '--prime-bound', '2000', '--l-max', '13']) == 0",
+        "    assert galmax.cli.main(['certify', '--curve', '[-3,-2,-2,2],[1,2,-3,3]', '--field', 'f=[3,-3,-1,1,1]',",
+        "                            '--prime-bound', '2000', '--l-max', '13']) == 0",
+        "print('sympy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_weil_count():
@@ -332,6 +348,17 @@ def test_cli_curve_with_negative_leading_coefficient():
 def test_sieve_bound_rejects_bad_shape_parameters(kwargs):
     with pytest.raises(InvalidInputError):
         sieve.sieve_bound({2: Fraction(1, 2)}, 30, **kwargs)
+
+
+@pytest.mark.parametrize("key", [1, 4, 0, -3, 9])
+def test_sieve_bound_rejects_non_prime_omega_keys(key):
+    with pytest.raises(InvalidInputError):
+        sieve.sieve_bound({key: Fraction(1, 2)}, 6)
+    with pytest.raises(InvalidInputError):
+        sieve.sieve_bound({2: Fraction(1, 2), key: Fraction(1, 2)}, 6)
+    with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["sieve-bound", "--Q", "6", f"--omega=2=1/2,{key}=1/2"])
+    assert exit_info.value.code == 2
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +409,7 @@ def out_dir(tmp_path_factory):
 @example(argv=["sieve-bound", "--Q", "30", "--x", "100", "--rank", "1000000000000"])
 @example(argv=["serre-scan", "--x", "2", "--ell", "4"])
 @example(argv=["sieve-bound", "--Q", "30", "--out="])
+@example(argv=["sieve-bound", "--Q", "6", "--omega=1=1/2"])
 def test_cli_malformed_values_exit_cleanly(argv, out_dir):
     argv = [f"--out={out_dir / a[6:]}" if a.startswith("--out=") else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
