@@ -152,22 +152,31 @@ class FieldElem:
             x = x * self.field.alpha()
         return [list(row) for row in zip(*columns)]
 
-    def inverse(self) -> "FieldElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        # solve (multiplication by self) x = 1 by Gauss-Jordan elimination
+    def _eliminate(self) -> tuple[Fraction, tuple[Fraction, ...] | None]:
+        """Gauss-Jordan elimination of (multiplication by self | 1): the
+        determinant, and the coordinates of 1 / self (None when self = 0)."""
         d = self.field.degree
         rows = [row + [Fraction(int(i == 0))] for i, row in enumerate(self._matrix())]
+        det = Fraction(1)
         for col in range(d):
-            pivot = next(r for r in range(col, d) if rows[r][col])
-            rows[col], rows[pivot] = rows[pivot], rows[col]
+            pivot = next((r for r in range(col, d) if rows[r][col]), None)
+            if pivot is None:
+                return Fraction(0), None
+            if pivot != col:
+                rows[col], rows[pivot], det = rows[pivot], rows[col], -det
             lead = rows[col][col]
+            det *= lead
             rows[col] = [v / lead for v in rows[col]]
             for r in range(d):
                 if r != col and rows[r][col]:
                     factor = rows[r][col]
                     rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-        return FieldElem(self.field, tuple(row[d] for row in rows))
+        return det, tuple(row[d] for row in rows)
+
+    def inverse(self) -> "FieldElem":
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero field element")
+        return FieldElem(self.field, self._eliminate()[1])
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -175,9 +184,7 @@ class FieldElem:
     def norm(self) -> Fraction:
         """Field norm: the determinant of multiplication by self (the
         resultant of f with the representing polynomial)."""
-        t = self.denominator_lcm()
-        scaled = self * Fraction(t)
-        return Fraction(_integer_det([[int(v) for v in row] for row in scaled._matrix()]), t**self.field.degree)
+        return self._eliminate()[0]
 
     def denominator_lcm(self) -> int:
         return math.lcm(*(c.denominator for c in self.coeffs))
@@ -186,67 +193,40 @@ class FieldElem:
         return f"FieldElem({list(self.coeffs)})"
 
 
-def _integer_det(M: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss' fraction-free
-    elimination (every intermediate entry is a minor, so stays an integer)."""
-    M = [list(row) for row in M]
-    n, sign, prev = len(M), 1, 1
-    for k in range(n - 1):
-        pivot = next((r for r in range(k, n) if M[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            M[k], M[pivot], sign = M[pivot], M[k], -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
-
-
 def _is_irreducible(coeffs: tuple[int, ...]) -> bool:
     """Irreducibility over Q of a monic integer polynomial (little-endian).
 
     By Gauss's lemma a factorization over Q is one into monic integer
     factors, so up to degree 3 the polynomial is irreducible iff it has no
-    integer root (a divisor of the constant term), and in degree 4 iff also
-    it is no product of two monic integer quadratics x^2 + bx + c and
-    x^2 + ex + g; c g is the constant term and the other coefficients fix b
-    and e.  Degrees above 4 are left to sympy.
+    integer root, and in degree 4 iff also it is no product of two monic
+    integer quadratics (x^2 + bx + c)(x^2 + ex + g).  For f = x^4 + a3 x^3
+    + a2 x^2 + a1 x + a0 with roots r_i, c + g is then an integer root of
+    the resolvent cubic y^3 - a2 y^2 + (a1 a3 - 4 a0) y + 4 a0 a2 - a0 a3^2
+    - a1^2, whose roots are r1 r2 + r3 r4 and its conjugates; c and g are
+    the roots of t^2 - (c + g) t + a0, and b and e those of
+    t^2 - a3 t + a2 - (c + g).  Every step finds integer roots by
+    bisection, so no coefficient is factored.
+    Degrees above 4 are left to sympy.
     """
     d = len(coeffs) - 1
     if d > 4:
         import sympy
 
         return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x")).is_irreducible
-    a0 = coeffs[0]
-    if a0 == 0:
-        return False
-    divisors = _divisors(abs(a0))
-    if any(sum(c * r**k for k, c in enumerate(coeffs)) == 0 for r in divisors + [-r for r in divisors]):
+    if nt.integer_roots_monic(list(coeffs)):
         return False
     if d < 4:
         return True
-    _, a1, a2, a3, _ = coeffs
-    for c in divisors + [-r for r in divisors]:
-        g = a0 // c
-        if c != g:  # b g + c e = a1 and b + e = a3 give b
-            b, rest = divmod(a1 - c * a3, g - c)
-            if rest == 0 and b * (a3 - b) + c + g == a2:
-                return False
-        elif a1 == c * a3:  # b + e = a3 and b e = a2 - 2c: integer roots of t^2 - a3 t + a2 - 2c
-            disc = a3 * a3 - 4 * (a2 - 2 * c)
-            if nt.is_perfect_square(disc) and (a3 + math.isqrt(disc)) % 2 == 0:
+    a0, a1, a2, a3, _ = coeffs
+    resolvent = [4 * a0 * a2 - a0 * a3 * a3 - a1 * a1, a1 * a3 - 4 * a0, -a2, 1]
+    for s in nt.integer_roots_monic(resolvent):
+        cg = nt.integer_roots_monic([a0, -s, 1])  # c g = a0, c + g = s
+        be = nt.integer_roots_monic([a2 - s, -a3, 1])  # b e = a2 - s, b + e = a3
+        if cg and be:
+            (c, g), (b, e) = (cg[0], cg[-1]), (be[0], be[-1])
+            if a1 in (b * g + c * e, b * c + e * g):
                 return False
     return True
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n >= 1."""
-    divisors = [1]
-    for q, e in nt.factorint(n).items():
-        divisors = [v * q**i for v in divisors for i in range(e + 1)]
-    return divisors
 
 
 def _poly_text(coeffs) -> str:

@@ -83,10 +83,13 @@ def test_factorint_matches_sympy(monkeypatch):
     rng = random.Random(7)
     ns = [1, 2, 2**40, 3**30 * 7, 600851475143, (10**9 + 7) ** 3 * 11]
     ns += [rng.randrange(1, 10**18) for _ in range(100)]
-    ns += [math.prod(int(sympy.nextprime(rng.randrange(2, 2**28))) for _ in range(rng.randint(2, 4)))
-           for _ in range(60)]
     for n in ns:
         assert nt.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}, n
+    # products of 2 to 4 primes below 2^28, checked against the primes drawn
+    # (sympy.factorint takes seconds on some of them)
+    for _ in range(60):
+        primes = [int(sympy.nextprime(rng.randrange(2, 2**28))) for _ in range(rng.randint(2, 4))]
+        assert nt.factorint(math.prod(primes)) == {p: primes.count(p) for p in sorted(set(primes))}, primes
     assert nt.factorint(-12) == {2: 2, 3: 1}
     with pytest.raises(ValueError):
         nt.factorint(0)
@@ -94,3 +97,26 @@ def test_factorint_matches_sympy(monkeypatch):
     monkeypatch.setattr(nt, "RHO_STEPS", 0)
     n = int(sympy.nextprime(2**40)) * int(sympy.nextprime(2**41)) * 5
     assert nt.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}
+
+
+def test_integer_roots_monic_match_sympy():
+    # planted integer roots times a random monic cofactor, degrees 1 to 6
+    rng = random.Random(8)
+    x = sympy.Symbol("x")
+    for _ in range(600):
+        roots = [rng.randint(-40, 40) for _ in range(rng.randint(0, 3))]
+        cofactor = [1] + [rng.randint(-25, 25) for _ in range(rng.randint(1 - min(len(roots), 1), 3))]
+        P = sympy.Poly(sympy.Poly(cofactor, x).as_expr() * sympy.prod([x - r for r in roots]), x)
+        coeffs = [int(c) for c in reversed(P.all_coeffs())]
+        assert nt.integer_roots_monic(coeffs) == sorted(int(r) for r in P.ground_roots()), coeffs
+    # 40-digit roots, and constant terms with 2^30 divisors or two 40-digit
+    # prime factors: bisection never factors them
+    r, s = 10**40 + 7, -(3 * 10**39 + 11)
+    P = sympy.Poly((x - r) * (x - s) * (x**2 + 5 * x + 10**41), x)
+    assert nt.integer_roots_monic([int(c) for c in reversed(P.all_coeffs())]) == [s, r]
+    primorial = math.prod(sympy.primerange(2, 114))
+    semiprime = int(sympy.nextprime(10**39)) * int(sympy.nextprime(3 * 10**39))
+    for a0 in (primorial, -primorial, semiprime):
+        assert nt.integer_roots_monic([a0, 0, 1]) == []
+        assert nt.integer_roots_monic([a0, 1, 0, 0, 1]) == []
+    assert nt.integer_roots_monic([-(primorial**2), 0, 1]) == [-primorial, primorial]

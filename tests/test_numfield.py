@@ -34,8 +34,8 @@ def test_field_arithmetic():
 
 
 def test_field_constructor_and_norm_match_sympy():
-    # irreducibility, discriminant, norm, inverse and repr without sympy,
-    # checked against sympy on random small quadratics, cubics and quartics
+    # irreducibility, discriminant, norm, inverse and repr, checked against
+    # sympy on random small quadratics, cubics and quartics
     # and on products of two quadratics (x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2))
     import random
 
@@ -48,6 +48,9 @@ def test_field_constructor_and_norm_match_sympy():
         b, c, e, g = (rng.randint(-9, 9) for _ in range(4))
         polys.append([int(v) for v in reversed(sympy.Poly((x**2 + b * x + c) * (x**2 + e * x + g), x).all_coeffs())])
     polys += [[4, 0, 0, 0, 1], [1, 0, 0, 0, 1], [1, 0, 1, 0, 1], [-1, 0, 0, 0, 1]]
+    # degrees 5 and 6 take sympy's irreducibility test: x^5 - x - 1, x^6 + 3,
+    # (x^2 + 1)(x^3 + x + 1) and (x^3 + 2)(x^3 - 2)
+    polys += [[-1, -1, 0, 0, 0, 1], [3, 0, 0, 0, 0, 0, 1], [1, 1, 1, 2, 0, 1], [-4, 0, 0, 0, 0, 0, 1]]
     for coeffs in polys:
         P = sympy.Poly(list(reversed(coeffs)), x)
         if not P.is_irreducible:
@@ -63,6 +66,47 @@ def test_field_constructor_and_norm_match_sympy():
         g = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(el.coeffs))
         assert el.norm() == Fraction(str(sympy.resultant(P.as_expr(), g, x))), coeffs
         assert (el * el.inverse()).as_rational() == 1
+
+
+def test_field_constructor_does_not_factor_the_constant_term():
+    # irreducibility by bisection: constant terms with 2^30 divisors (the
+    # product of the first 30 primes) or with two 40-digit prime factors
+    # take milliseconds; the subprocess caps the time and the memory
+    import math
+    import resource
+    import subprocess
+    import sys
+
+    import sympy
+
+    x = sympy.Symbol("x")
+    primorial = math.prod(sympy.primerange(2, 114))
+    p, q = int(sympy.nextprime(10**39)), int(sympy.nextprime(3 * 10**39))
+    fields = [[primorial, 0, 1], [primorial, 0, 0, 1], [primorial, 0, 0, 0, 1], [p * q, 0, 1], [p * q, 1, 0, 1],
+              [p * q, 3, 1, 0, 1]]
+    reducible = [[int(c) for c in reversed(sympy.Poly(e, x).all_coeffs())]
+                 for e in ((x**2 + p) * (x**2 + q), (x - p) * (x**3 + q), (x**2 + p * x + q) * (x**2 - q * x + p),
+                           (x - p) * (x - q), (x**2 + primorial) * (x**2 - primorial * x - 1))]
+    code = "\n".join([
+        "from galmax import numfield",
+        "from galmax.errors import InvalidInputError",
+        f"print([numfield.MonogenicField(f).disc_f for f in {fields}])",
+        f"for f in {reducible}:",
+        "    try:",
+        "        numfield.MonogenicField(f)",
+        "    except InvalidInputError:",
+        "        continue",
+        "    raise AssertionError(f)",
+    ])
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    expected = [int(sympy.discriminant(sympy.Poly(list(reversed(f)), x))) for f in fields]
+    assert proc.stdout.strip() == str(expected)
 
 
 def test_norm_of_alpha():
