@@ -206,10 +206,12 @@ def _parse_field(text: str) -> numfield.MonogenicField:
 
 
 def _parse_field_curve(text: str, K: numfield.MonogenicField):
-    lists = json.loads(f"[{text}]")
-    if len(lists) != 2 or not all(isinstance(v, list) for v in lists):
+    """Two bracketed coefficient lists; each entry is read exactly from its
+    own text, as over Q."""
+    lists = re.fullmatch(r"\s*\[([^][]*)\]\s*,\s*\[([^][]*)\]\s*", text)
+    if lists is None:
         raise InvalidInputError("field curve needs two coefficient lists, e.g. [0,1296],[0,0,11664]")
-    return tuple(K.elem([_fraction(c) for c in v]) for v in lists)
+    return tuple(K.elem([_fraction(c) for c in v.split(",")] if v.strip() else []) for v in lists.groups())
 
 
 def _run_sieve_bound(args) -> dict:

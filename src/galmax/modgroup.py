@@ -185,7 +185,7 @@ def sl2_order(m: int) -> int:
     if m == 1:
         return 1
     n = m**3
-    for p in nt.prime_divisors(m):
+    for p in nt.factorint(m):
         n = n // (p * p) * (p * p - 1)
     return n
 

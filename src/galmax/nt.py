@@ -65,20 +65,23 @@ def is_perfect_square(n: int) -> bool:
 
 # Pollard-Brent steps per polynomial before a cofactor is left to sympy
 RHO_STEPS = 1 << 16
+_TRIAL_PRIMES = primes_up_to(1 << 10)
 
 
 def factorint(n: int) -> dict[int, int]:
     """Prime factorization of |n| (|n| >= 1), primes ascending: trial
-    division by the primes below 2^10, then Pollard-Brent rho on the
-    cofactors.  A cofactor that rho does not split within RHO_STEPS steps
-    (two large prime factors) is factored by sympy, the only use of sympy
-    here; the factorization is unique, so the result never depends on which
-    method found it."""
+    division by the primes q below 2^10 while q^2 <= n, then Pollard-Brent
+    rho on the cofactors.  A cofactor that rho does not split within
+    RHO_STEPS steps (two large prime factors) is factored by sympy, the only
+    use of sympy here; the factorization is unique, so the result never
+    depends on which method found it."""
     n = abs(n)
     if n == 0:
         raise ValueError("0 has no prime factorization")
     out: dict[int, int] = {}
-    for q in primes_up_to(1 << 10):
+    for q in _TRIAL_PRIMES:
+        if q * q > n:
+            break
         while n % q == 0:
             out[q] = out.get(q, 0) + 1
             n //= q
@@ -194,23 +197,8 @@ def _strong_lucas(n: int) -> bool:
     return False
 
 
-def prime_divisors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending."""
-    out = []
-    q = 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1 if q == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def euler_phi(m: int) -> int:
-    for q in prime_divisors(m):
+    for q in factorint(m):
         m = m // q * (q - 1)
     return m
 

@@ -7,11 +7,13 @@ k^cyc = k * Q^cyc, the residue symbol of Delta at a degree-one prime (p, c)
 is determined by p modulo a conductor supported on the primes dividing
 2 * 3 * disc(f) * Norm(Delta).  Any incoherence with that shape (two primes
 over the same p disagreeing, or every candidate character refuted) certifies
-that the root is NOT cyclotomic.  The certificates never assert the positive
-direction.
+that the root is NOT cyclotomic.  One residue-incoherence loop serves both
+r = 2 and r = 3; the square- and cube-root certificates only build its
+candidate characters.  The certificates never assert the positive direction.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -306,19 +308,63 @@ def _integerize_power_class(delta: FieldElem, r: int) -> FieldElem:
 
 
 def _support_primes(K: MonogenicField, n: int) -> list[int] | None:
-    """Odd primes dividing disc(f) * n; None when factoring is hopeless."""
+    """Odd primes dividing disc(f) * n != 0; None when factoring is hopeless."""
     targets = abs(K.disc_f) * abs(n)
-    if targets == 0:
-        return None
     if len(str(targets)) > FACTOR_DIGIT_CAP:
         return None
     return sorted(q for q in nt.factorint(targets) if q != 2)
 
 
+def _residue_incoherence(d0: FieldElem, n: int, r: int, prime_budget: int, characters: dict | None) -> Verdict:
+    """Certify that the r-th root (r = 2 or 3) of the integral d0 of norm n
+    is not in k^cyc, from whether d0 is an r-th power at the degree-one
+    primes (p, c), p = 1 mod r, p <= prime_budget, p coprime to 2 r disc(f) n.
+
+    characters maps each candidate label to "is this character trivial at
+    p"; the trivial character is a candidate too.  Two primes over one p
+    that disagree certify, and so does refuting every candidate; None (the
+    candidates are unknown) leaves only the first.  Witnesses show Legendre
+    symbols and discriminants D for r = 2, cube flags and exponent vectors
+    for r = 3.
+    """
+    K, quadratic = d0.field, r == 2
+    show = (lambda flag: 1 if flag else -1) if quadratic else bool  # a Legendre symbol or a cube flag
+    alive, trivial_alive, witnesses, flag_by_p = list(characters or ()), True, [], {}
+    bad = 2 * r * abs(K.disc_f) * abs(n)
+    for P in degree_one_primes(K, prime_budget, congruence_filter=(1, r)):
+        if bad % P.p == 0:
+            continue
+        flag = pow(reduce_elem(d0, P), (P.p - 1) // r, P.p) == 1  # d0 is a unit at P: P does not divide n
+        if flag_by_p.setdefault(P.p, flag) != flag:
+            key = "symbols" if quadratic else "cube_flags"
+            witnesses.append({"kind": "same-norm incoherence", "p": P.p, key: [show(not flag), show(flag)]})
+            on = "" if quadratic else " on cube-ness"
+            return certified(*witnesses, mechanism=f"two degree-one primes over one p disagree{on}")
+        if trivial_alive and not flag:
+            trivial_alive = False
+            trivial = {"kind": "trivial character refuted", "p": P.p, "c": P.c}
+            witnesses.append(trivial | {"symbol": -1} if quadratic else trivial)
+        survivors = []
+        for label in alive:
+            if characters[label](P.p) == flag:
+                survivors.append(label)
+            elif quadratic:
+                witnesses.append({"kind": "character refuted", "D": label, "p": P.p, "c": P.c, "symbol": show(flag)})
+            else:
+                witnesses.append({"kind": "character refuted", "exponents": list(label), "p": P.p})
+        alive = survivors
+        if characters is not None and not trivial_alive and not alive:
+            kind = "quadratic" if quadratic else "cubic"
+            return certified(*witnesses, mechanism=f"all candidate {kind} characters refuted")
+    return inconclusive(
+        surviving_characters=[str(label) for label in alive] + (["trivial"] if trivial_alive else []),
+        primes_scanned=len(flag_by_p),
+        note=f"{'symbols' if quadratic else 'cube residues'} consistent with a cyclotomic character within budget",
+    )
+
+
 def sqrt_cyclotomic_certificate(
-    delta: FieldElem,
-    K: MonogenicField | None = None,
-    prime_budget: int = 10**4,
+    delta: FieldElem, K: MonogenicField | None = None, prime_budget: int = 10**4
 ) -> Verdict:
     """Certify sqrt(delta) not in k^cyc, by quadratic symbol incoherence.
 
@@ -341,38 +387,8 @@ def sqrt_cyclotomic_certificate(
     candidates = _fundamental_discriminants(support)
     if len(candidates) > CANDIDATE_CHARACTER_CAP:
         return inconclusive(reason=f"too many candidate characters ({len(candidates)})")
-    alive = {D: None for D in candidates}
-    trivial_alive = True
-    witnesses: list[dict] = []
-    sym_by_p: dict[int, int] = {}
-    bad = 2 * abs(K.disc_f) * abs(n)
-    for P in degree_one_primes(K, prime_budget):
-        if bad % P.p == 0:
-            continue
-        v = reduce_elem(d0, P)
-        if v == 0:
-            continue
-        s = nt.legendre(v, P.p)
-        prev = sym_by_p.get(P.p)
-        if prev is not None and prev != s:
-            witnesses.append({"kind": "same-norm incoherence", "p": P.p, "symbols": [prev, s]})
-            return certified(*witnesses, mechanism="two degree-one primes over one p disagree")
-        sym_by_p[P.p] = s
-        if trivial_alive and s == -1:
-            trivial_alive = False
-            witnesses.append({"kind": "trivial character refuted", "p": P.p, "c": P.c, "symbol": s})
-        for D in [D for D, w in alive.items() if w is None]:
-            if nt.kronecker(D, P.p) != s:
-                alive[D] = (P.p, P.c, s)
-                witnesses.append({"kind": "character refuted", "D": D, "p": P.p, "c": P.c, "symbol": s})
-        if not trivial_alive and all(w is not None for w in alive.values()):
-            return certified(*witnesses, mechanism="all candidate quadratic characters refuted")
-    survivors = [D for D, w in alive.items() if w is None] + (["trivial"] if trivial_alive else [])
-    return inconclusive(
-        surviving_characters=[str(s) for s in survivors],
-        primes_scanned=len(sym_by_p),
-        note="symbols consistent with a cyclotomic character within budget",
-    )
+    characters = {D: lambda p, D=D: nt.kronecker(D, p) == 1 for D in candidates}
+    return _residue_incoherence(d0, n, 2, prime_budget, characters)
 
 
 def _fundamental_discriminants(support_odd_primes: list[int]) -> list[int]:
@@ -382,19 +398,11 @@ def _fundamental_discriminants(support_odd_primes: list[int]) -> list[int]:
     for q in support_odd_primes:
         q_star = q if q % 4 == 1 else -q
         base = base + [b * q_star for b in base]
-    out = []
-    for b in base:
-        for two_part in (1, -4, 8, -8):
-            D = b * two_part
-            if D != 1:
-                out.append(D)
-    return out
+    return [D for b in base for D in (b, -4 * b, 8 * b, -8 * b) if D != 1]
 
 
 def cbrt_cyclotomic_certificate(
-    delta: FieldElem,
-    K: MonogenicField | None = None,
-    prime_budget: int = 10**4,
+    delta: FieldElem, K: MonogenicField | None = None, prime_budget: int = 10**4
 ) -> Verdict:
     """Certify the cube-root condition: either mu_3 is not in k (odd degree),
     or cbrt(delta) is not in k^cyc.
@@ -417,90 +425,33 @@ def cbrt_cyclotomic_certificate(
     d0 = _integerize_power_class(delta, 3)
     n = int(d0.norm())
     support = _support_primes(K, 3 * n)
-    if support is not None:
-        support = [q for q in support if q != 3]
-    use_characters = K.degree == 2 and support is not None
-    cubic_mods = [q for q in (support or []) if q % 3 == 1] + [9]
-    if use_characters:
-        dlogs = {q: _dlog_table_mod(q) for q in cubic_mods}
-        import itertools
+    characters = None
+    if K.degree == 2 and support is not None:
+        cubic_mods = [q for q in support if q % 3 == 1] + [9]
+        if 3 ** len(cubic_mods) - 1 <= CANDIDATE_CHARACTER_CAP:
+            exponents = itertools.product(range(3), repeat=len(cubic_mods))
+            characters = {
+                e: lambda p, e=e: sum(ei * _cubic_index(p, q) for ei, q in zip(e, cubic_mods)) % 3 == 0
+                for e in exponents
+                if any(e)
+            }
+    return _residue_incoherence(d0, n, 3, prime_budget, characters)
 
-        exps = [e for e in itertools.product(range(3), repeat=len(cubic_mods)) if any(e)]
-        if len(exps) > CANDIDATE_CHARACTER_CAP:
-            use_characters = False
-        alive: dict[tuple, object] = {e: None for e in exps} if use_characters else {}
-    else:
-        alive = {}
-    trivial_alive = True
-    witnesses: list[dict] = []
-    cube_by_p: dict[int, bool] = {}
-    bad = 6 * abs(K.disc_f) * abs(n)
-    for P in degree_one_primes(K, prime_budget, congruence_filter=(1, 3)):
-        if bad % P.p == 0:
-            continue
-        v = reduce_elem(d0, P)
-        if v == 0:
-            continue
-        is_cube = pow(v, (P.p - 1) // 3, P.p) == 1
-        prev = cube_by_p.get(P.p)
-        if prev is not None and prev != is_cube:
-            witnesses.append({"kind": "same-norm incoherence", "p": P.p, "cube_flags": [prev, is_cube]})
-            return certified(*witnesses, mechanism="two degree-one primes over one p disagree on cube-ness")
-        cube_by_p[P.p] = is_cube
-        if trivial_alive and not is_cube:
-            trivial_alive = False
-            witnesses.append({"kind": "trivial character refuted", "p": P.p, "c": P.c})
-        if use_characters:
-            for e in [e for e, w in alive.items() if w is None]:
-                val = 0
-                skip = False
-                for q, eq in zip(cubic_mods, e):
-                    if P.p % q == 0:
-                        skip = True
-                        break
-                    val = (val + eq * dlogs[q][P.p % q]) % 3
-                if skip:
-                    continue
-                if (val == 0) != is_cube:
-                    alive[e] = (P.p, P.c)
-                    witnesses.append({"kind": "character refuted", "exponents": list(e), "p": P.p})
-            if not trivial_alive and all(w is not None for w in alive.values()):
-                return certified(*witnesses, mechanism="all candidate cubic characters refuted")
-    survivors = [str(e) for e, w in alive.items() if w is None] + (["trivial"] if trivial_alive else [])
-    return inconclusive(
-        surviving_characters=survivors,
-        primes_scanned=len(cube_by_p),
-        note="cube residues consistent with a cyclotomic character within budget",
-    )
+
+@lru_cache(maxsize=4096)
+def _cubic_index(x: int, q: int) -> int:
+    """The discrete log mod 3 of the unit x mod q, to the base of the
+    smallest primitive root g, for q = 9 and primes q = 1 mod 3 (where cube
+    classes are proper): the k with x^(phi/3) = z^k, z = g^(phi/3)."""
+    phi = 6 if q == 9 else q - 1
+    return _cube_roots_of_unity(q, phi).index(pow(x, phi // 3, q))
 
 
 @lru_cache(maxsize=128)
-def _dlog_table_mod(q: int) -> dict[int, int]:
-    """x -> (discrete log of x mod q) mod 3, for the smallest primitive root.
-
-    Defined for q = 9 and primes q = 1 mod 3 (where cube classes are proper).
-    """
-    if q == 9:
-        gens = [2]
-        order = 6
-    else:
-        order = q - 1
-        gens = [g for g in range(2, q) if _is_primitive_root(g, q)][:1]
-    g = gens[0]
-    table = {}
-    x = 1
-    for k in range(order):
-        table[x] = k % 3
-        x = x * g % q
-    return table
-
-
-def _is_primitive_root(g: int, q: int) -> bool:
-    order = q - 1
-    for pf in nt.factorint(order):
-        if pow(g, order // pf, q) == 1:
-            return False
-    return True
+def _cube_roots_of_unity(q: int, phi: int) -> list[int]:
+    """z^0, z^1, z^2 mod q for z = g^(phi/3), g the smallest primitive root."""
+    g = next(g for g in range(2, q) if all(pow(g, phi // pf, q) != 1 for pf in nt.factorint(phi)))
+    return [pow(g, k * phi // 3, q) for k in range(3)]
 
 
 # ---------------------------------------------------------------------------

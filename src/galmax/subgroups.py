@@ -128,7 +128,7 @@ class SmallGroupTable:
         contains SL2, since the proper subgroups of SL2(F_l) are solvable for
         l in {5, 7}).
         """
-        order_primes = nt.prime_divisors(self.n)
+        order_primes = list(nt.factorint(self.n))
         solvable = set(order_primes) <= {2, 3}
         if not solvable and not self._is_gl2_like_57():
             raise InvalidInputError(

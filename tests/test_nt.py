@@ -13,9 +13,10 @@ def test_is_prime_matches_sympy():
         assert nt.is_prime(n) == sympy.isprime(n), n
 
 
-def test_prime_divisors_and_phi_match_sympy():
+def test_factorint_and_phi_match_sympy_below_3000():
+    # every n below 3000: the trial division that stops at sqrt(n)
     for n in range(1, 3000):
-        assert nt.prime_divisors(n) == sorted(sympy.primefactors(n)), n
+        assert nt.factorint(n) == {int(p): e for p, e in sympy.factorint(n).items()}, n
         assert nt.euler_phi(n) == sympy.totient(n), n
 
 

@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -219,6 +220,168 @@ def test_cbrt_certificate_over_eisenstein_field():
     a = EISENSTEIN.alpha()
     v = nf.cbrt_cyclotomic_certificate(a * a * a, EISENSTEIN, prime_budget=500)
     assert v.is_inconclusive
+
+
+# ---------------------------------------------------------------------------
+# reference: conditions (c) and (d) as two separate loops over degree-one
+# primes, the square and the cube test written out on their own; the one
+# shared loop must give the same verdicts, witnesses and diagnostics
+
+
+def _reference_sqrt_certificate(delta, K, prime_budget):
+    d0 = nf._integerize_power_class(delta, 2)
+    n = int(d0.norm())
+    support = nf._support_primes(K, n)
+    if support is None:
+        return nf.inconclusive(reason="norm too large to factor for a conductor bound")
+    candidates = nf._fundamental_discriminants(support)
+    if len(candidates) > nf.CANDIDATE_CHARACTER_CAP:
+        return nf.inconclusive(reason=f"too many candidate characters ({len(candidates)})")
+    alive = {D: None for D in candidates}
+    trivial_alive = True
+    witnesses = []
+    sym_by_p = {}
+    bad = 2 * abs(K.disc_f) * abs(n)
+    for P in nf.degree_one_primes(K, prime_budget):
+        if bad % P.p == 0:
+            continue
+        v = nf.reduce_elem(d0, P)
+        if v == 0:
+            continue
+        s = nt.legendre(v, P.p)
+        prev = sym_by_p.get(P.p)
+        if prev is not None and prev != s:
+            witnesses.append({"kind": "same-norm incoherence", "p": P.p, "symbols": [prev, s]})
+            return nf.certified(*witnesses, mechanism="two degree-one primes over one p disagree")
+        sym_by_p[P.p] = s
+        if trivial_alive and s == -1:
+            trivial_alive = False
+            witnesses.append({"kind": "trivial character refuted", "p": P.p, "c": P.c, "symbol": s})
+        for D in [D for D, w in alive.items() if w is None]:
+            if nt.kronecker(D, P.p) != s:
+                alive[D] = (P.p, P.c, s)
+                witnesses.append({"kind": "character refuted", "D": D, "p": P.p, "c": P.c, "symbol": s})
+        if not trivial_alive and all(w is not None for w in alive.values()):
+            return nf.certified(*witnesses, mechanism="all candidate quadratic characters refuted")
+    survivors = [D for D, w in alive.items() if w is None] + (["trivial"] if trivial_alive else [])
+    return nf.inconclusive(
+        surviving_characters=[str(s) for s in survivors],
+        primes_scanned=len(sym_by_p),
+        note="symbols consistent with a cyclotomic character within budget",
+    )
+
+
+def _reference_cbrt_certificate(delta, K, prime_budget):
+    if K.degree % 2 == 1:
+        return nf.certified(
+            {"kind": "degree parity", "degree": K.degree},
+            mechanism="odd-degree fields contain no primitive cube root of unity",
+        )
+    d0 = nf._integerize_power_class(delta, 3)
+    n = int(d0.norm())
+    support = nf._support_primes(K, 3 * n)
+    if support is not None:
+        support = [q for q in support if q != 3]
+    use_characters = K.degree == 2 and support is not None
+    cubic_mods = [q for q in (support or []) if q % 3 == 1] + [9]
+    alive = {}
+    if use_characters:
+        dlogs = {q: _reference_dlog_table(q) for q in cubic_mods}
+        exps = [e for e in itertools.product(range(3), repeat=len(cubic_mods)) if any(e)]
+        if len(exps) > nf.CANDIDATE_CHARACTER_CAP:
+            use_characters = False
+        else:
+            alive = {e: None for e in exps}
+    trivial_alive = True
+    witnesses = []
+    cube_by_p = {}
+    bad = 6 * abs(K.disc_f) * abs(n)
+    for P in nf.degree_one_primes(K, prime_budget, congruence_filter=(1, 3)):
+        if bad % P.p == 0:
+            continue
+        v = nf.reduce_elem(d0, P)
+        if v == 0:
+            continue
+        is_cube = pow(v, (P.p - 1) // 3, P.p) == 1
+        prev = cube_by_p.get(P.p)
+        if prev is not None and prev != is_cube:
+            witnesses.append({"kind": "same-norm incoherence", "p": P.p, "cube_flags": [prev, is_cube]})
+            return nf.certified(*witnesses, mechanism="two degree-one primes over one p disagree on cube-ness")
+        cube_by_p[P.p] = is_cube
+        if trivial_alive and not is_cube:
+            trivial_alive = False
+            witnesses.append({"kind": "trivial character refuted", "p": P.p, "c": P.c})
+        if use_characters:
+            for e in [e for e, w in alive.items() if w is None]:
+                val = 0
+                skip = False
+                for q, eq in zip(cubic_mods, e):
+                    if P.p % q == 0:
+                        skip = True
+                        break
+                    val = (val + eq * dlogs[q][P.p % q]) % 3
+                if skip:
+                    continue
+                if (val == 0) != is_cube:
+                    alive[e] = (P.p, P.c)
+                    witnesses.append({"kind": "character refuted", "exponents": list(e), "p": P.p})
+            if not trivial_alive and all(w is not None for w in alive.values()):
+                return nf.certified(*witnesses, mechanism="all candidate cubic characters refuted")
+    survivors = [str(e) for e, w in alive.items() if w is None] + (["trivial"] if trivial_alive else [])
+    return nf.inconclusive(
+        surviving_characters=survivors,
+        primes_scanned=len(cube_by_p),
+        note="cube residues consistent with a cyclotomic character within budget",
+    )
+
+
+def _reference_dlog_table(q):
+    """x -> (discrete log of x mod q) mod 3, to the base of the smallest
+    primitive root (2 for q = 9)."""
+    order = 6 if q == 9 else q - 1
+    g = 2 if q == 9 else next(g for g in range(2, q) if all(pow(g, order // pf, q) != 1 for pf in nt.factorint(order)))
+    return {pow(g, k, q): k % 3 for k in range(order)}
+
+
+# x^2 + x + 1, x^2 + 3, x^2 + 1, x^2 - 2, x^2 + 5, x^2 - 7, x^2 + x + 7,
+# x^3 + x + 1, x^3 - 2, x^3 - 3x - 1, x^4 - x^2 + 1, x^4 + 1
+REFERENCE_FIELDS = [[1, 1, 1], [3, 0, 1], [1, 0, 1], [-2, 0, 1], [5, 0, 1], [-7, 0, 1], [7, 1, 1],
+                    [1, 1, 0, 1], [-2, 0, 0, 1], [-1, -3, 0, 1], [1, 0, -1, 0, 1], [1, 0, 0, 0, 1]]
+
+
+def _reference_battery():
+    """(field, delta) pairs: rational and non-rational deltas, perfect
+    squares and perfect cubes, some with denominators."""
+    for coeffs in REFERENCE_FIELDS:
+        K = nf.MonogenicField(coeffs)
+        a = K.alpha()
+        deltas = [K.elem([c]) for c in (2, -1, 3, -3, 7, 12, Fraction(5, 2), 4, 8)]
+        deltas += [a, a + 1, 2 * a - 3, a * a + a + 5, (a + 1) * (a + 1), (a + 2) * (a + 2) * (a + 2),
+                   (a - 1) * (a - 1) * 3, a * a * a * 2, (a + Fraction(1, 3)) * 5]
+        for delta in deltas:
+            yield K, delta
+
+
+def _check_against_reference():
+    checked = 0
+    for K, delta in _reference_battery():
+        for budget in (300, 2000):
+            new = nf.sqrt_cyclotomic_certificate(delta, K, prime_budget=budget).to_json()
+            assert new == _reference_sqrt_certificate(delta, K, budget).to_json(), (K, delta, budget)
+            new = nf.cbrt_cyclotomic_certificate(delta, K, prime_budget=budget).to_json()
+            assert new == _reference_cbrt_certificate(delta, K, budget).to_json(), (K, delta, budget)
+            checked += 1
+    return checked
+
+
+def test_certificates_match_two_loop_reference():
+    assert _check_against_reference() == 2 * 18 * len(REFERENCE_FIELDS)
+
+
+def test_certificates_match_two_loop_reference_over_the_character_cap(monkeypatch):
+    # a cap of 1 makes sqrt return early and cbrt fall back to incoherence
+    monkeypatch.setattr(nf, "CANDIDATE_CHARACTER_CAP", 1)
+    assert _check_against_reference() == 2 * 18 * len(REFERENCE_FIELDS)
 
 
 def test_mu_n_membership():

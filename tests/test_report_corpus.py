@@ -43,6 +43,11 @@ CASES = [
     ["certify", "--curve", "2,-1", "--prime-bound", "2000", "--l-max", "37"],
     ["certify", "--curve", "[0,1296],[0,0,11664]", "--field", "f=[1,1,0,1]"],
     ["certify", "--curve", "[1,1],[1,0]", "--field", "f=[-2,0,1]", "--prime-bound", "2000", "--l-max", "13"],
+    # condition (d) over Q(mu_3): certified by cubic characters, by same-norm
+    # incoherence, and (a quartic containing mu_3, no candidate set) left open
+    ["certify", "--curve", "[-1],[1,1]", "--field", "f=[1,1,1]", "--prime-bound", "2000", "--l-max", "13"],
+    ["certify", "--curve", "[2,1],[0,3]", "--field", "f=[1,1,1]", "--prime-bound", "2000", "--l-max", "13"],
+    ["certify", "--curve", "[1],[1]", "--field", "f=[1,0,-1,0,1]", "--prime-bound", "2000", "--l-max", "13"],
     ["serre-scan", "--x", "5,10"],
     ["serre-scan", "--x", "5,10", "--check", "mod-ell", "--ell", "7"],
     ["serre-scan", "--x", "5,10,20", "--check", "disc-square"],

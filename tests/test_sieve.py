@@ -410,6 +410,13 @@ def out_dir(tmp_path_factory):
 @example(argv=["serre-scan", "--x", "2", "--ell", "4"])
 @example(argv=["sieve-bound", "--Q", "30", "--out="])
 @example(argv=["sieve-bound", "--Q", "6", "--omega=1=1/2"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1e400],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[0.1],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[true],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1/2],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1/2,-3],[0.1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[[1]],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1,],[1]", "--prime-bound", "100", "--l-max", "5"])
 def test_cli_malformed_values_exit_cleanly(argv, out_dir):
     argv = [f"--out={out_dir / a[6:]}" if a.startswith("--out=") else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -418,3 +425,20 @@ def test_cli_malformed_values_exit_cleanly(argv, out_dir):
         except SystemExit as e:  # argparse usage errors
             code = e.code
     assert code in (0, 2, 3), argv
+
+
+def _field_curve_report(curve):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(["certify", "--field", "f=[1,0,1]", "--curve", curve, "--prime-bound", "100", "--l-max", "5"]) == 0
+    return json.loads(buf.getvalue())
+
+
+def test_cli_field_curve_entries_are_read_exactly():
+    # each entry is parsed from its own text, never through a float
+    assert _field_curve_report("[0.1],[1]") == _field_curve_report("[1/10],[1]")
+    K = nf.MonogenicField([1, 0, 1])
+    assert cli._parse_field_curve("[1/2,-3],[0.1]", K) == (K.elem([Fraction(1, 2), -3]), K.elem([Fraction(1, 10)]))
+    for bad in ("[true],[1]", "[[1]],[1]", "[1,],[1]", "[1],[1],[1]", "[1e400]"):
+        with pytest.raises(InvalidInputError):
+            cli._parse_field_curve(bad, K)
