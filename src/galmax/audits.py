@@ -28,6 +28,7 @@ from .errors import InvalidInputError, ResourceCapError
 from .subgroups import LATTICE_ORDER_CAP, SmallGroupTable
 
 EXHAUSTIVE_COVERAGE_MODULI = (2, 3, 4, 5)
+TRIALS_CAP = 10**6
 
 
 @dataclass
@@ -62,6 +63,8 @@ def _require_trials(trials: int) -> None:
     # with no trials a randomized audit tests nothing and still reports ok
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
+    if trials > TRIALS_CAP:
+        raise ResourceCapError(f"trials {trials} exceeds cap {TRIALS_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +87,7 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
     if mode is None:
         mode = "exhaustive" if m in EXHAUSTIVE_COVERAGE_MODULI else "randomized"
     dets = [d for d in range(1, m) if math.gcd(d, m) == 1] if (nt.is_prime(m) and m >= 5) else [1]
-    class_sets = {
-        d: [frozenset(c.member_codes) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets
-    }
-    sl2_codes = set(int(c) for c in mg.enumerate_group(m, "SL2").code_array())
+    covered = _class_coverage(m, dets)
     report = AuditReport(
         lemma="class coverage forces SL2",
         mode=mode,
@@ -98,14 +98,11 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
         details={"m": m, "dets_tested": dets},
     )
 
-    def check(codes_set: set[int], describe) -> None:
+    def check(codes: np.ndarray, describe) -> None:
         report.subgroups_tested += 1
-        for d in dets:
-            covered = all(not codes_set.isdisjoint(cl) for cl in class_sets[d])
-            if not covered:
-                continue
+        for d, contains_sl2 in covered(codes):
             report.nonvacuous_checks += 1
-            if not sl2_codes <= codes_set:
+            if not contains_sl2:
                 report.counterexamples.append({"det": d, "subgroup": describe()})
 
     if mode == "exhaustive":
@@ -114,7 +111,7 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
         table = SmallGroupTable.for_group(m, "GL2")
         for mask in table.subgroup_lattice():
             codes = table.mask_to_codes(mask)
-            check(set(int(c) for c in codes), lambda c=codes: [int(x) for x in c[:8]])
+            check(codes, lambda c=codes: [int(x) for x in c[:8]])
     else:
         rng = random.Random(seed)
         G = mg.enumerate_group(m, "GL2")
@@ -124,8 +121,35 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
             pool = borel if rng.random() < 0.5 else gcodes
             gens = [int(pool[rng.randrange(pool.size)]) for _ in range(rng.choice((1, 2, 2, 3)))]
             codes = mg.closure_codes(m, gens)
-            check(set(int(c) for c in codes), lambda g=gens: {"generators": g})
+            check(codes, lambda g=gens: {"generators": g})
     return report
+
+
+def _class_coverage(m: int, dets: list[int]):
+    """The test behind the coverage audit, as a function of an array of
+    distinct codes: the pairs (d, whether the codes contain SL2(Z/mZ)) for
+    each d in dets such that the codes meet every GL2-conjugacy class of
+    determinant d."""
+    # class_id[d][code]: 1 + index of the det-d class of code, 0 off det d
+    class_id = {}
+    for d in dets:
+        classes = mg.conjugacy_classes(m, "GL2", det_filter=d)
+        ids = np.zeros(m**4, dtype=np.int64)
+        for k, cl in enumerate(classes, start=1):
+            ids[list(cl.member_codes)] = k
+        class_id[d] = (ids, len(classes))
+    in_sl2 = np.zeros(m**4, dtype=bool)
+    in_sl2[mg.enumerate_group(m, "SL2").code_array()] = True
+    sl2_order = mg.sl2_order(m)
+
+    def covered(codes: np.ndarray) -> list[tuple[int, bool]]:
+        contains_sl2 = np.count_nonzero(in_sl2[codes]) == sl2_order
+        return [
+            (d, contains_sl2) for d, (ids, n) in class_id.items()
+            if np.bincount(ids[codes], minlength=n + 1)[1:].all()
+        ]
+
+    return covered
 
 
 # ---------------------------------------------------------------------------

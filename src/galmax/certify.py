@@ -738,7 +738,7 @@ class MaximalityReport:
         per_m.update({str(m): v.status for m, v in self.conditions["b"].items()})
         per_m.update({str(ell): v.status for ell, v in self.conditions["a"].items()})
         return {
-            "curve": [str(c) for c in self.curve],
+            "curve": [[str(x) for x in c.coeffs] for c in self.curve],
             "field": list(self.field),
             "params": {"prime_bound": self.params.prime_bound, "l_max": self.params.l_max},
             "primes_scanned": self.primes_scanned,

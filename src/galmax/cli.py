@@ -185,15 +185,42 @@ def _run_certify(args) -> dict:
         return report.to_json()
     a_str, b_str = args.curve.split(",")
     curve = ecff.validate(_fraction(a_str), _fraction(b_str))
+    # the report writes the integral model, up to 13 times as many digits
+    if not all(_within_cap(Fraction(c)) for c in certify.integer_model(curve.a, curve.b)):
+        raise _cap_error("the integral model (u^4 a, u^6 b) of the curve")
     report = certify.serre_check(curve, params)
     return report.to_json()
 
 
-def _fraction(value) -> Fraction:
+# digits allowed above and below the bar of every exact number the CLI reads
+# or writes: inputs, the integral model of a Q curve, L(Q).  Well inside
+# Python's 4300-digit int-to-str limit, so every report can be written and read.
+FRACTION_DIGIT_CAP = 1000
+
+
+def _within_cap(value: Fraction) -> bool:
+    return max(abs(value.numerator), value.denominator) < 10**FRACTION_DIGIT_CAP
+
+
+def _cap_error(what: str) -> ResourceCapError:
+    return ResourceCapError(f"{what}: numerator and denominator are capped at {FRACTION_DIGIT_CAP} digits")
+
+
+def _fraction(text: str) -> Fraction:
+    """An exact rational read from its own text (``1/2``, ``-3``, ``0.1``,
+    ``1e400``), within FRACTION_DIGIT_CAP."""
+    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+    # refuse before Fraction expands a long literal or a large exponent
+    exponent = re.search(r"[eE][-+]?(\d+)", text)
+    if len(text) > 4 * FRACTION_DIGIT_CAP or (exponent and int(exponent.group(1)) > FRACTION_DIGIT_CAP):
+        raise _cap_error(shown)
     try:
-        return Fraction(value)
+        value = Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidInputError(f"not a rational number: {value!r}") from None
+        raise InvalidInputError(f"not a rational number: {text!r}") from None
+    if not _within_cap(value):
+        raise _cap_error(shown)
+    return value
 
 
 def _parse_field(text: str) -> numfield.MonogenicField:
@@ -221,10 +248,16 @@ def _run_sieve_bound(args) -> dict:
             key, _, val = part.partition("=")
             omega[int(key)] = _fraction(val)
     L, bound = sieve.sieve_bound(omega, args.Q, x=args.x, degree=args.degree, rank=args.rank)
+    if not _within_cap(L):
+        raise _cap_error("L(Q)")
+    try:
+        L_float = float(L)
+    except OverflowError:
+        raise InvalidInputError("L(Q) overflows a float") from None
     return {
         "params": {"Q": args.Q, "omega": {str(k): str(v) for k, v in omega.items()},
                    "x": args.x, "degree": args.degree, "rank": args.rank},
-        "rows": [{"L": str(L), "L_float": float(L), "bound": bound}],
+        "rows": [{"L": str(L), "L_float": L_float, "bound": bound}],
         "caveats": ["the implied constant of the sieve inequality is reported as 1 (shape only)"],
     }
 

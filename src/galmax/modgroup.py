@@ -104,15 +104,25 @@ def mat_from_code(code: int, m: int) -> MatModM:
     return MatModM(m, int(a[0]), int(b[0]), int(c[0]), int(d[0]))
 
 
+def _row_tables(gen_codes: np.ndarray, m: int) -> np.ndarray:
+    """Right multiplication by each generator, row by row.
+
+    A code is top*m^2 + bottom, where top = a*m + b and bottom = c*m + d are
+    the codes of the two rows.  Right multiplication by g sends each row
+    (x, y) to (x, y)*g on its own, so entry [i, x*m + y] is the code of the
+    row (x, y)*g_i for the i-th code in gen_codes.
+    """
+    a, b, c, d = (v[:, None] for v in decode(gen_codes, m))
+    x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
+    return ((x * a + y * c) % m) * m + (x * b + y * d) % m
+
+
 def mul_codes(codes: np.ndarray, g: MatModM) -> np.ndarray:
     """Right-multiply every encoded matrix by g."""
-    m = g.m
-    a, b, c, d = decode(codes, m)
-    na = (a * g.a + b * g.c) % m
-    nb = (a * g.b + b * g.d) % m
-    nc = (c * g.a + d * g.c) % m
-    nd = (c * g.b + d * g.d) % m
-    return encode(na, nb, nc, nd, m)
+    m2 = g.m * g.m
+    rows = _row_tables(np.array([g.code()]), g.m)[0]
+    top, bottom = np.divmod(np.asarray(codes, dtype=np.int64), m2)
+    return rows[top] * m2 + rows[bottom]
 
 
 def mul_codes_left(g: MatModM, codes: np.ndarray) -> np.ndarray:
@@ -152,28 +162,28 @@ def closure_codes(m: int, gen_codes: Sequence[int], stop_above: int | None = Non
     With stop_above set, returns None as soon as more than stop_above elements
     are seen (early exit for is-it-the-full-group tests).
     """
-    gens = [mat_from_code(int(c), m) for c in dict.fromkeys(int(c) for c in gen_codes)]
+    m2 = m * m
+    rows = _row_tables(np.asarray(gen_codes, dtype=np.int64), m)
     seen = np.zeros(m**4, dtype=bool)
     ident = identity(m).code()
     seen[ident] = True
     frontier = np.array([ident], dtype=np.int64)
     count = 1
-    while frontier.size:
-        new_parts = []
-        for g in gens:
-            prod = mul_codes(frontier, g)
-            prod = prod[~seen[prod]]
-            if prod.size:
-                prod = np.unique(prod)
-                seen[prod] = True
-                new_parts.append(prod)
-        if not new_parts:
-            break
-        frontier = np.unique(np.concatenate(new_parts))
+    while True:
+        # one level for every generator at once: gather both rows of each
+        # frontier element through each generator's row table
+        top, bottom = np.divmod(frontier, m2)
+        prod = (rows[:, top] * m2 + rows[:, bottom]).ravel()
+        fresh = np.sort(prod[~seen[prod]])
+        if not fresh.size:
+            return np.flatnonzero(seen)
+        # sort and drop repeats: np.unique hashes int64 first, which costs
+        # several times more at these sizes
+        frontier = fresh[np.append(True, fresh[1:] != fresh[:-1])]
+        seen[frontier] = True
         count += frontier.size
         if stop_above is not None and count > stop_above:
             return None
-    return np.nonzero(seen)[0].astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -310,7 +310,7 @@ def _integerize_power_class(delta: FieldElem, r: int) -> FieldElem:
 def _support_primes(K: MonogenicField, n: int) -> list[int] | None:
     """Odd primes dividing disc(f) * n != 0; None when factoring is hopeless."""
     targets = abs(K.disc_f) * abs(n)
-    if len(str(targets)) > FACTOR_DIGIT_CAP:
+    if targets >= 10**FACTOR_DIGIT_CAP:  # more than FACTOR_DIGIT_CAP digits
         return None
     return sorted(q for q in nt.factorint(targets) if q != 2)
 

@@ -138,25 +138,33 @@ class SmallGroupTable:
         trivial = np.zeros(self.n, dtype=bool)
         trivial[self.identity] = True
         found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}
-        queue = [trivial]
+        # each queued subgroup carries the generators it was built from
+        queue = [(trivial, np.zeros(0, dtype=np.int64))]
         all_idx = np.arange(self.n)
         while queue:
-            K = queue.pop()
+            K, gens = queue.pop()
             members = all_idx[K]
             for p in order_primes:
                 cand = all_idx[~K & K[pow_maps[p]]]
-                for g in cand:
-                    if not self.normalizes(int(g), K, members):
-                        continue
-                    H = K.copy()
-                    x = int(g)
-                    for _ in range(p - 1):
-                        H[self.cayley[x, members]] = True
-                        x = int(self.cayley[x, g])
-                    key = H.tobytes()
+                # g normalizes K iff it conjugates every generator of K into K
+                conj = self.cayley[self.cayley[cand[:, None], gens], self.inv[cand][:, None]]
+                g = cand[K[conj].all(axis=1)]
+                if not g.size:
+                    continue
+                # row i: <K, g_i> = K, g_i K, ..., g_i^(p-1) K
+                ext = np.repeat(K[None, :], g.size, axis=0)
+                rows = np.arange(g.size)
+                x = g
+                for _ in range(p - 1):
+                    ext[rows[:, None], self.cayley[x[:, None], members]] = True
+                    x = self.cayley[x, g]
+                # <K, g_j> = <K, g_i> iff g_j lies in it: only the first g of
+                # each extension builds it
+                for i in rows[np.argmax(ext[:, g], axis=1) == rows]:
+                    key = ext[i].tobytes()
                     if key not in found:
-                        found[key] = H
-                        queue.append(H)
+                        found[key] = ext[i].copy()  # not a view that keeps the batch alive
+                        queue.append((found[key], np.append(gens, g[i])))
         masks = list(found.values())
         if not solvable:
             masks.extend(self._sl2_overgroup_masks())

@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 
@@ -5,6 +6,7 @@ import pytest
 
 from galmax import audits, modgroup as mg
 from galmax.errors import InvalidInputError, ResourceCapError
+from galmax.subgroups import SmallGroupTable
 
 
 @pytest.mark.parametrize("m,tested", [(2, 6), (3, 55), (4, 234), (5, 466)])
@@ -131,3 +133,91 @@ def test_audits_import_leaves_sympy_unloaded():
     code = "import sys, galmax.audits; print('sympy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the array coverage test against the set-based check it replaced
+
+
+def set_based_coverage(m, dets, subgroups):
+    """(subgroups tested, nonvacuous checks, counterexamples) of the coverage
+    check done on Python sets; subgroups yields (codes, description) pairs."""
+    class_sets = {d: [frozenset(c.member_codes) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets}
+    sl2 = set(mg.enumerate_group(m, "SL2").codes)
+    tested, nonvacuous, counterexamples = 0, 0, []
+    for codes, description in subgroups:
+        members = set(int(c) for c in codes)
+        tested += 1
+        for d in dets:
+            if all(not members.isdisjoint(cl) for cl in class_sets[d]):
+                nonvacuous += 1
+                if not sl2 <= members:
+                    counterexamples.append({"det": d, "subgroup": description})
+    return tested, nonvacuous, counterexamples
+
+
+def lattice_subgroups(m):
+    table = SmallGroupTable.for_group(m, "GL2")
+    for mask in table.subgroup_lattice():
+        codes = table.mask_to_codes(mask)
+        yield codes, [int(x) for x in codes[:8]]
+
+
+def audit_counts(r):
+    return r.subgroups_tested, r.nonvacuous_checks, r.counterexamples
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_coverage_matches_set_based_check_on_lattices(m):
+    r = audits.coverage_implies_sl2_audit(m)
+    assert audit_counts(r) == set_based_coverage(m, r.details["dets_tested"], lattice_subgroups(m))
+
+
+def test_coverage_matches_set_based_check_randomized_m9():
+    m, trials, seed = 9, 300, 1
+    r = audits.coverage_implies_sl2_audit(m, trials=trials, seed=seed)
+    assert r.mode == "randomized"
+
+    def sampled():  # the audit's seeded draw
+        rng = random.Random(seed)
+        gcodes = mg.enumerate_group(m, "GL2").code_array()
+        borel = gcodes[mg.decode(gcodes, m)[2] == 0]
+        for _ in range(trials):
+            pool = borel if rng.random() < 0.5 else gcodes
+            gens = [int(pool[rng.randrange(pool.size)]) for _ in range(rng.choice((1, 2, 2, 3)))]
+            yield mg.closure_codes(m, gens), {"generators": gens}
+
+    assert audit_counts(r) == set_based_coverage(m, r.details["dets_tested"], sampled())
+
+
+def test_coverage_test_matches_set_based_check_at_the_ell3_boundary():
+    # with d = 2 added at m = 3 the implication fails; both checks must find
+    # the same counterexamples, the Sylow 2-subgroups among them
+    covered = audits._class_coverage(3, [1, 2])
+    subgroups = list(lattice_subgroups(3))
+    counterexamples = [
+        {"det": d, "subgroup": description}
+        for codes, description in subgroups
+        for d, contains_sl2 in covered(codes)
+        if not contains_sl2
+    ]
+    nonvacuous = sum(len(covered(codes)) for codes, _ in subgroups)
+    want = set_based_coverage(3, [1, 2], subgroups)
+    assert (len(subgroups), nonvacuous, counterexamples) == want
+    assert counterexamples and all(c["det"] == 2 for c in counterexamples)
+
+
+def test_audits_cap_trials_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the trials cap was checked")
+
+    monkeypatch.setattr(mg, "conjugacy_classes", no_work)
+    monkeypatch.setattr(mg, "enumerate_group", no_work)
+    monkeypatch.setattr(mg, "closure_codes", no_work)
+    too_many = audits.TRIALS_CAP + 1
+    with pytest.raises(ResourceCapError):
+        audits.coverage_implies_sl2_audit(16, trials=too_many)
+    with pytest.raises(ResourceCapError):
+        audits.reduction_lemma_audit(2, 4, trials=too_many)
+    with pytest.raises(ResourceCapError):
+        audits.goursat_audit(4, 3, trials=too_many)

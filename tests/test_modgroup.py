@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from galmax import modgroup as mg
@@ -187,3 +188,56 @@ def test_meets_all_classes():
     assert pow(disc, 2, 5) != 0 and pow(disc, (5 - 1) // 2, 5) == 5 - 1
     with pytest.raises(InvalidInputError):
         mg.meets_all_classes_with_det(borel, 5)
+
+
+# ---------------------------------------------------------------------------
+# the array engines against plain-Python references on MatModM.mul
+
+
+def matrix_of_code(code, m):
+    a, rest = divmod(code, m**3)
+    b, rest = divmod(rest, m * m)
+    return mg.MatModM(m, a, b, *divmod(rest, m))
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_mul_codes_matches_matmodm_mul(m):
+    codes = mg.enumerate_group(m, "GL2").code_array()
+    elements = [matrix_of_code(c, m) for c in codes.tolist()]
+    rng = random.Random(m)
+    for g in [*mg.sl2_generators(m), *(elements[rng.randrange(len(elements))] for _ in range(2))]:
+        assert mg.mul_codes(codes, g).tolist() == [x.mul(g).code() for x in elements]
+
+
+def reference_closure(m, gen_codes):
+    """Breadth-first closure under right multiplication, in plain Python."""
+    gens = [mg.mat_from_code(c, m) for c in gen_codes]
+    seen = {mg.identity(m).code()}
+    frontier = [mg.identity(m)]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = x.mul(g)
+                if y.code() not in seen:
+                    seen.add(y.code())
+                    fresh.append(y)
+        frontier = fresh
+    return sorted(seen)
+
+
+@pytest.mark.parametrize(
+    "m,ambient", [(m, "GL2") for m in range(2, 17)] + [(m, "SL2") for m in (18, 25, 27)]
+)
+def test_closure_codes_matches_reference_bfs(m, ambient):
+    codes = mg.enumerate_group(m, ambient).code_array()
+    rng = random.Random(1000 + m)
+    for k in range(4):
+        gens = [int(codes[rng.randrange(codes.size)]) for _ in range(k)]
+        want = reference_closure(m, gens)
+        got = mg.closure_codes(m, gens)
+        assert got.dtype == np.int64 and got.tolist() == want, (m, gens)
+        # stop_above: None exactly when the closure is larger than the bound
+        assert mg.closure_codes(m, gens, stop_above=len(want)).tolist() == want
+        if len(want) > 1:
+            assert mg.closure_codes(m, gens, stop_above=len(want) - 1) is None

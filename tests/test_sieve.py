@@ -417,6 +417,10 @@ def out_dir(tmp_path_factory):
 @example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1/2,-3],[0.1]", "--prime-bound", "100", "--l-max", "5"])
 @example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[[1]],[1]", "--prime-bound", "100", "--l-max", "5"])
 @example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1,],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["certify", "--curve", "1e20000,1", "--prime-bound", "300", "--l-max", "5"])
+@example(argv=["certify", "--field", "f=[1,0,1]", "--curve", "[1e20000],[1]", "--prime-bound", "100", "--l-max", "5"])
+@example(argv=["group-audit", "--m", "4", "--trials", "1000001"])
+@example(argv=["sieve-bound", "--Q", "6", "--omega", "2=" + "9" * 400 + "/1" + "0" * 400])
 def test_cli_malformed_values_exit_cleanly(argv, out_dir):
     argv = [f"--out={out_dir / a[6:]}" if a.startswith("--out=") else a for a in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -432,6 +436,47 @@ def _field_curve_report(curve):
     with contextlib.redirect_stdout(buf):
         assert cli.main(["certify", "--field", "f=[1,0,1]", "--curve", curve, "--prime-bound", "100", "--l-max", "5"]) == 0
     return json.loads(buf.getvalue())
+
+
+def _cli_exit(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+CAP = cli.FRACTION_DIGIT_CAP
+AT_CAP, ABOVE_CAP = "9" * CAP, "1" + "0" * CAP
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--curve", "{},1", "--prime-bound", "100", "--l-max", "5"],
+    ["certify", "--field", "f=[1,0,1]", "--curve", "[1],[1/{}]", "--prime-bound", "100", "--l-max", "5"],
+    ["sieve-bound", "--Q", "6", "--omega", "2=1/{}"],
+], ids=["q-curve", "field-entry", "omega"])
+def test_cli_exact_inputs_are_capped_in_digits(argv):
+    code, out, _ = _cli_exit([a.format(AT_CAP) for a in argv])
+    assert code == 0
+    json.loads(out)
+    for over in (ABOVE_CAP, "1e20000"):
+        code, _, err = _cli_exit([a.format(over) for a in argv])
+        assert code == 3 and f"capped at {CAP} digits" in err
+
+
+def test_cli_caps_the_integral_model_of_a_q_curve():
+    # a = 10^-k has the integral model (10^(3k), 10^(6k)), written in full
+    argv = ["certify", "--curve", "1e-{},1", "--prime-bound", "100", "--l-max", "5"]
+    k = (CAP - 1) // 6
+    code, out, _ = _cli_exit([a.format(k) for a in argv])
+    assert code == 0 and json.loads(out)["curve"] == [10 ** (3 * k), 10 ** (6 * k)]
+    code, _, err = _cli_exit([a.format(k + 1) for a in argv])
+    assert code == 3 and "integral model" in err and f"capped at {CAP} digits" in err
+
+
+def test_cli_field_report_writes_coefficients_as_rationals():
+    assert _field_curve_report("[1/2,-3],[0.1]")["curve"] == [["1/2", "-3"], ["1/10", "0"]]
 
 
 def test_cli_field_curve_entries_are_read_exactly():
