@@ -185,7 +185,7 @@ def reduction_lemma_audit(
     def check(codes: np.ndarray, describe) -> None:
         report.subgroups_tested += 1
         for level in hyp_levels:
-            image = np.unique(mg.reduce_codes(codes, modulus, level))
+            image = mg._sorted_unique(mg.reduce_codes(codes, modulus, level))
             if image.size != mg.sl2_order(level):
                 continue
             report.nonvacuous_checks += 1
@@ -283,7 +283,7 @@ def goursat_audit(m: int, n: int, mode: str | None = None, trials: int = 1000, s
     def check(codes: np.ndarray, describe) -> None:
         report.subgroups_tested += 1
         for level in (m, n):
-            if level > 1 and np.unique(mg.reduce_codes(codes, modulus, level)).size != mg.sl2_order(level):
+            if level > 1 and mg._sorted_unique(mg.reduce_codes(codes, modulus, level)).size != mg.sl2_order(level):
                 return
         report.nonvacuous_checks += 1
         if codes.size != full_order:

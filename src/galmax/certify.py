@@ -47,9 +47,8 @@ from .verdict import Verdict, certified, inconclusive, obstruction
 # the quadratic subfields of Q(mu_72), by fundamental discriminant
 ENTANGLEMENT_DISCRIMINANTS = (-3, -4, 8, -8, 12, 24, -24)
 
-# nt.primes_up_to allocates one byte per integer up to the bound, and the
-# int64 products of the per-prime kernel and of psi3_splits_over_fp2 stay
-# exact only while p^3 < 2^63
+# nt.primes_up_to allocates one byte per integer up to the bound (the int64
+# products of the per-prime kernel stay below 21 p^2, exact far beyond it)
 PRIME_BOUND_CAP = 10**6
 # every prime up to l_max is a mod-l level, and each level's witness test
 # reads a quadratic character table of length l
@@ -61,10 +60,12 @@ CUBIC_PATTERNS = ((1, 1, 1), (2, 1), (3,))
 PSI3_PATTERNS = ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
 _CUBIC_ID = {pattern: i for i, pattern in enumerate(CUBIC_PATTERNS)}
 _PSI3_ID = {pattern: i for i, pattern in enumerate(PSI3_PATTERNS)}
-# pattern id by root count of the cubic / of psi3 (-1: impossible count, or
-# a rootless psi3 that psi3_splits_over_fp2 resolves)
+# pattern id by root count of the cubic / of psi3 (-1: impossible count).  A
+# rootless psi3 is (2,2) at p = 1 and (4) at p = 2 mod 3: on the four lines of
+# E[3], Frobenius in PGL2(F_3) = S4 has the sign (p/3), as PSL2(F_3) = A4.
 _CUBIC_ID_BY_ROOTS = np.array([_CUBIC_ID[(3,)], _CUBIC_ID[(2, 1)], -1, _CUBIC_ID[(1, 1, 1)]])
 _PSI3_ID_BY_ROOTS = np.array([-1, _PSI3_ID[(3, 1)], _PSI3_ID[(2, 1, 1)], -1, _PSI3_ID[(1, 1, 1, 1)]])
+_PSI3_ID_ROOTLESS = {1: _PSI3_ID[(2, 2)], 2: _PSI3_ID[(4,)]}
 # sign of the Frobenius permutation of the 2-torsion points, by cubic pattern id
 _EPS_BY_CUBIC_ID = np.array([1, -1, 1])
 
@@ -222,19 +223,11 @@ def signature_columns(p: int, A, B):
     curve, from one batch_curve_data run.
 
     A and B are reduced mod p (int64 arrays or lists of ints).  Pattern ids
-    index CUBIC_PATTERNS and PSI3_PATTERNS.  A rootless psi3 factors as
-    (2,2) or (4) by psi3_splits_over_fp2.
+    index CUBIC_PATTERNS and PSI3_PATTERNS.  A rootless psi3 is (2,2) or (4)
+    by p mod 3 alone (see _PSI3_ID_ROOTLESS), with no polynomial arithmetic.
     """
     ap, cubic_roots, psi3_roots, has_3pt = ecff.batch_curve_data(p, A, B)
-    psi3 = _PSI3_ID_BY_ROOTS[psi3_roots]
-    rootless = np.flatnonzero(psi3_roots == 0)
-    if rootless.size:
-        a = np.asarray(A, dtype=np.int64)[rootless]
-        b = np.asarray(B, dtype=np.int64)[rootless]
-        if rootless.size == 1:  # Python ints: nt.poly_mulmod is far slower on one-element arrays
-            a, b = int(a[0]), int(b[0])
-        split = np.atleast_1d(ecff.psi3_splits_over_fp2(p, a, b))
-        psi3[rootless] = np.where(split, _PSI3_ID[(2, 2)], _PSI3_ID[(4,)])
+    psi3 = np.where(psi3_roots == 0, _PSI3_ID_ROOTLESS[p % 3], _PSI3_ID_BY_ROOTS[psi3_roots])
     return ap, _CUBIC_ID_BY_ROOTS[cubic_roots], psi3, has_3pt.astype(np.int64)
 
 

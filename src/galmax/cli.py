@@ -289,7 +289,7 @@ def _emit(report: dict, args) -> None:
 
 
 def _csv_cell(v):
-    if isinstance(v, (dict, list)):
+    if isinstance(v, (dict, list, tuple)):
         return json.dumps(v, default=str)
     return v
 

@@ -5,9 +5,10 @@ statistics harness.
 One per-prime kernel, ``batch_curve_data``, computes everything a Frobenius
 signature needs (the trace, the root count of the cubic, the root count of
 the 3-division quartic and the 3-torsion flag) for one curve or a whole box
-at once: a single vectorised sweep over x in F_p, in blocks of x values by
-curves.  ``point_count`` is its one-curve case.  Family scans over all
-coefficient pairs mod p are vectorized to O(p^2).
+at once: a vectorised sweep over x in F_p for the trace, in blocks of x
+values by curves, and the rest read off the trace.  ``point_count`` is its
+one-curve case.  Family scans over all coefficient pairs mod p are
+vectorized to O(p^2).
 """
 from __future__ import annotations
 
@@ -137,20 +138,6 @@ def point_count(p: int, a: int, b: int) -> tuple[int, int]:
     return p + 1 - ap, ap
 
 
-def psi3_splits_over_fp2(p: int, a, b):
-    """Whether x^(p^2) = x modulo the monic 3-division quartic
-    x^4 + 2a x^2 + 4b x - a^2/3 over F_p, i.e. whether every irreducible
-    factor of psi3 has degree 1 or 2.
-
-    a and b are reduced mod p and are either Python ints (returns a bool) or
-    equal-length int64 arrays (returns a bool array, one entry per curve).
-    """
-    inv3 = pow(3, -1, p)
-    mod_poly = [(-a * a) * inv3 % p, 12 * b * inv3 % p, 6 * a * inv3 % p, 0, 1]
-    c0, c1, c2, c3 = nt.x_pow_mod(p * p, mod_poly, p)
-    return (c0 == 0) & (c1 == 1) & (c2 == 0) & (c3 == 0)
-
-
 # ---------------------------------------------------------------------------
 # family scans over all (r, s) in F_p^2
 
@@ -278,14 +265,26 @@ def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
 
 
 def bad_reduction_mask(p: int, A, B) -> np.ndarray:
-    """True where p divides the discriminant of y^2 = x^3 + A[k] x + B[k].
+    """True where p divides the discriminant of y^2 = x^3 + A[k] x + B[k]."""
+    return _disc_mod(p, A, B) == 0
 
-    A and B are int64 arrays; reducing after every product keeps the test
-    exact for any p below 2^31.
-    """
+
+def _disc_mod(p: int, A, B) -> np.ndarray:
+    """4A^3 + 27B^2 = -Delta/16 mod p for int64 arrays A and B; reducing after
+    every product keeps it exact for any p below 2^31."""
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
-    return (4 * (A * A % p) % p * A + 27 * (B * B % p)) % p == 0
+    return (4 * (A * A % p) % p * A + 27 * (B * B % p)) % p
+
+
+def _x_sum(p: int, shape, term) -> np.ndarray:
+    """Sum over x in F_p of term(x), an (x, curve) array for a column of x
+    values, in blocks of about BATCH_CELLS cells: one int64 per curve."""
+    total = np.zeros(shape, dtype=np.int64)
+    block = max(1, BATCH_CELLS // max(total.size, 1))
+    for x0 in range(0, p, block):
+        total += term(np.arange(x0, min(x0 + block, p), dtype=np.int64)[:, None]).sum(axis=0)
+    return total
 
 
 def batch_curve_data(p: int, A, B):
@@ -294,37 +293,45 @@ def batch_curve_data(p: int, A, B):
     Returns (ap, cubic_roots, psi3_roots, psi3_point_flag), one entry per
     curve: the trace a_p, the number of roots of x^3 + Ax + B, the number of
     roots of psi3 = 3x^4 + 6Ax^2 + 12Bx - A^2 (the x-coordinates of the four
-    order-3 subgroups) and whether some psi3 root carries a rational 3-torsion
-    point (x0^3 + A x0 + B a nonzero square).  A and B are int64 arrays (or
-    sequences of ints that fit); raises BadReductionError if p divides any
-    curve's discriminant.  The sweep over x runs in blocks of about
+    order-3 subgroups) and whether E(F_p) has a point of order 3.  A and B
+    are int64 arrays (or sequences of ints that fit); raises
+    BadReductionError if p divides any curve's discriminant.
+
+    Only a_p = -sum_x chi(x^3 + Ax + B) is swept over x, in blocks of about
     BATCH_CELLS (x, curve) cells, so one curve at p < BATCH_CELLS takes a
-    single vectorised pass.  Rootless quartics still need the (2,2)/(4)
-    split, see psi3_splits_over_fp2.
+    single vectorised pass.  The rest is read off X^2 - a_p X + p, the
+    characteristic polynomial of Frobenius, mod 2 and mod 3:
+    - the cubic has no root if #E(F_p) = p + 1 - a_p is odd, else 3 roots if
+      Delta is a square mod p and 1 root if not; the flag is 3 | p + 1 - a_p;
+    - psi3 has a root for each Frobenius-stable line of E[3].  At p = 2 mod 3
+      there are two if 3 | a_p, none otherwise.  At p = 1 mod 3 there are
+      none if 3 | a_p; otherwise Frobenius has the double eigenvalue
+      lambda = -a_p and fixes one line, or all four if it is scalar, which
+      needs E[3] in E(F_p) (lambda = 1, 9 | p + 1 - a_p) or in the quadratic
+      twist (lambda = -1, 9 | p + 1 + a_p).  Only those curves get a second
+      sweep, which counts the roots of psi3.
     """
     _check_p(p)
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
-    if bad_reduction_mask(p, A, B).any():
+    disc = _disc_mod(p, A, B)
+    if not disc.all():
         raise BadReductionError(f"singular reduction at p={p}")
     chi = quadratic_character_table(p)
-    ap = np.zeros(A.shape, dtype=np.int64)
-    cubic_roots = np.zeros(A.shape, dtype=np.int64)
-    psi3_roots = np.zeros(A.shape, dtype=np.int64)
-    psi3_flag = np.zeros(A.shape, dtype=bool)
-    A2 = A * A % p
-    block = max(1, BATCH_CELLS // max(A.size, 1))
-    for x0 in range(0, p, block):
-        x = np.arange(x0, min(x0 + block, p), dtype=np.int64)[:, None]
-        x2 = x * x % p
-        cub = (x2 * x % p + A * x + B) % p
-        cv = chi[cub]
-        ap -= cv.sum(axis=0)
-        cubic_roots += (cub == 0).sum(axis=0)
-        q_root = (3 * x2 * x2 + 6 * A * x2 + 12 * B * x - A2) % p == 0
-        psi3_roots += q_root.sum(axis=0)
-        psi3_flag |= (q_root & (cv == 1)).any(axis=0)
-    return ap, cubic_roots, psi3_roots, psi3_flag
+    ap = -_x_sum(p, A.shape, lambda x: chi[(x * x % p * x % p + A * x + B) % p])
+    cubic_roots = np.where(ap % 2, 0, np.where(chi[-disc % p] == 1, 3, 1))
+    t = ap % 3
+    if p % 3 == 2:
+        psi3_roots = np.where(t == 0, 2, 0)
+    else:
+        psi3_roots = np.where(t == 0, 0, 1)
+        scalar = np.flatnonzero((t != 0) & ((p + 1 + np.where(t == 1, ap, -ap)) % 9 == 0))
+        if scalar.size:
+            a, b = A[scalar], B[scalar]
+            psi3_roots[scalar] = _x_sum(
+                p, scalar.shape, lambda x: (3 * (x * x % p) ** 2 + 6 * a * (x * x % p) + 12 * b * x - a * a) % p == 0
+            )
+    return ap, cubic_roots, psi3_roots, (p + 1 - ap) % 3 == 0
 
 
 # ---------------------------------------------------------------------------

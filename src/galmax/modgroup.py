@@ -154,6 +154,14 @@ def reduce_codes(codes: np.ndarray, m: int, m_target: int) -> np.ndarray:
     return encode(a % m_target, b % m_target, c % m_target, d % m_target, m_target)
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) by sorting and dropping repeats: numpy's np.unique hashes
+    int64 arrays first, which costs several times more at the sizes of these
+    closures and reductions."""
+    a = np.sort(a)
+    return a[np.append(True, a[1:] != a[:-1])] if a.size else a
+
+
 def closure_codes(m: int, gen_codes: Sequence[int], stop_above: int | None = None) -> np.ndarray | None:
     """Sorted codes of the subgroup generated by gen_codes.
 
@@ -174,12 +182,9 @@ def closure_codes(m: int, gen_codes: Sequence[int], stop_above: int | None = Non
         # frontier element through each generator's row table
         top, bottom = np.divmod(frontier, m2)
         prod = (rows[:, top] * m2 + rows[:, bottom]).ravel()
-        fresh = np.sort(prod[~seen[prod]])
-        if not fresh.size:
+        frontier = _sorted_unique(prod[~seen[prod]])
+        if not frontier.size:
             return np.flatnonzero(seen)
-        # sort and drop repeats: np.unique hashes int64 first, which costs
-        # several times more at these sizes
-        frontier = fresh[np.append(True, fresh[1:] != fresh[:-1])]
         seen[frontier] = True
         count += frontier.size
         if stop_above is not None and count > stop_above:
@@ -480,15 +485,9 @@ def _conj_orbit(m: int, code: int, gens: list[MatModM]) -> np.ndarray:
     seen[code] = True
     frontier = np.array([code], dtype=np.int64)
     while frontier.size:
-        new_parts = []
-        for g in gens:
-            conj = conj_codes(g, frontier)
-            conj = conj[~seen[conj]]
-            if conj.size:
-                conj = np.unique(conj)
-                seen[conj] = True
-                new_parts.append(conj)
-        frontier = np.unique(np.concatenate(new_parts)) if new_parts else np.array([], dtype=np.int64)
+        conj = np.concatenate([frontier[:0]] + [conj_codes(g, frontier) for g in gens])
+        frontier = _sorted_unique(conj[~seen[conj]])
+        seen[frontier] = True
     return np.nonzero(seen)[0].astype(np.int64)
 
 
@@ -500,7 +499,7 @@ def reduce_mod(H: SubgroupHandle, m_target: int) -> SubgroupHandle:
     """Entrywise reduction of H to Z/m_target; the image is a subgroup."""
     if m_target < 1 or H.m % m_target != 0:
         raise InvalidInputError(f"{m_target} does not divide {H.m}")
-    codes = np.unique(reduce_codes(H.code_array(), H.m, m_target))
+    codes = _sorted_unique(reduce_codes(H.code_array(), H.m, m_target))
     gens = tuple(g.reduce(m_target) for g in H.generators)
     return _handle_from_codes(m_target, gens, codes, label=f"{H.label or 'H'} mod {m_target}")
 

@@ -98,22 +98,15 @@ class SmallGroupTable:
         return acc
 
     def closure_mask(self, seeds) -> np.ndarray:
-        seeds = list(dict.fromkeys(int(s) for s in seeds))
+        seeds = np.array([int(s) for s in seeds], dtype=np.int64)
         mask = np.zeros(self.n, dtype=bool)
         mask[self.identity] = True
-        for s in seeds:
-            mask[s] = True
-        frontier = np.array(sorted({*seeds, self.identity}), dtype=np.int64)
+        mask[seeds] = True
+        frontier = np.flatnonzero(mask)
         while frontier.size:
-            new = []
-            for s in seeds:
-                prod = self.cayley[frontier, s]
-                fresh = prod[~mask[prod]]
-                if fresh.size:
-                    fresh = np.unique(fresh)
-                    mask[fresh] = True
-                    new.append(fresh)
-            frontier = np.unique(np.concatenate(new)) if new else np.array([], dtype=np.int64)
+            prod = self.cayley[frontier[:, None], seeds].ravel()
+            frontier = mg._sorted_unique(prod[~mask[prod]])
+            mask[frontier] = True
         return mask
 
     def normalizes(self, g: int, mask: np.ndarray, members: np.ndarray) -> bool:
@@ -137,12 +130,16 @@ class SmallGroupTable:
         pow_maps = {p: self.power_map(p) for p in order_primes}
         trivial = np.zeros(self.n, dtype=bool)
         trivial[self.identity] = True
-        found: dict[bytes, np.ndarray] = {trivial.tobytes(): trivial}
-        # each queued subgroup carries the generators it was built from
-        queue = [(trivial, np.zeros(0, dtype=np.int64))]
+        # each subgroup is kept once, as the bytes of its mask (a dict keeps
+        # them in the order found), and queued with the generators it was
+        # built from
+        key = trivial.tobytes()
+        found = {key: None}
+        queue = [(key, np.zeros(0, dtype=np.int64))]
         all_idx = np.arange(self.n)
         while queue:
-            K, gens = queue.pop()
+            key, gens = queue.pop()
+            K = np.frombuffer(key, dtype=bool)
             members = all_idx[K]
             for p in order_primes:
                 cand = all_idx[~K & K[pow_maps[p]]]
@@ -163,14 +160,11 @@ class SmallGroupTable:
                 for i in rows[np.argmax(ext[:, g], axis=1) == rows]:
                     key = ext[i].tobytes()
                     if key not in found:
-                        found[key] = ext[i].copy()  # not a view that keeps the batch alive
-                        queue.append((found[key], np.append(gens, g[i])))
-        masks = list(found.values())
+                        found[key] = None
+                        queue.append((key, np.append(gens, g[i])))
         if not solvable:
-            masks.extend(self._sl2_overgroup_masks())
-            dedup = {m_.tobytes(): m_ for m_ in masks}
-            masks = list(dedup.values())
-        return masks
+            found.update(dict.fromkeys(m_.tobytes() for m_ in self._sl2_overgroup_masks()))
+        return [np.frombuffer(key, dtype=bool) for key in found]
 
     def _is_gl2_like_57(self) -> bool:
         return self.m in (5, 7)
@@ -651,7 +645,7 @@ def _complement_preimages_mod9(K0: np.ndarray, K: np.ndarray) -> list[np.ndarray
     # coset key: minimal code in g * K0 (codes outside G are their own key)
     key_of_code = np.arange(9**4, dtype=np.int64)
     key_of_code[codes] = np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(int(k), 9)) for k in K0])
-    qt = SmallGroupTable(np.unique(key_of_code[codes]), key_of_code, 9)
+    qt = SmallGroupTable(mg._sorted_unique(key_of_code[codes]), key_of_code, 9)
     W_mask = np.zeros(qt.n, dtype=bool)
     W_mask[qt.index_of_code[K]] = True
     target = qt.n // int(W_mask.sum())

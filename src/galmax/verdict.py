@@ -45,7 +45,7 @@ class Verdict:
     def to_json(self) -> dict[str, Any]:
         return {
             "status": self.status,
-            "witnesses": [_jsonable(w) for w in self.witnesses],
+            "witnesses": _jsonable(self.witnesses),
             "diagnostics": {k: _jsonable(v) for k, v in self.diagnostics.items()},
         }
 
@@ -63,12 +63,19 @@ def inconclusive(**diagnostics) -> Verdict:
 
 
 def _jsonable(v):
+    """v as values json.dumps writes.  A list, tuple or dict with nothing
+    inside to convert is returned as itself, and tuples stay tuples (written
+    as arrays), so reports share witness data instead of copying it."""
     if isinstance(v, (str, int, float, bool)) or v is None:
         return v
     if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
+        out = {str(k): _jsonable(x) for k, x in v.items()}
+        return v if all(isinstance(k, str) and out[k] is x for k, x in v.items()) else out
     if isinstance(v, (list, tuple, set, frozenset)):
-        return [_jsonable(x) for x in v]
+        out = [_jsonable(x) for x in v]
+        if isinstance(v, (list, tuple)) and all(y is x for x, y in zip(v, out)):
+            return v
+        return tuple(out) if isinstance(v, tuple) else out
     if hasattr(v, "to_json"):
         return v.to_json()
     return repr(v)

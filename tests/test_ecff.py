@@ -149,10 +149,14 @@ def reference_signature(p, a, b):
 
 @pytest.mark.parametrize("batch", [1, 7001])
 def test_signature_engine_matches_brute_force(batch):
-    # 7001 curves do not fill a whole number of x blocks, so the last block is ragged
+    # 7001 curves do not fill a whole number of x blocks, so the last block is
+    # ragged.  At p = 5, 7 and 13 every nonsingular pair is checked, so each
+    # splitting pattern is met at p = 1 and at p = 2 mod 3.
     rng = random.Random(batch)
-    for p in (5, 7, 11, 101, 499):
-        pairs = []
+    seen = set()
+    for p in (5, 7, 11, 13, 101, 499):
+        every = [(a, b) for a in range(p) for b in range(p) if ecff.discriminant(a, b) % p] if p in (5, 7, 13) else []
+        pairs = list(every)
         while len(pairs) < max(batch, 30):
             a, b = rng.randrange(p), rng.randrange(p)
             if ecff.discriminant(a, b) % p:
@@ -167,8 +171,36 @@ def test_signature_engine_matches_brute_force(batch):
             # a pair repeated in the batch must repeat its signature
             assert engine.setdefault(ab, (s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)) == (
                 s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)
-        for a, b in list(engine)[:30]:
-            assert engine[a, b] == reference_signature(p, a, b), (p, a, b)
+        for a, b in every or list(engine)[:30]:
+            ref = reference_signature(p, a, b)
+            assert engine[a, b] == ref, (p, a, b)
+            ap, cubic, psi3, _ = ref
+            seen |= {(p % 3, cubic), (p % 3, psi3)}
+            if psi3 == (3, 1) and (p + 1 - ap) % 9 == 0:
+                seen.add((p % 3, "(3,1) with 9 | #E"))
+    # (1,1,1,1) is scalar Frobenius on E[3]; (3,1) with 9 | #E is a candidate
+    # for scalar Frobenius that the second psi3 sweep turns down
+    assert seen >= {(r, c) for r in (1, 2) for c in certify.CUBIC_PATTERNS}
+    assert seen >= {(1, (1, 1, 1, 1)), (1, (3, 1)), (1, (2, 2)), (1, "(3,1) with 9 | #E"), (2, (2, 1, 1)), (2, (4,))}
+
+
+def test_rootless_psi3_splits_by_p_mod_3():
+    # Frobenius permutes the four lines of E[3] through PGL2(F_3) = S4, with
+    # the sign of det = p mod 3, so a rootless psi3 is (2,2) at p = 1 mod 3
+    # and (4) at p = 2 mod 3
+    rng = random.Random(3)
+    rootless = set()
+    for p in [q for q in nt.primes_up_to(2000) if q >= 5]:
+        inv3 = pow(3, -1, p)
+        pairs = [(a, b) for a, b in ((rng.randrange(p), rng.randrange(p)) for _ in range(8)) if ecff.discriminant(a, b) % p]
+        sigs = certify.signatures_at(p, *(np.array(col, dtype=np.int64) for col in zip(*pairs)))
+        for (a, b), s in zip(pairs, sigs):
+            degrees = tuple(nt.factor_degrees_mod_p([-a * a * inv3, 4 * b, 2 * a, 0, 1], p))
+            assert s.psi3_pattern == degrees, (p, a, b)
+            if 1 not in degrees:
+                assert degrees == ((2, 2) if p % 3 == 1 else (4,)), (p, a, b)
+                rootless.add(p % 3)
+    assert rootless == {1, 2}
 
 
 def test_curve_columns_of_a_huge_coefficient_match_brute_force():
@@ -204,8 +236,6 @@ def test_quartic_split_arrays_match_scalar_path():
         by_array = nt.x_pow_mod(e, columns, p)
         for k, mod_poly in enumerate(mod_polys):
             assert [int(c[k]) for c in by_array] == nt.x_pow_mod(e, mod_poly, p)
-        splits = ecff.psi3_splits_over_fp2(p, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-        assert splits.tolist() == [ecff.psi3_splits_over_fp2(p, x, y) for x, y in zip(a, b)]
 
 
 def test_singular_pair_count_equals_p():
