@@ -16,7 +16,8 @@ monotone in the cells fed and every witness is the first cell (in prime
 order) meeting its condition, so an early stop changes no verdict and no
 witness, and a curve left uncertified sees every prime.
 ``FrobSignature`` records and the list-taking level functions are only a
-view of the columns, kept for digests and reference tests.
+view of the columns, kept for the benchmark's trace mode and for the
+digests and reference tests.
 
 A subtlety the level-72 step depends on: containment of SL2 at levels 8 and
 9 in the separate projections does not by itself give SL2(Z/72Z) in the
@@ -110,9 +111,6 @@ class FrobSignature:
     def __post_init__(self):
         if self.ap * self.ap > 4 * self.norm:
             raise InvalidInputError(f"trace {self.ap} violates the Hasse bound at {self.norm}")
-
-    def residues(self, m: int) -> tuple[int, int]:
-        return self.ap % m, self.norm % m
 
     def to_json(self):
         return {
@@ -248,12 +246,6 @@ def _record_columns(sigs: Iterable[FrobSignature]) -> SignatureColumns:
     )
     order = np.argsort(cols.p, kind="stable")
     return SignatureColumns(*(col[order] for col in cols))
-
-
-def signatures_at(p: int, A, B) -> list[FrobSignature]:
-    """FrobSignature records of signature_columns(p, A, B) over Q."""
-    ap, cubic, psi3, has_3pt = signature_columns(p, A, B)
-    return _records(SignatureColumns(np.full(ap.size, p), np.full(ap.size, -1), ap, cubic, psi3, has_3pt))
 
 
 def collect_signatures(

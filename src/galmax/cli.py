@@ -14,7 +14,7 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, audits, certify, ecff, numfield, sieve
+from . import __version__, audits, certify, ecff, nt, numfield, sieve
 from .errors import GalmaxError, InvalidInputError, ResourceCapError
 
 
@@ -116,43 +116,22 @@ def _int_list(text: str) -> list[int]:
 def _run_group_audit(args) -> dict:
     m = args.m
     reports = [audits.coverage_implies_sl2_audit(m, trials=args.trials, seed=args.seed)]
-    pe = _prime_power(m)
-    if pe and pe[1] >= 2:
-        reports.append(audits.reduction_lemma_audit(pe[0], pe[1], trials=args.trials, seed=args.seed))
-    co = _coprime_split(m)
-    if co:
-        reports.append(audits.goursat_audit(co[0], co[1], trials=args.trials, seed=args.seed))
+    # the coverage audit has checked 2 <= m <= 16; a prime power p^e with
+    # e >= 2 gets the reduction audit, any other m the Goursat audit of
+    # p^e times the cofactor, for p its least prime
+    factors = nt.factorint(m)
+    p = min(factors)
+    e = factors[p]
+    if len(factors) == 1 and e >= 2:
+        reports.append(audits.reduction_lemma_audit(p, e, trials=args.trials, seed=args.seed))
+    elif len(factors) > 1:
+        reports.append(audits.goursat_audit(p**e, m // p**e, trials=args.trials, seed=args.seed))
     return {
         "params": {"m": m, "trials": args.trials, "seed": args.seed},
         "rows": [r.to_json() for r in reports],
         "caveats": [],
         "ok": all(r.ok for r in reports),
     }
-
-
-def _prime_power(m: int):
-    for p in (2, 3, 5, 7):
-        if m % p == 0:
-            e = 0
-            n = m
-            while n % p == 0:
-                n //= p
-                e += 1
-            return (p, e) if n == 1 else None
-    return None
-
-
-def _coprime_split(m: int):
-    for p in (2, 3):
-        if m % p == 0:
-            q = 1
-            n = m
-            while n % p == 0:
-                n //= p
-                q *= p
-            if n > 1:
-                return (q, n)
-    return None
 
 
 def _run_omega(args) -> dict:
@@ -193,7 +172,7 @@ def _run_certify(args) -> dict:
 
 
 # digits allowed above and below the bar of every exact number the CLI reads
-# or writes: inputs, the integral model of a Q curve, L(Q).  Well inside
+# or writes: inputs, the integral model of a Q curve, disc(f), L(Q).  Well inside
 # Python's 4300-digit int-to-str limit, so every report can be written and read.
 FRACTION_DIGIT_CAP = 1000
 
@@ -229,7 +208,13 @@ def _parse_field(text: str) -> numfield.MonogenicField:
     coeffs = json.loads(text)
     if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
         raise InvalidInputError("field polynomial must be a list of integers, e.g. f=[1,1,0,1]")
-    return numfield.MonogenicField(coeffs)
+    if not all(_within_cap(Fraction(c)) for c in coeffs):
+        raise _cap_error("a coefficient of the field polynomial")
+    K = numfield.MonogenicField(coeffs)
+    # a nonsquare-discriminant witness writes disc(f) in full
+    if not _within_cap(Fraction(K.disc_f)):
+        raise _cap_error("the discriminant of the field polynomial")
+    return K
 
 
 def _parse_field_curve(text: str, K: numfield.MonogenicField):

@@ -6,9 +6,8 @@ One per-prime kernel, ``batch_curve_data``, computes everything a Frobenius
 signature needs (the trace, the root count of the cubic, the root count of
 the 3-division quartic and the 3-torsion flag) for one curve or a whole box
 at once: a vectorised sweep over x in F_p for the trace, in blocks of x
-values by curves, and the rest read off the trace.  ``point_count`` is its
-one-curve case.  Family scans over all coefficient pairs mod p are
-vectorized to O(p^2).
+values by curves, and the rest read off the trace.  Family scans over all
+coefficient pairs mod p are vectorized to O(p^2).
 """
 from __future__ import annotations
 
@@ -130,14 +129,6 @@ def quadratic_character_table(p: int) -> np.ndarray:
     return chi
 
 
-def point_count(p: int, a: int, b: int) -> tuple[int, int]:
-    """(#E(F_p), trace a_p), read off the one-curve run of batch_curve_data."""
-    _check_p(p)  # before a % p, which would divide by zero at p = 0
-    ap = int(batch_curve_data(p, [a % p], [b % p])[0][0])
-    assert ap * ap <= 4 * p, "Hasse bound violated"
-    return p + 1 - ap, ap
-
-
 # ---------------------------------------------------------------------------
 # family scans over all (r, s) in F_p^2
 
@@ -161,13 +152,6 @@ def _delta_nonzero_grid(p: int) -> np.ndarray:
     return (4 * (r * r % p) * r + 27 * s * s) % p != 0
 
 
-def singular_pair_count(p: int) -> int:
-    """#{(r, s): Delta_{r,s} = 0} = p for p >= 5 (parametrized by the double
-    root: (r, s) = (-3t^2, 2t^3))."""
-    _check_p(p)
-    return int((~_delta_nonzero_grid(p)).sum())
-
-
 def omega_counts_mod2(p: int) -> dict[tuple[int, ...], int]:
     """Exact count of nonsingular (r, s) by splitting pattern of the cubic."""
     _check_p(p)
@@ -178,58 +162,6 @@ def omega_counts_mod2(p: int) -> dict[tuple[int, ...], int]:
         (2, 1): int(((counts == 1) & good).sum()),
         (3,): int(((counts == 0) & good).sum()),
     }
-
-
-def omega_count(p: int, pattern: tuple[int, ...]) -> int:
-    """|Omega_C(p)| for the mod-2 class with the given splitting pattern."""
-    table = omega_counts_mod2(p)
-    if tuple(pattern) not in table:
-        raise InvalidInputError(f"unknown mod-2 pattern {pattern}")
-    return table[tuple(pattern)]
-
-
-def trace_histogram(p: int, m: int) -> dict[int, int]:
-    """Counts of a_p mod m over all nonsingular (r, s) in F_p^2.
-
-    Exploits the twist orbit: for fixed (r, s) with rs != 0 the p-1 pairs
-    (u^2 r, u^3 s) are exactly the isomorphism class and its quadratic twist,
-    with a_p equal to chi(u) * a_p(r, s).  The orbit representatives, and
-    every curve with rs = 0, are counted in one batch_curve_data run.
-    """
-    _check_p(p)
-    if p > FAMILY_SCAN_P_CAP:
-        raise ResourceCapError(f"family scan at p={p} exceeds cap {FAMILY_SCAN_P_CAP}")
-    if m < 1:
-        raise InvalidInputError("modulus must be >= 1")
-    u = np.arange(1, p, dtype=np.int64)
-    u2 = u * u % p
-    u3 = u2 * u % p
-    n_square = (p - 1) // 2
-
-    # j = 0 and j = 1728 columns: every curve is its own representative
-    axis = list(range(1, p))
-    R, S = [0] * (p - 1) + axis, axis + [0] * (p - 1)
-    n_axis = len(R)
-    visited = np.zeros((p, p), dtype=bool)
-    for r0 in range(1, p):
-        row = visited[r0]
-        for s0 in (np.flatnonzero(~row[1:]) + 1).tolist():
-            if row[s0]:
-                continue
-            if (4 * r0 * r0 * r0 + 27 * s0 * s0) % p == 0:
-                continue
-            visited[u2 * r0 % p, u3 * s0 % p] = True
-            R.append(r0)
-            S.append(s0)
-    ap = batch_curve_data(p, R, S)[0]
-    assert (ap * ap <= 4 * p).all(), "Hasse bound violated"
-    orbit = ap[n_axis:]
-    hist = (
-        np.bincount(ap[:n_axis] % m, minlength=m)
-        + n_square * np.bincount(orbit % m, minlength=m)
-        + (p - 1 - n_square) * np.bincount(-orbit % m, minlength=m)
-    )
-    return {t: int(hist[t]) for t in range(m)}
 
 
 def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
@@ -262,11 +194,6 @@ def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
     count = int(targets[delta].sum())
     deviation = abs(count - p * p / r) / p**1.5
     return count, deviation
-
-
-def bad_reduction_mask(p: int, A, B) -> np.ndarray:
-    """True where p divides the discriminant of y^2 = x^3 + A[k] x + B[k]."""
-    return _disc_mod(p, A, B) == 0
 
 
 def _disc_mod(p: int, A, B) -> np.ndarray:
@@ -335,14 +262,7 @@ def batch_curve_data(p: int, A, B):
 
 
 # ---------------------------------------------------------------------------
-# j-invariants and the rational CM j-invariants
-
-
-def j_invariant(curve: ShortWeierstrass):
-    """j = -1728 (4a)^3 / Delta, exact in the curve's base ring."""
-    a = curve.a
-    num = -1728 * 64 * a * a * a
-    return _divide(num, curve.delta)
+# the rational CM j-invariants
 
 
 # The thirteen rational j-invariants of curves with complex multiplication

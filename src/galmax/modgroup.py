@@ -59,11 +59,6 @@ class MatModM(NamedTuple):
         di = pow(self.det, -1, m)
         return MatModM(m, (self.d * di) % m, (-self.b * di) % m, (-self.c * di) % m, (self.a * di) % m)
 
-    def reduce(self, m_target: int) -> "MatModM":
-        if self.m % m_target != 0:
-            raise InvalidInputError(f"{m_target} does not divide modulus {self.m}")
-        return MatModM(m_target, self.a % m_target, self.b % m_target, self.c % m_target, self.d % m_target)
-
     def code(self) -> int:
         return ((self.a * self.m + self.b) * self.m + self.c) * self.m + self.d
 
@@ -254,24 +249,6 @@ class SubgroupHandle:
     def code_array(self) -> np.ndarray:
         return np.asarray(self.codes, dtype=np.int64)
 
-    def __contains__(self, g: MatModM) -> bool:
-        return g.m == self.m and _bisect_contains(self.codes, g.code())
-
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.m,
-            "order": self.order,
-            "label": self.label,
-            "generators": [list(g[1:]) for g in self.generators],
-        }
-
-
-def _bisect_contains(sorted_tuple: tuple[int, ...], value: int) -> bool:
-    import bisect
-
-    i = bisect.bisect_left(sorted_tuple, value)
-    return i < len(sorted_tuple) and sorted_tuple[i] == value
-
 
 def _handle_from_codes(m: int, gens: Iterable[MatModM], codes: np.ndarray, label: str | None = None) -> SubgroupHandle:
     return SubgroupHandle(m, tuple(gens), tuple(int(c) for c in codes), label)
@@ -430,17 +407,6 @@ class ConjClass:
     def size(self) -> int:
         return len(self.member_codes)
 
-    def to_json(self) -> dict:
-        return {
-            "modulus": self.m,
-            "ambient": self.ambient,
-            "representative": list(self.representative[1:]),
-            "size": self.size,
-            "trace": self.trace,
-            "det": self.det,
-        }
-
-
 def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None = None) -> list[ConjClass]:
     """Partition of the (optionally det-filtered) group into conjugation orbits.
 
@@ -489,35 +455,3 @@ def _conj_orbit(m: int, code: int, gens: list[MatModM]) -> np.ndarray:
         frontier = _sorted_unique(conj[~seen[conj]])
         seen[frontier] = True
     return np.nonzero(seen)[0].astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# reduction and class coverage
-
-
-def reduce_mod(H: SubgroupHandle, m_target: int) -> SubgroupHandle:
-    """Entrywise reduction of H to Z/m_target; the image is a subgroup."""
-    if m_target < 1 or H.m % m_target != 0:
-        raise InvalidInputError(f"{m_target} does not divide {H.m}")
-    codes = _sorted_unique(reduce_codes(H.code_array(), H.m, m_target))
-    gens = tuple(g.reduce(m_target) for g in H.generators)
-    return _handle_from_codes(m_target, gens, codes, label=f"{H.label or 'H'} mod {m_target}")
-
-
-class CoverageResult(NamedTuple):
-    meets_all: bool
-    missing: ConjClass | None
-    classes_checked: int
-
-
-def meets_all_classes_with_det(H: SubgroupHandle, d: int) -> CoverageResult:
-    """Does H intersect every GL2-conjugacy class of determinant d?"""
-    d = d % H.m
-    if math.gcd(d, H.m) != 1:
-        raise InvalidInputError(f"{d} is not a unit mod {H.m}")
-    classes = [cl for cl in conjugacy_classes(H.m, "GL2", det_filter=d)]
-    members = set(H.codes)
-    for cl in classes:
-        if members.isdisjoint(cl.member_codes):
-            return CoverageResult(False, cl, len(classes))
-    return CoverageResult(True, None, len(classes))

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -304,18 +303,6 @@ def poly_divexact_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
         while f and f[-1] == 0:
             f.pop()
     return out
-
-
-def rational_roots_of_monic_cubic(a: Fraction | int, b: Fraction | int) -> list[Fraction]:
-    """Rational roots of x^3 + a*x + b with rational a, b."""
-    a, b = Fraction(a), Fraction(b)
-    # clear denominators: x = y/t turns the cubic into a monic integer one
-    t = math.lcm(a.denominator, b.denominator)
-    # y^3 + (a t^2) y + (b t^3) = 0 with y = t x; coefficients are integers
-    A = a * t * t
-    B = b * t * t * t
-    assert A.denominator == 1 and B.denominator == 1
-    return [Fraction(y, t) for y in _integer_roots_monic_cubic(int(A), int(B))]
 
 
 def integer_roots_monic(coeffs: list[int]) -> list[int]:

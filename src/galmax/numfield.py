@@ -255,28 +255,20 @@ class DegreeOnePrime(NamedTuple):
     c: int
 
 
-def degree_one_primes(
-    K: MonogenicField,
-    bound: int,
-    congruence_filter: tuple[int, int] | None = None,
-) -> Iterator[DegreeOnePrime]:
+def degree_one_primes(K: MonogenicField, bound: int) -> Iterator[DegreeOnePrime]:
     """The degree-one primes (p, c) with p <= bound, p coprime to disc(f),
-    optionally restricted to p = d mod m, in increasing order of p, found
-    lazily: a caller that stops early pays only for the primes it read."""
+    in increasing order of p, found lazily: a caller that stops early pays
+    only for the primes it read."""
     if bound < 2:
         raise InvalidInputError("bound must be >= 2")
-    return _degree_one_primes(K, bound, congruence_filter)
+    return _degree_one_primes(K, bound)
 
 
-def _degree_one_primes(K: MonogenicField, bound: int, congruence_filter) -> Iterator[DegreeOnePrime]:
+def _degree_one_primes(K: MonogenicField, bound: int) -> Iterator[DegreeOnePrime]:
     disc = abs(K.disc_f)
     for p in nt.primes_up_to(bound):
         if disc % p == 0:
             continue
-        if congruence_filter is not None:
-            d, m = congruence_filter
-            if p % m != d % m:
-                continue
         c = np.arange(p, dtype=np.int64)
         vals = np.zeros(p, dtype=np.int64)
         for coeff in reversed(K.coeffs):
@@ -331,8 +323,8 @@ def _residue_incoherence(d0: FieldElem, n: int, r: int, prime_budget: int, chara
     show = (lambda flag: 1 if flag else -1) if quadratic else bool  # a Legendre symbol or a cube flag
     alive, trivial_alive, witnesses, flag_by_p = list(characters or ()), True, [], {}
     bad = 2 * r * abs(K.disc_f) * abs(n)
-    for P in degree_one_primes(K, prime_budget, congruence_filter=(1, r)):
-        if bad % P.p == 0:
+    for P in degree_one_primes(K, prime_budget):
+        if P.p % r != 1 or bad % P.p == 0:
             continue
         flag = pow(reduce_elem(d0, P), (P.p - 1) // r, P.p) == 1  # d0 is a unit at P: P does not divide n
         if flag_by_p.setdefault(P.p, flag) != flag:

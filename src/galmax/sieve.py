@@ -11,9 +11,6 @@ structural screen (``certify.serre_obstruction``, exact integer arithmetic)
 on every curve first, and only unobstructed curves enter the stream.
 Memory is O(curves x signature classes), and a curve's verdict is a few
 array operations instead of a loop over its signatures.
-``batch_signatures`` is the per-curve FrobSignature record view of every
-cell, with no early stop, kept for the signature digest and the reference
-tests.
 """
 from __future__ import annotations
 
@@ -29,6 +26,9 @@ from .errors import InvalidInputError, ResourceCapError
 
 BOX_X_CAP = 400
 SERRE_SCAN_X_CAP = 200
+# squarefree products summed into L(Q): one Fraction product each, and 2^n of
+# them for n primes once Q passes their product
+SIEVE_TERMS_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -82,21 +82,7 @@ def box_count(x: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# batched signature collection over a box
-
-
-def _coefficients(pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
-    return [a for a, _ in pairs], [b for _, b in pairs]
-
-
-def batch_signatures(pairs: list[tuple[int, int]], prime_bound: int) -> list[list[certify.FrobSignature]]:
-    """Frobenius signatures for every curve in the list: at each prime, one
-    certify.signatures_at call over all curves with good reduction there."""
-    sigs: list[list[certify.FrobSignature]] = [[] for _ in pairs]
-    for p, _, good, a, b in certify.prime_axis(*_coefficients(pairs), prime_bound):
-        for k, sig in zip(good.tolist(), certify.signatures_at(p, a, b)):
-            sigs[k].append(sig)
-    return sigs
+# level tests over a box
 
 
 def scan_levels(pairs: list[tuple[int, int]], prime_bound: int, **tests) -> certify.LevelAccumulator:
@@ -106,7 +92,7 @@ def scan_levels(pairs: list[tuple[int, int]], prime_bound: int, **tests) -> cert
     gives; a certified curve's bitmaps hold only the primes it was fed.
     Memory is O(curves x signature classes), not O(curves x primes)."""
     acc = certify.LevelAccumulator(len(pairs), **tests)
-    for _ in certify.stream_levels(acc, *_coefficients(pairs), prime_bound):
+    for _ in certify.stream_levels(acc, [a for a, _ in pairs], [b for _, b in pairs], prime_bound):
         pass
     return acc
 
@@ -295,7 +281,8 @@ def sieve_bound(
     """Exact L(Q) and the sieve bound shape (x^(degree*rank) + Q^(2*rank)) / L(Q).
 
     L(Q) sums, over squarefree q <= Q supported on the given primes, the
-    products of omega_p / (1 - omega_p); every key of omega must be a prime.
+    products of omega_p / (1 - omega_p); every key of omega must be a prime,
+    and raises ResourceCapError past SIEVE_TERMS_CAP such q.
     The implied constant of the bound is reported as 1: shape only, not a
     certified inequality.
     """
@@ -315,10 +302,14 @@ def sieve_bound(
         if w > 0:
             ratios[int(p)] = w / (1 - w)
     total = Fraction(0)
+    terms = 0
     primes = sorted(ratios)
 
     def expand(i: int, prod_val: int, prod_ratio: Fraction):
-        nonlocal total
+        nonlocal total, terms
+        terms += 1
+        if terms > SIEVE_TERMS_CAP:
+            raise ResourceCapError(f"L(Q) has more than {SIEVE_TERMS_CAP} squarefree terms")
         total += prod_ratio
         for j in range(i, len(primes)):
             q = primes[j]

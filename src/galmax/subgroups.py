@@ -44,7 +44,7 @@ LATTICE_ORDER_CAP = 2600
 class SmallGroupTable:
     """Dense multiplication table of a small group or of a quotient G/K."""
 
-    def __init__(self, codes: np.ndarray, key_of_code: np.ndarray, m: int, label: str = ""):
+    def __init__(self, codes: np.ndarray, key_of_code: np.ndarray, m: int):
         """One row per entry of the sorted array ``codes``.
 
         ``key_of_code`` maps every code mod m to the code of its row: the
@@ -54,7 +54,6 @@ class SmallGroupTable:
         if codes.size > LATTICE_ORDER_CAP:
             raise ResourceCapError(f"group of order {codes.size} exceeds lattice cap {LATTICE_ORDER_CAP}")
         self.m = m
-        self.label = label
         self.codes = np.asarray(codes, dtype=np.int64)
         self.n = int(self.codes.size)
         row_of = np.full(m**4, -1, dtype=np.int64)
@@ -74,7 +73,7 @@ class SmallGroupTable:
     @classmethod
     def for_group(cls, m: int, ambient: mg.Ambient) -> "SmallGroupTable":
         G = mg.enumerate_group(m, ambient)
-        return cls(G.code_array(), np.arange(m**4), m, label=G.label or "")
+        return cls(G.code_array(), np.arange(m**4), m)
 
     def _element_orders(self) -> np.ndarray:
         orders = np.zeros(self.n, dtype=np.int64)
@@ -226,37 +225,6 @@ class SmallGroupTable:
 
     def mask_to_codes(self, mask: np.ndarray) -> np.ndarray:
         return self.codes[mask]
-
-    def mask_to_handle(self, mask: np.ndarray, label: str | None = None) -> mg.SubgroupHandle:
-        codes = self.mask_to_codes(mask)
-        gens = _small_generating_set(self, mask)
-        return mg.SubgroupHandle(self.m, tuple(mg.mat_from_code(int(c), self.m) for c in gens), tuple(int(c) for c in codes), label)
-
-
-def _small_generating_set(table: SmallGroupTable, mask: np.ndarray) -> list[int]:
-    """Greedy generating set (by codes) for the subgroup given by mask."""
-    members = np.nonzero(mask)[0]
-    got = np.zeros(table.n, dtype=bool)
-    got[table.identity] = True
-    gens: list[int] = []
-    target = int(mask.sum())
-    for i in members[np.argsort(-table.order_of[members])]:
-        if got[i]:
-            continue
-        gens.append(int(i))
-        got = table.closure_mask(gens)
-        if int(got.sum()) == target:
-            break
-    return [int(table.codes[i]) for i in gens]
-
-
-@lru_cache(maxsize=32)
-def subgroup_lattice(m: int, ambient: mg.Ambient) -> tuple[mg.SubgroupHandle, ...]:
-    """Every subgroup of the ambient group, as handles (exact; see caps)."""
-    table = SmallGroupTable.for_group(m, ambient)
-    masks = table.subgroup_lattice()
-    handles = tuple(table.mask_to_handle(msk) for msk in masks)
-    return handles
 
 
 # ---------------------------------------------------------------------------

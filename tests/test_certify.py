@@ -52,8 +52,9 @@ def test_collect_signatures_e11(sigs_e11):
     # signatures match the engine run on a batch that holds other curves too
     for s in list(by_p.values())[:20]:
         # 4a^3 + 27b^2 is the prime 239 for (-1, 3) and 1823 for (5, 7)
-        batch = certify.signatures_at(s.p, [s.p - 1, 1, 5 % s.p], [3, 1, 7 % s.p])
-        assert batch[1] == s
+        ap, i, j, flag = (int(col[1]) for col in certify.signature_columns(s.p, [s.p - 1, 1, 5 % s.p], [3, 1, 7 % s.p]))
+        assert (ap, certify.CUBIC_PATTERNS[i], certify.PSI3_PATTERNS[j], bool(flag)) == (
+            s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)
 
 
 def test_certify_mod_ell_empty_is_inconclusive():
@@ -269,7 +270,7 @@ def _ref_certify_mod_ell(sigs, ell):
     for s in sigs:
         if s.norm % ell == 0:
             continue
-        t, d = s.residues(ell)
+        t, d = s.ap % ell, s.norm % ell
         disc = (t * t - 4 * d) % ell
         if t != 0 and disc != 0 and wit_split is None and nt.legendre(disc, ell) == 1:
             wit_split = s
@@ -299,7 +300,7 @@ def _ref_certify_mod_ell(sigs, ell):
 
 
 def _ref_signature_tuple(s, m):
-    t, d = s.residues(m)
+    t, d = s.ap % m, s.norm % m
     if m in (4, 8):
         if s.cubic_pattern is None:
             return None
@@ -380,7 +381,8 @@ def _assert_levels_match_reference(sigs, label):
 @pytest.fixture(scope="module")
 def box10():
     pairs = list(sieve.enumerate_box(10))
-    return pairs, sieve.batch_signatures(pairs, 500)
+    params = certify.CertParams(prime_bound=500)
+    return pairs, [certify.collect_signatures(ecff.validate(Fraction(a), Fraction(b)), params) for a, b in pairs]
 
 
 def test_levels_match_reference_on_box(box10):

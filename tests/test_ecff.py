@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def test_normalize_completion():
     L = ecff.LongWeierstrass(Fraction(1), Fraction(0), Fraction(0), Fraction(-1), Fraction(0))
     E = ecff.weierstrass_normalize(L)
     # same j both ways, discriminants differ by a 12th power
-    assert L.j_invariant() == ecff.j_invariant(E)
+    assert L.j_invariant() == j_invariant(E)
     ratio = Fraction(E.delta) / L.disc()
     assert ratio == 6**12
 
@@ -40,7 +41,7 @@ def test_normalize_long_model_over_cubic_field():
     E = ecff.weierstrass_normalize(L)
     assert E.a.coeffs == (0, 1296, 0)
     assert E.b.coeffs == (0, 0, 11664)
-    assert (L.j_invariant() - ecff.j_invariant(E)).is_zero()
+    assert (L.j_invariant() - j_invariant(E)).is_zero()
     # Delta of the long model is -64 alpha^3 - 27 alpha^4 = 64 + 91 alpha + 27 alpha^2
     assert L.disc().coeffs == (64, 91, 27)
 
@@ -54,18 +55,43 @@ def exhaustive_point_count(p, a, b):
     return n
 
 
+def j_invariant(E):
+    """j of a short model, through the long-model formula c4^3 / Delta."""
+    return ecff.LongWeierstrass(0, 0, 0, E.a, E.b).j_invariant()
+
+
+def point_count(p, a, b):
+    """(#E(F_p), a_p), read off the one-curve run of batch_curve_data."""
+    ap = int(ecff.batch_curve_data(p, [a % p], [b % p])[0][0])
+    return p + 1 - ap, ap
+
+
+class Signature(NamedTuple):
+    ap: int
+    cubic_pattern: tuple
+    psi3_pattern: tuple
+    has_3pt: bool
+
+
+def signatures(p, A, B):
+    """certify.signature_columns(p, A, B), one Signature per curve."""
+    ap, cubic, psi3, flag = (col.tolist() for col in certify.signature_columns(p, A, B))
+    return [Signature(t, certify.CUBIC_PATTERNS[i], certify.PSI3_PATTERNS[j], bool(f))
+            for t, i, j, f in zip(ap, cubic, psi3, flag)]
+
+
 def signature(p, a, b):
     """The signature engine's output for one curve at p."""
-    return certify.signatures_at(p, [a % p], [b % p])[0]
+    return signatures(p, [a % p], [b % p])[0]
 
 
 def test_point_count_f5():
-    assert ecff.point_count(5, 1, 1) == (9, -3)
+    assert point_count(5, 1, 1) == (9, -3)
 
 
 @pytest.mark.parametrize("p,a,b", [(5, 1, 1), (7, 2, 3), (11, 4, 1), (13, 1, 6)])
 def test_point_count_vs_exhaustive(p, a, b):
-    N, ap = ecff.point_count(p, a, b)
+    N, ap = point_count(p, a, b)
     assert N == exhaustive_point_count(p, a, b)
     assert ap == p + 1 - N
     assert ap * ap <= 4 * p
@@ -73,25 +99,25 @@ def test_point_count_vs_exhaustive(p, a, b):
 
 def test_point_count_rejects_bad_reduction():
     with pytest.raises(BadReductionError):
-        ecff.point_count(31, 0, 0)
+        point_count(31, 0, 0)
     with pytest.raises(InvalidInputError):
-        ecff.point_count(3, 1, 1)
+        point_count(3, 1, 1)
 
 
 def test_twist_antisymmetry():
     for p in (13, 29, 101):
         u = next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
         for a, b in [(1, 1), (2, 3)]:
-            _, ap = ecff.point_count(p, a, b)
-            _, ap_tw = ecff.point_count(p, u * u * a % p, pow(u, 3, p) * b % p)
+            _, ap = point_count(p, a, b)
+            _, ap_tw = point_count(p, u * u * a % p, pow(u, 3, p) * b % p)
             assert ap_tw == -ap
 
 
 def test_isomorphism_invariance():
     p = 101
     for u in (2, 3, 7):
-        N1, _ = ecff.point_count(p, 1, 1)
-        N2, _ = ecff.point_count(p, pow(u, 4, p), pow(u, 6, p))
+        N1, _ = point_count(p, 1, 1)
+        N2, _ = point_count(p, pow(u, 4, p), pow(u, 6, p))
         assert N1 == N2
         assert signature(p, 1, 1).cubic_pattern == signature(p, pow(u, 4, p), pow(u, 6, p)).cubic_pattern
 
@@ -122,7 +148,7 @@ def test_psi3_type_degrees_partition_four():
                 pattern, has_pt = sig.psi3_pattern, sig.has_3pt
                 assert sum(pattern) == 4
                 if has_pt:
-                    N, _ = ecff.point_count(p, a, b)
+                    N, _ = point_count(p, a, b)
                     assert N % 3 == 0  # rational 3-torsion point forces 3 | N
 
 
@@ -164,13 +190,12 @@ def test_signature_engine_matches_brute_force(batch):
         sigs = []
         for k in range(0, len(pairs), batch):
             A, B = (np.array(col, dtype=np.int64) for col in zip(*pairs[k : k + batch]))
-            sigs += certify.signatures_at(p, A, B)
+            sigs += signatures(p, A, B)
         assert len(sigs) == len(pairs)
         engine = {}
         for ab, s in zip(pairs, sigs):
             # a pair repeated in the batch must repeat its signature
-            assert engine.setdefault(ab, (s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)) == (
-                s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)
+            assert engine.setdefault(ab, s) == s
         for a, b in every or list(engine)[:30]:
             ref = reference_signature(p, a, b)
             assert engine[a, b] == ref, (p, a, b)
@@ -193,7 +218,7 @@ def test_rootless_psi3_splits_by_p_mod_3():
     for p in [q for q in nt.primes_up_to(2000) if q >= 5]:
         inv3 = pow(3, -1, p)
         pairs = [(a, b) for a, b in ((rng.randrange(p), rng.randrange(p)) for _ in range(8)) if ecff.discriminant(a, b) % p]
-        sigs = certify.signatures_at(p, *(np.array(col, dtype=np.int64) for col in zip(*pairs)))
+        sigs = signatures(p, *(np.array(col, dtype=np.int64) for col in zip(*pairs)))
         for (a, b), s in zip(pairs, sigs):
             degrees = tuple(nt.factor_degrees_mod_p([-a * a * inv3, 4 * b, 2 * a, 0, 1], p))
             assert s.psi3_pattern == degrees, (p, a, b)
@@ -220,8 +245,8 @@ def test_batch_with_one_singular_curve_raises():
     with pytest.raises(BadReductionError):
         ecff.batch_curve_data(11, A, B)
     with pytest.raises(BadReductionError):
-        certify.signatures_at(11, A, B)
-    assert ecff.bad_reduction_mask(11, A, B).tolist() == [False, False, True, False]
+        certify.signature_columns(11, A, B)
+    assert (ecff.discriminant(A, B) % 11 == 0).tolist() == [False, False, True, False]
 
 
 def test_quartic_split_arrays_match_scalar_path():
@@ -238,9 +263,15 @@ def test_quartic_split_arrays_match_scalar_path():
             assert [int(c[k]) for c in by_array] == nt.x_pow_mod(e, mod_poly, p)
 
 
+def singular_pair_count(p):
+    """#{(r, s): Delta_{r,s} = 0} from the family-scan grid; p for p >= 5
+    (parametrized by the double root: (r, s) = (-3t^2, 2t^3))."""
+    return int((~ecff._delta_nonzero_grid(p)).sum())
+
+
 def test_singular_pair_count_equals_p():
     for p in (5, 11, 101):
-        assert ecff.singular_pair_count(p) == p
+        assert singular_pair_count(p) == p
 
 
 def test_omega_counts_closed_forms():
@@ -257,34 +288,17 @@ def test_omega_counts_closed_forms():
 
 def test_omega_count_single_class_and_partition():
     p = 101
-    total = sum(ecff.omega_count(p, pat) for pat in [(1, 1, 1), (2, 1), (3,)])
-    assert total + ecff.singular_pair_count(p) == p * p
-    assert abs(ecff.omega_count(p, (1, 1, 1)) / p**2 - 1 / 6) <= 32 / math.sqrt(p)
-    with pytest.raises(InvalidInputError):
-        ecff.omega_count(p, (4,))
+    counts = ecff.omega_counts_mod2(p)
+    total = sum(counts[pat] for pat in [(1, 1, 1), (2, 1), (3,)])
+    assert total + singular_pair_count(p) == p * p
+    assert abs(counts[(1, 1, 1)] / p**2 - 1 / 6) <= 32 / math.sqrt(p)
 
 
-def test_trace_histogram_matches_brute_force():
-    for p, m in [(7, 4), (11, 3), (13, 9)]:
-        brute = {t: 0 for t in range(m)}
-        for r in range(p):
-            for s in range(p):
-                if ecff.discriminant(r, s) % p == 0:
-                    continue
-                _, ap = ecff.point_count(p, r, s)
-                brute[ap % m] += 1
-        assert ecff.trace_histogram(p, m) == brute
-
-
-def test_trace_histogram_total_and_m1():
-    p = 101
-    hist = ecff.trace_histogram(p, 1)
-    assert hist == {0: p * p - p}
-
-
-def test_trace_histogram_cap():
+def test_family_scan_cap():
     with pytest.raises(ResourceCapError):
-        ecff.trace_histogram(2003, 2)
+        ecff.omega_counts_mod2(2003)
+    with pytest.raises(ResourceCapError):
+        ecff.weil_count(2, 1, 2003)
 
 
 def test_weil_count_r1_counts_all_nonzero():
@@ -322,9 +336,9 @@ def test_weil_count_requires_congruence():
 
 
 def test_j_invariant_values():
-    assert ecff.j_invariant(ecff.validate(Fraction(0), Fraction(1))) == 0
-    assert ecff.j_invariant(ecff.validate(Fraction(1), Fraction(0))) == 1728
-    j = ecff.j_invariant(ecff.validate(Fraction(1), Fraction(1)))
+    assert j_invariant(ecff.validate(Fraction(0), Fraction(1))) == 0
+    assert j_invariant(ecff.validate(Fraction(1), Fraction(0))) == 1728
+    j = j_invariant(ecff.validate(Fraction(1), Fraction(1)))
     assert j == Fraction(6912, 31)
     # the thirteen class-number-one j-invariants of the CM screen
     assert len(ecff.CM_J_INVARIANTS) == 13

