@@ -10,9 +10,12 @@ Each audit hunts for counterexamples to one implication:
 * goursat: a subgroup of SL2(Z/mn), gcd(m, n) = 1, surjecting onto both
   factors is the full group.
 
-Exhaustive modes sweep a complete subgroup lattice; randomized modes sample
-seeded generator sets constructed so that the hypothesis of the implication
-holds by construction (each trial is a real test, not a vacuous one).
+An audit is a check, a function from the sorted code array of a subgroup
+(``modgroup``'s one subgroup format) to its nonvacuous tests of the
+implication, run by one sweep, ``_sweep``.  Exhaustive modes sweep a
+complete subgroup lattice; randomized modes sweep the closures of seeded
+generator sets constructed so that the hypothesis of the implication holds by
+construction (each trial is a real test, not a vacuous one).
 """
 from __future__ import annotations
 
@@ -37,8 +40,8 @@ class AuditReport:
     mode: str
     trials: int | None
     seed: int | None
-    subgroups_tested: int
-    nonvacuous_checks: int
+    subgroups_tested: int = 0
+    nonvacuous_checks: int = 0
     counterexamples: list = field(default_factory=list)
     details: dict = field(default_factory=dict)
 
@@ -59,12 +62,52 @@ class AuditReport:
         }
 
 
+def _report(lemma: str, mode: str, trials: int, seed: int, details: dict) -> AuditReport:
+    """An empty report; trials and seed are recorded for randomized runs only."""
+    randomized = mode == "randomized"
+    return AuditReport(lemma, mode, trials if randomized else None, seed if randomized else None, details=details)
+
+
 def _require_trials(trials: int) -> None:
     # with no trials a randomized audit tests nothing and still reports ok
     if trials < 1:
         raise InvalidInputError(f"need trials >= 1, got {trials}")
     if trials > TRIALS_CAP:
         raise ResourceCapError(f"trials {trials} exceeds cap {TRIALS_CAP}")
+
+
+def _sweep(report: AuditReport, check, m: int, ambient: mg.Ambient, draws=None, stop_above=None) -> AuditReport:
+    """Run check on every subgroup of the ambient group mod m (draws None) or
+    on the closure of each seeded generator set of draws, and record it.
+
+    check maps a sorted code array to one (implication holds, counterexample
+    fields) pair per nonvacuous test it makes.  draws yields (generator codes,
+    description) pairs; a lattice subgroup is described by its first eight
+    codes.  A failed test is recorded as a counterexample: its fields plus the
+    description.  With stop_above set to half the group, a closure that passes
+    it is the whole group, for which the implication holds: it counts as one
+    nonvacuous check.
+    """
+    if draws is None:
+        table = SmallGroupTable.for_group(m, ambient)
+        subgroups = ((codes, codes[:8].tolist()) for codes in map(table.mask_to_codes, table.subgroup_lattice()))
+    else:
+        subgroups = ((mg.closure_codes(m, gens, stop_above=stop_above), about) for gens, about in draws)
+    for codes, about in subgroups:
+        report.subgroups_tested += 1
+        if codes is None:
+            report.nonvacuous_checks += 1
+            continue
+        for holds, fields in check(codes):
+            report.nonvacuous_checks += 1
+            if not holds:
+                report.counterexamples.append({**fields, "subgroup": about})
+    return report
+
+
+def _surjects(codes: np.ndarray, modulus: int, level: int) -> bool:
+    """Whether the codes mod modulus reduce onto all of SL2(Z/level)."""
+    return mg._sorted_unique(mg.reduce_codes(codes, modulus, level)).size == mg.sl2_order(level)
 
 
 # ---------------------------------------------------------------------------
@@ -86,50 +129,18 @@ def coverage_implies_sl2_audit(m: int, trials: int = 1000, seed: int = 0, mode: 
         raise ResourceCapError(f"modulus {m} exceeds GL2 materialization cap {mg.GL2_MODULUS_CAP}")
     if mode is None:
         mode = "exhaustive" if m in EXHAUSTIVE_COVERAGE_MODULI else "randomized"
+    if mode == "exhaustive" and m not in EXHAUSTIVE_COVERAGE_MODULI:
+        raise ResourceCapError(f"exhaustive coverage audit supported for m in {EXHAUSTIVE_COVERAGE_MODULI}")
     dets = [d for d in range(1, m) if math.gcd(d, m) == 1] if (nt.is_prime(m) and m >= 5) else [1]
-    covered = _class_coverage(m, dets)
-    report = AuditReport(
-        lemma="class coverage forces SL2",
-        mode=mode,
-        trials=trials if mode == "randomized" else None,
-        seed=seed if mode == "randomized" else None,
-        subgroups_tested=0,
-        nonvacuous_checks=0,
-        details={"m": m, "dets_tested": dets},
-    )
-
-    def check(codes: np.ndarray, describe) -> None:
-        report.subgroups_tested += 1
-        for d, contains_sl2 in covered(codes):
-            report.nonvacuous_checks += 1
-            if not contains_sl2:
-                report.counterexamples.append({"det": d, "subgroup": describe()})
-
-    if mode == "exhaustive":
-        if m not in EXHAUSTIVE_COVERAGE_MODULI:
-            raise ResourceCapError(f"exhaustive coverage audit supported for m in {EXHAUSTIVE_COVERAGE_MODULI}")
-        table = SmallGroupTable.for_group(m, "GL2")
-        for mask in table.subgroup_lattice():
-            codes = table.mask_to_codes(mask)
-            check(codes, lambda c=codes: [int(x) for x in c[:8]])
-    else:
-        rng = random.Random(seed)
-        G = mg.enumerate_group(m, "GL2")
-        gcodes = G.code_array()
-        borel = gcodes[mg.decode(gcodes, m)[2] == 0]
-        for _ in range(trials):
-            pool = borel if rng.random() < 0.5 else gcodes
-            gens = [int(pool[rng.randrange(pool.size)]) for _ in range(rng.choice((1, 2, 2, 3)))]
-            codes = mg.closure_codes(m, gens)
-            check(codes, lambda g=gens: {"generators": g})
-    return report
+    report = _report("class coverage forces SL2", mode, trials, seed, {"m": m, "dets_tested": dets})
+    draws = None if mode == "exhaustive" else _coverage_draws(m, trials, random.Random(seed))
+    return _sweep(report, _class_coverage(m, dets), m, "GL2", draws)
 
 
 def _class_coverage(m: int, dets: list[int]):
-    """The test behind the coverage audit, as a function of an array of
-    distinct codes: the pairs (d, whether the codes contain SL2(Z/mZ)) for
-    each d in dets such that the codes meet every GL2-conjugacy class of
-    determinant d."""
+    """The check behind the coverage audit: for each d in dets such that the
+    codes meet every GL2-conjugacy class of determinant d, whether they
+    contain SL2(Z/mZ)."""
     # class_id[d][code]: 1 + index of the det-d class of code, 0 off det d
     class_id = {}
     for d in dets:
@@ -139,17 +150,32 @@ def _class_coverage(m: int, dets: list[int]):
             ids[list(cl.member_codes)] = k
         class_id[d] = (ids, len(classes))
     in_sl2 = np.zeros(m**4, dtype=bool)
-    in_sl2[mg.enumerate_group(m, "SL2").code_array()] = True
+    in_sl2[mg.enumerate_group(m, "SL2")] = True
     sl2_order = mg.sl2_order(m)
 
-    def covered(codes: np.ndarray) -> list[tuple[int, bool]]:
+    def check(codes: np.ndarray) -> list:
         contains_sl2 = np.count_nonzero(in_sl2[codes]) == sl2_order
         return [
-            (d, contains_sl2) for d, (ids, n) in class_id.items()
+            (contains_sl2, {"det": d}) for d, (ids, n) in class_id.items()
             if np.bincount(ids[codes], minlength=n + 1)[1:].all()
         ]
 
-    return covered
+    return check
+
+
+def _coverage_draws(m: int, trials: int, rng: random.Random):
+    """One to three elements of GL2(Z/mZ), half the time all upper triangular."""
+    gcodes = mg.enumerate_group(m, "GL2")
+    borel = gcodes[mg.decode(gcodes, m)[2] == 0]
+    for _ in range(trials):
+        pool = borel if rng.random() < 0.5 else gcodes
+        gens = [int(pool[rng.randrange(pool.size)]) for _ in range(rng.choice((1, 2, 2, 3)))]
+        yield gens, {"generators": gens}
+
+
+def _matrix_draw(gens: list[mg.MatModM]) -> tuple[list[int], dict]:
+    """A drawn generator set as sweep input: codes, and entries for the report."""
+    return [g.code() for g in gens], {"generators": [list(g[1:]) for g in gens]}
 
 
 # ---------------------------------------------------------------------------
@@ -172,50 +198,32 @@ def reduction_lemma_audit(
         raise InvalidInputError(f"no lemma applies to (ell, n) = ({ell}, {n})")
     if mode is None:
         mode = "exhaustive" if full_order <= LATTICE_ORDER_CAP and ell in (2, 3) else "randomized"
-    report = AuditReport(
-        lemma="mod-l / mod-l^2 surjectivity lifts to prime powers",
-        mode=mode,
-        trials=trials if mode == "randomized" else None,
-        seed=seed if mode == "randomized" else None,
-        subgroups_tested=0,
-        nonvacuous_checks=0,
-        details={"ell": ell, "n": n, "hypothesis_levels": hyp_levels},
+    report = _report(
+        "mod-l / mod-l^2 surjectivity lifts to prime powers", mode, trials, seed,
+        {"ell": ell, "n": n, "hypothesis_levels": hyp_levels},
     )
 
-    def check(codes: np.ndarray, describe) -> None:
-        report.subgroups_tested += 1
-        for level in hyp_levels:
-            image = mg._sorted_unique(mg.reduce_codes(codes, modulus, level))
-            if image.size != mg.sl2_order(level):
-                continue
-            report.nonvacuous_checks += 1
-            if codes.size != full_order:
-                report.counterexamples.append(
-                    {"hypothesis_level": level, "order": int(codes.size), "subgroup": describe()}
-                )
+    def check(codes: np.ndarray) -> list:
+        return [
+            (codes.size == full_order, {"hypothesis_level": level, "order": codes.size})
+            for level in hyp_levels if _surjects(codes, modulus, level)
+        ]
 
-    if mode == "exhaustive":
-        table = SmallGroupTable.for_group(modulus, "SL2")
-        for mask in table.subgroup_lattice():
-            codes = table.mask_to_codes(mask)
-            check(codes, lambda c=codes: [int(x) for x in c[:8]])
-    else:
-        rng = random.Random(seed)
-        # only levels strictly below the modulus give a nonvacuous hypothesis
-        sampling_levels = [L for L in hyp_levels if L < modulus] or hyp_levels
-        for _ in range(trials):
-            level = sampling_levels[rng.randrange(len(sampling_levels))]
-            gens = _lifted_generators(level, modulus, rng)
-            if rng.random() < 0.5:
-                gens.append(_random_kernel_element(level, modulus, rng))
-            codes = mg.closure_codes(modulus, [g.code() for g in gens], stop_above=full_order // 2)
-            if codes is None:
-                # early exit: more than half the group seen, hence the full group
-                report.subgroups_tested += 1
-                report.nonvacuous_checks += 1
-                continue
-            check(codes, lambda g=gens: {"generators": [list(x[1:]) for x in g]})
-    return report
+    draws = None if mode == "exhaustive" else _lifting_draws(hyp_levels, modulus, trials, random.Random(seed))
+    return _sweep(report, check, modulus, "SL2", draws, stop_above=full_order // 2)
+
+
+def _lifting_draws(hyp_levels: list[int], modulus: int, trials: int, rng: random.Random):
+    """Generator sets surjecting mod a hypothesis level, sometimes with one
+    more kernel element."""
+    # only levels strictly below the modulus give a nonvacuous hypothesis
+    sampling_levels = [L for L in hyp_levels if L < modulus] or hyp_levels
+    for _ in range(trials):
+        level = sampling_levels[rng.randrange(len(sampling_levels))]
+        gens = _lifted_generators(level, modulus, rng)
+        if rng.random() < 0.5:
+            gens.append(_random_kernel_element(level, modulus, rng))
+        yield _matrix_draw(gens)
 
 
 def _lifted_generators(level: int, modulus: int, rng: random.Random) -> list[mg.MatModM]:
@@ -270,74 +278,32 @@ def goursat_audit(m: int, n: int, mode: str | None = None, trials: int = 1000, s
     full_order = mg.sl2_order(modulus)
     if mode is None:
         mode = "exhaustive" if full_order <= 400 else "randomized"
-    report = AuditReport(
-        lemma="coprime factor surjectivity forces the product",
-        mode=mode,
-        trials=trials if mode == "randomized" else None,
-        seed=seed if mode == "randomized" else None,
-        subgroups_tested=0,
-        nonvacuous_checks=0,
-        details={"m": m, "n": n},
-    )
+    report = _report("coprime factor surjectivity forces the product", mode, trials, seed, {"m": m, "n": n})
 
-    def check(codes: np.ndarray, describe) -> None:
-        report.subgroups_tested += 1
-        for level in (m, n):
-            if level > 1 and mg._sorted_unique(mg.reduce_codes(codes, modulus, level)).size != mg.sl2_order(level):
-                return
-        report.nonvacuous_checks += 1
-        if codes.size != full_order:
-            report.counterexamples.append({"order": int(codes.size), "subgroup": describe()})
+    def check(codes: np.ndarray) -> list:
+        if not (_surjects(codes, modulus, m) and _surjects(codes, modulus, n)):
+            return []
+        return [(codes.size == full_order, {"order": codes.size})]
 
-    if mode == "exhaustive":
-        table = SmallGroupTable.for_group(modulus, "SL2")
-        for mask in table.subgroup_lattice():
-            codes = table.mask_to_codes(mask)
-            check(codes, lambda c=codes: [int(x) for x in c[:8]])
-    else:
-        rng = random.Random(seed)
-        full_m = mg.enumerate_group(m, "SL2").code_array() if m > 1 else None
-        full_n = mg.enumerate_group(n, "SL2").code_array() if n > 1 else None
-        for _ in range(trials):
-            gens = _crt_generators(m, n, rng, full_m, full_n)
-            codes = mg.closure_codes(modulus, [g.code() for g in gens], stop_above=full_order // 2)
-            if codes is None:
-                report.subgroups_tested += 1
-                report.nonvacuous_checks += 1
-                continue
-            check(codes, lambda g=gens: {"generators": [list(x[1:]) for x in g]})
-    return report
+    draws = None if mode == "exhaustive" else _crt_draws(m, n, trials, random.Random(seed))
+    return _sweep(report, check, modulus, "SL2", draws, stop_above=full_order // 2)
 
 
-def _crt_generators(m: int, n: int, rng: random.Random, full_m, full_n) -> list[mg.MatModM]:
-    """Generators surjecting onto both factors: standard generators on one
+def _crt_draws(m: int, n: int, trials: int, rng: random.Random):
+    """Generator sets surjecting onto both factors: standard generators on one
     side are paired with random elements on the other, both ways."""
-    modulus = m * n
-    gens: list[mg.MatModM] = []
+    pools = {k: mg.enumerate_group(k, "SL2") for k in (m, n) if k > 1}
+    inv = pow(m, -1, n)
 
     def combine(gm: mg.MatModM, gn: mg.MatModM) -> mg.MatModM:
-        entries = []
-        for i in range(1, 5):
-            entries.append(_crt2(gm[i], m, gn[i], n))
-        return mg.MatModM(modulus, *entries)
+        # the CRT lift of each entry pair
+        return mg.MatModM(m * n, *((x + m * ((y - x) * inv % n)) % (m * n) for x, y in zip(gm[1:], gn[1:])))
 
-    def rand_mat(level: int, pool) -> mg.MatModM:
-        if pool is None:
-            return mg.identity(level)
-        return mg.mat_from_code(int(pool[rng.randrange(pool.size)]), level)
+    def rand_mat(level: int) -> mg.MatModM:
+        pool = pools.get(level)
+        return mg.identity(level) if pool is None else mg.mat_from_code(int(pool[rng.randrange(pool.size)]), level)
 
-    for g in mg.sl2_generators(m):
-        gens.append(combine(g, rand_mat(n, full_n)))
-    for g in mg.sl2_generators(n):
-        gens.append(combine(rand_mat(m, full_m), g))
-    return gens
-
-
-def _crt2(am: int, m: int, an: int, n: int) -> int:
-    if m == 1:
-        return an % n
-    if n == 1:
-        return am % m
-    inv = pow(m, -1, n)
-    return (am + m * ((an - am) * inv % n)) % (m * n)
+    for _ in range(trials):
+        yield _matrix_draw([combine(g, rand_mat(n)) for g in mg.sl2_generators(m)]
+                           + [combine(rand_mat(m), g) for g in mg.sl2_generators(n)])
 

@@ -2,7 +2,8 @@
 
 Subcommands map one-to-one onto the library operations: group-audit,
 omega-dist, weil-count, serre-scan, certify, sieve-bound.  Reports are JSON
-(default) or CSV; exit codes: 0 success, 2 usage error, 3 resource cap.
+(default) or CSV of their rows (certify reports have none, so certify takes
+JSON only); exit codes: 0 success, 2 usage error, 3 resource cap.
 """
 from __future__ import annotations
 
@@ -23,6 +24,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_curve_value(sys.argv[1:] if argv is None else argv))
     if [] in vars(args).values():  # argparse reads the value of --flag=-- as an empty list
         parser.error("an option value cannot be '--'")
+    if args.command == "certify" and args.format == "csv":
+        parser.error("--format csv needs report rows, and a certify report has none; use --format json")
     try:
         report = args.run(args)
     except ResourceCapError as e:
@@ -162,8 +165,10 @@ def _run_certify(args) -> dict:
         curve = ecff.validate(a, b)
         report = certify.certify_maximal(curve, K, params)
         return report.to_json()
-    a_str, b_str = args.curve.split(",")
-    curve = ecff.validate(_fraction(a_str), _fraction(b_str))
+    coeffs = args.curve.split(",")
+    if len(coeffs) != 2:
+        raise InvalidInputError(f"--curve over Q needs two rationals a,b, e.g. --curve 1,1/2; got {_shown(args.curve)}")
+    curve = ecff.validate(*map(_fraction, coeffs))
     # the report writes the integral model, up to 13 times as many digits
     if not all(_within_cap(Fraction(c)) for c in certify.integer_model(curve.a, curve.b)):
         raise _cap_error("the integral model (u^4 a, u^6 b) of the curve")
@@ -185,10 +190,15 @@ def _cap_error(what: str) -> ResourceCapError:
     return ResourceCapError(f"{what}: numerator and denominator are capped at {FRACTION_DIGIT_CAP} digits")
 
 
+def _shown(text: str) -> str:
+    """The text for an error message, cut after 20 characters."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
 def _fraction(text: str) -> Fraction:
     """An exact rational read from its own text (``1/2``, ``-3``, ``0.1``,
     ``1e400``), within FRACTION_DIGIT_CAP."""
-    shown = repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+    shown = _shown(text)
     # refuse before Fraction expands a long literal or a large exponent
     exponent = re.search(r"[eE][-+]?(\d+)", text)
     if len(text) > 4 * FRACTION_DIGIT_CAP or (exponent and int(exponent.group(1)) > FRACTION_DIGIT_CAP):
@@ -230,7 +240,9 @@ def _run_sieve_bound(args) -> dict:
     omega = {}
     if args.omega:
         for part in args.omega.split(","):
-            key, _, val = part.partition("=")
+            key, eq, val = part.partition("=")
+            if not (eq and re.fullmatch(r"\s*[-+]?\d+\s*", key)):
+                raise InvalidInputError(f"--omega entries have the form p=num/den, e.g. 2=1/2; got {_shown(part)}")
             omega[int(key)] = _fraction(val)
     L, bound = sieve.sieve_bound(omega, args.Q, x=args.x, degree=args.degree, rank=args.rank)
     if not _within_cap(L):

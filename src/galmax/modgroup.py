@@ -1,17 +1,21 @@
 """Exact arithmetic for subgroups of GL2 and SL2 over Z/mZ.
 
 Matrices are encoded as integers ((a*m + b)*m + c)*m + d so that whole
-element sets live in numpy arrays; all group-level operations (closure,
-derived subgroup, conjugacy orbits, reductions) are vectorized scans over
-those code arrays.  Integer codes sort lexicographically by (a, b, c, d),
-which is the canonical element order used for representatives and reports.
+element sets live in numpy arrays.  A subgroup is the sorted int64 array of
+its codes: ``enumerate_group`` (cached, read-only), ``closure_codes`` and
+``derived_subgroup`` all return one, and every group-level operation
+(closure, derived subgroup, abelianization, conjugacy orbits, reductions) is
+a vectorized scan over such arrays.  Integer codes sort lexicographically by
+(a, b, c, d), which is the canonical element order used for representatives
+and reports.  ``MatModM`` is the scalar form of one matrix, for generators
+and seeded draws.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -222,54 +226,22 @@ def gl2_generators(m: int) -> list[MatModM]:
 
 
 # ---------------------------------------------------------------------------
-# subgroup handles
-
-
-@dataclass(frozen=True)
-class SubgroupHandle:
-    """A subgroup of GL2(Z/mZ): generators plus the materialized element set.
-
-    ``codes`` is the sorted tuple of integer codes of all elements; it is the
-    identity of the subgroup for hashing and deduplication purposes.
-    """
-
-    m: int
-    generators: tuple[MatModM, ...]
-    codes: tuple[int, ...]
-    label: str | None = None
-
-    @property
-    def order(self) -> int:
-        return len(self.codes)
-
-    @property
-    def elements(self) -> tuple[MatModM, ...]:
-        return tuple(mat_from_code(c, self.m) for c in self.codes)
-
-    def code_array(self) -> np.ndarray:
-        return np.asarray(self.codes, dtype=np.int64)
-
-
-def _handle_from_codes(m: int, gens: Iterable[MatModM], codes: np.ndarray, label: str | None = None) -> SubgroupHandle:
-    return SubgroupHandle(m, tuple(gens), tuple(int(c) for c in codes), label)
+# full groups, derived subgroup and abelianization
 
 
 @lru_cache(maxsize=64)
-def enumerate_group(
-    m: int,
-    ambient: Ambient = "SL2",
-    modulus_cap: int | None = None,
-) -> SubgroupHandle:
-    """Materialize the full group SL2(Z/mZ) or GL2(Z/mZ) by direct scan.
+def enumerate_group(m: int, ambient: Ambient = "SL2") -> np.ndarray:
+    """Sorted codes of the full group SL2(Z/mZ) or GL2(Z/mZ), by direct scan.
 
-    The element scan doubles as a check of the standard order formulas; a
-    mismatch would be an internal error.
+    The array is cached and shared, so it is read-only.  The element scan
+    doubles as a check of the standard order formulas; a mismatch would be an
+    internal error.
     """
     if ambient not in ("SL2", "GL2"):
         raise InvalidInputError(f"ambient must be 'SL2' or 'GL2', got {ambient!r}")
     if m < 1:
         raise InvalidInputError("modulus must be >= 1")
-    cap = modulus_cap if modulus_cap is not None else (SL2_MODULUS_CAP if ambient == "SL2" else GL2_MODULUS_CAP)
+    cap = SL2_MODULUS_CAP if ambient == "SL2" else GL2_MODULUS_CAP
     if m > cap:
         raise ResourceCapError(f"modulus {m} exceeds {ambient} materialization cap {cap}")
     expected = sl2_order(m) if ambient == "SL2" else gl2_order(m)
@@ -277,48 +249,20 @@ def enumerate_group(
         raise ResourceCapError(f"group order {expected} exceeds cap {GROUP_ORDER_CAP}")
     codes = np.arange(m**4, dtype=np.int64)
     dets = det_of_codes(codes, m)
-    if ambient == "SL2":
-        keep = dets == 1 % m
-    else:
-        g = np.gcd(dets, m)
-        keep = g == 1
-    codes = codes[keep]
+    codes = codes[dets == 1 % m] if ambient == "SL2" else codes[np.gcd(dets, m) == 1]
     assert codes.size == expected, f"order formula mismatch for {ambient}(Z/{m}): {codes.size} != {expected}"
-    gens = sl2_generators(m) if ambient == "SL2" else gl2_generators(m)
-    return _handle_from_codes(m, gens, codes, label=f"{ambient}(Z/{m})")
+    codes.flags.writeable = False
+    return codes
 
 
-def closure(m: int, gens: Iterable[MatModM | Sequence[int]]) -> SubgroupHandle:
-    """Smallest subgroup of GL2(Z/mZ) containing the generators."""
-    mats: list[MatModM] = []
-    for g in gens:
-        if isinstance(g, MatModM):
-            if g.m != m:
-                raise InvalidInputError("generator modulus mismatch")
-            mats.append(mat(m, g.a, g.b, g.c, g.d))
-        else:
-            mats.append(mat(m, *g))
-    if m > SL2_MODULUS_CAP:
-        raise ResourceCapError(f"modulus {m} exceeds closure cap {SL2_MODULUS_CAP}")
-    codes = closure_codes(m, [g.code() for g in mats])
-    return _handle_from_codes(m, mats, codes)
-
-
-# ---------------------------------------------------------------------------
-# derived subgroup and abelianization
-
-
-def derived_subgroup(H: SubgroupHandle) -> SubgroupHandle:
-    """Commutator subgroup of H, as the normal closure of generator commutators.
+def derived_subgroup(m: int, gens: Sequence[MatModM]) -> np.ndarray:
+    """Sorted codes of [H, H] for H generated by gens, as the normal closure of
+    the generator commutators.
 
     [H, H] is generated by the H-conjugates of the commutators of a generating
     set, so the algorithm grows a generating set T: whenever some conjugate of
     T by a generator of H escapes <T>, it is added and the closure recomputed.
     """
-    m = H.m
-    gens = list(H.generators)
-    if not gens:
-        gens = [mat_from_code(c, m) for c in H.codes]
     ident = identity(m).code()
     T: list[int] = sorted(
         {x.mul(y).mul(x.inv()).mul(y.inv()).code() for x in gens for y in gens} - {ident}
@@ -337,8 +281,7 @@ def derived_subgroup(H: SubgroupHandle) -> SubgroupHandle:
                 current = closure_codes(m, T)
                 stable = False
                 break
-    comm_gens = tuple(mat_from_code(int(c), m) for c in T[:4]) or (identity(m),)
-    return _handle_from_codes(m, comm_gens, current, label=(H.label or "H") + "'")
+    return current
 
 
 class Abelianization(NamedTuple):
@@ -346,46 +289,30 @@ class Abelianization(NamedTuple):
     is_cyclic: bool
 
 
-def abelianization_order(H: SubgroupHandle) -> Abelianization:
-    """|H / H'| together with whether the quotient is cyclic."""
-    Hp = derived_subgroup(H)
-    index = H.order // Hp.order
-    if index == 1:
-        return Abelianization(1, True)
-    reps, coset_of = _coset_partition(H, Hp)
-    # the quotient is abelian; it is cyclic iff some coset has order == index
-    for r in reps:
-        if _coset_order(r, coset_of, reps, H.m, index) == index:
-            return Abelianization(index, True)
-    return Abelianization(index, False)
+def abelianization_order(m: int, gens: Sequence[MatModM]) -> Abelianization:
+    """|H / H'| for H generated by gens, together with whether the quotient is
+    cyclic.
+
+    h generates H/H' iff no power h^k with 0 < k < [H : H'] lies in H'; the
+    powers of every h in H are taken at once.
+    """
+    H = closure_codes(m, [g.code() for g in gens])
+    in_derived = np.zeros(m**4, dtype=bool)
+    in_derived[derived_subgroup(m, gens)] = True
+    index = H.size // int(np.count_nonzero(in_derived))
+    generates = ~in_derived[H]
+    power = H
+    for _ in range(2, index):
+        power = _mul_pairs(power, H, m)
+        generates &= ~in_derived[power]
+    return Abelianization(index, index == 1 or bool(generates.any()))
 
 
-def _coset_partition(H: SubgroupHandle, K: SubgroupHandle):
-    """Left cosets of K in H: returns (representatives, code -> coset id map)."""
-    k_codes = K.code_array()
-    coset_of: dict[int, int] = {}
-    reps: list[int] = []
-    for c in H.codes:
-        if c in coset_of:
-            continue
-        rep = mat_from_code(c, H.m)
-        coset = mul_codes_left(rep, k_codes)
-        cid = len(reps)
-        reps.append(c)
-        for x in coset.tolist():
-            coset_of[x] = cid
-    return reps, coset_of
-
-
-def _coset_order(rep_code: int, coset_of: dict[int, int], reps: list[int], m: int, cap: int) -> int:
-    g = mat_from_code(rep_code, m)
-    x = g
-    ident_cid = coset_of[identity(m).code()]
-    for k in range(1, cap + 1):
-        if coset_of[x.code()] == ident_cid:
-            return k
-        x = x.mul(g)
-    return cap + 1
+def _mul_pairs(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
+    """Entrywise products x[i] * y[i] of two code arrays."""
+    a, b, c, d = decode(x, m)
+    e, f, g, h = decode(y, m)
+    return encode((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +341,7 @@ def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None =
     breadth-first search with the standard ambient generators.  Classes are
     sorted by their minimal element code, which is also the representative.
     """
-    G = enumerate_group(m, ambient)
-    codes = G.code_array()
+    codes = enumerate_group(m, ambient)
     if det_filter is not None:
         d = det_filter % m
         if math.gcd(d, m) != 1:

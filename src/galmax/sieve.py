@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from itertools import product
 from typing import Iterable, Iterator
 
 
@@ -31,42 +30,16 @@ SERRE_SCAN_X_CAP = 200
 SIEVE_TERMS_CAP = 10**5
 
 
-@dataclass(frozen=True)
-class BoxSpec:
-    """Sup-norm box: integer pairs (a, b) with max(|a|, |b|) <= x, Delta != 0.
-
-    Over a monogenic field the box ranges over power-basis coefficient
-    vectors with every coordinate bounded by x.
-    """
-
-    x: int
-    field: object | None = None
-
-
-def enumerate_box(spec: BoxSpec | int) -> Iterator:
-    """Yield the nonsingular coefficient pairs of the box."""
-    if not isinstance(spec, BoxSpec):
-        spec = BoxSpec(int(spec))
-    x = spec.x
+def enumerate_box(x: int) -> Iterator[tuple[int, int]]:
+    """Yield the nonsingular pairs (a, b) of the sup-norm box max(|a|, |b|) <= x."""
+    x = int(x)
     if x < 0:
         raise InvalidInputError("box bound must be >= 0")
-    if spec.field is None:
-        if x > BOX_X_CAP:
-            raise ResourceCapError(f"box bound {x} exceeds cap {BOX_X_CAP}")
-        for a in range(-x, x + 1):
-            for b in range(-x, x + 1):
-                if ecff.discriminant(a, b) != 0:
-                    yield (a, b)
-        return
-    K = spec.field
-    if (2 * x + 1) ** (2 * K.degree) > 10**6:
-        raise ResourceCapError("field box too large")
-    rng = range(-x, x + 1)
-    for avec in product(rng, repeat=K.degree):
-        a = K.elem(list(avec))
-        for bvec in product(rng, repeat=K.degree):
-            b = K.elem(list(bvec))
-            if not ecff.discriminant(a, b).is_zero():
+    if x > BOX_X_CAP:
+        raise ResourceCapError(f"box bound {x} exceeds cap {BOX_X_CAP}")
+    for a in range(-x, x + 1):
+        for b in range(-x, x + 1):
+            if ecff.discriminant(a, b) != 0:
                 yield (a, b)
 
 

@@ -72,8 +72,7 @@ class SmallGroupTable:
 
     @classmethod
     def for_group(cls, m: int, ambient: mg.Ambient) -> "SmallGroupTable":
-        G = mg.enumerate_group(m, ambient)
-        return cls(G.code_array(), np.arange(m**4), m)
+        return cls(mg.enumerate_group(m, ambient), np.arange(m**4), m)
 
     def _element_orders(self) -> np.ndarray:
         orders = np.zeros(self.n, dtype=np.int64)
@@ -373,7 +372,7 @@ def subgroup_signature_table(m: int) -> SignatureTable:
 
 def _table_from_lattice(m: int) -> SignatureTable:
     table = SmallGroupTable.for_group(m, "GL2")
-    sl2_rows = table.index_of_code[mg.enumerate_group(m, "SL2").code_array()]
+    sl2_rows = table.index_of_code[mg.enumerate_group(m, "SL2")]
     candidates = [
         msk for msk in table.subgroup_lattice()
         if not msk[sl2_rows].all() and _det_is_full(table.mask_to_codes(msk), m)
@@ -399,8 +398,7 @@ def _table_from_lattice(m: int) -> SignatureTable:
 
 
 def _prime_table_masks(ell: int) -> list[tuple[str, np.ndarray]]:
-    G = mg.enumerate_group(ell, "GL2")
-    codes = G.code_array()
+    codes = mg.enumerate_group(ell, "GL2")
     a, b, c, d = mg.decode(codes, ell)
     out = []
     out.append(("borel", codes[c == 0]))
@@ -433,7 +431,7 @@ def _octahedral_preimage(ell: int) -> np.ndarray | None:
     orders.  The preimage of <s, c> for s of projective order 4 and c of
     order 3 is the closure of s, c and the scalars.
     """
-    codes = mg.enumerate_group(ell, "GL2").code_array()
+    codes = mg.enumerate_group(ell, "GL2")
     inv = np.array([0] + [pow(x, -1, ell) for x in range(1, ell)], dtype=np.int64)
     tr = mg.trace_of_codes(codes, ell)
     u = (tr * tr % ell) * inv[mg.det_of_codes(codes, ell)] % ell
@@ -468,7 +466,7 @@ def _table_prime(ell: int) -> SignatureTable:
                 signatures=signatures_of_codes(codes, ell),
             )
         )
-    full = signatures_of_codes(mg.enumerate_group(ell, "GL2").code_array(), ell)
+    full = signatures_of_codes(mg.enumerate_group(ell, "GL2"), ell)
     return SignatureTable(ell, tuple(entries), full, scope="maximal-only")
 
 
@@ -486,8 +484,7 @@ def _table_mod8() -> SignatureTable:
     characters of conductor exactly 8).  That enumeration is pinned by a
     slow test rather than rerun here.
     """
-    G = mg.enumerate_group(8, "GL2")
-    codes = G.code_array()
+    codes = mg.enumerate_group(8, "GL2")
     tr = mg.trace_of_codes(codes, 8)
     dt = mg.det_of_codes(codes, 8)
     red2 = mg.reduce_codes(codes, 8, 2)
@@ -538,9 +535,8 @@ def _maximal(items, members) -> list:
 
 def _table_mod9() -> SignatureTable:
     masks = _maximal_candidates_mod9()
-    G = mg.enumerate_group(9, "GL2")
-    codes9 = G.code_array()
-    sl2_set = set(int(c) for c in mg.enumerate_group(9, "SL2").code_array())
+    codes9 = mg.enumerate_group(9, "GL2")
+    sl2_set = set(mg.enumerate_group(9, "SL2").tolist())
     picked = []
     for label, member_codes in masks:
         if not _det_is_full(member_codes, 9):
@@ -579,7 +575,7 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
     maximal M either contains K (case a) or M.K = G with M meeting K in a
     maximal normal subgroup of G inside K (case b).
     """
-    codes = mg.enumerate_group(9, "GL2").code_array()
+    codes = mg.enumerate_group(9, "GL2")
     red3 = mg.reduce_codes(codes, 9, 3)
     out: list[tuple[str, np.ndarray]] = []
 
@@ -609,7 +605,7 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
 def _complement_preimages_mod9(K0: np.ndarray, K: np.ndarray) -> list[np.ndarray]:
     """Subgroups M of GL2(Z/9) with M mod 3 full and M meeting the mod-3
     kernel K exactly in K0, found as complements in G/K0."""
-    codes = mg.enumerate_group(9, "GL2").code_array()
+    codes = mg.enumerate_group(9, "GL2")
     # coset key: minimal code in g * K0 (codes outside G are their own key)
     key_of_code = np.arange(9**4, dtype=np.int64)
     key_of_code[codes] = np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(int(k), 9)) for k in K0])

@@ -23,7 +23,7 @@ def report(n: int, label: str, detail: str = ""):
 def test_criterion_1_abelianizations():
     t0 = time.time()
     for m in range(2, 25):
-        ab = mg.abelianization_order(mg.enumerate_group(m, "SL2"))
+        ab = mg.abelianization_order(m, mg.sl2_generators(m))
         assert ab.order == math.gcd(m, 12), m
         assert ab.is_cyclic, m
     elapsed = time.time() - t0

@@ -49,12 +49,12 @@ def test_coverage_boundary_ell3_nonsquare_det():
     classes = mg.conjugacy_classes(3, "GL2", det_filter=2)
     assert len(classes) == 3
     # a Sylow 2-subgroup of GL2(F_3), order 16 (semidihedral)
-    sylow = mg.closure(3, [(0, 1, 1, 1), (0, 1, 2, 0)])
-    assert sylow.order == 16
-    members = set(sylow.codes)
+    sylow = mg.closure_codes(3, [mg.mat(3, 0, 1, 1, 1).code(), mg.mat(3, 0, 1, 2, 0).code()])
+    assert sylow.size == 16
+    members = set(sylow.tolist())
     for c in classes:
         assert not members.isdisjoint(c.member_codes)
-    assert not set(mg.enumerate_group(3, "SL2").codes) <= members
+    assert not set(mg.enumerate_group(3, "SL2").tolist()) <= members
 
 
 def test_coverage_report_serializes():
@@ -143,7 +143,7 @@ def set_based_coverage(m, dets, subgroups):
     """(subgroups tested, nonvacuous checks, counterexamples) of the coverage
     check done on Python sets; subgroups yields (codes, description) pairs."""
     class_sets = {d: [frozenset(c.member_codes) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets}
-    sl2 = set(mg.enumerate_group(m, "SL2").codes)
+    sl2 = set(mg.enumerate_group(m, "SL2").tolist())
     tested, nonvacuous, counterexamples = 0, 0, []
     for codes, description in subgroups:
         members = set(int(c) for c in codes)
@@ -180,7 +180,7 @@ def test_coverage_matches_set_based_check_randomized_m9():
 
     def sampled():  # the audit's seeded draw
         rng = random.Random(seed)
-        gcodes = mg.enumerate_group(m, "GL2").code_array()
+        gcodes = mg.enumerate_group(m, "GL2")
         borel = gcodes[mg.decode(gcodes, m)[2] == 0]
         for _ in range(trials):
             pool = borel if rng.random() < 0.5 else gcodes
@@ -191,20 +191,18 @@ def test_coverage_matches_set_based_check_randomized_m9():
 
 
 def test_coverage_test_matches_set_based_check_at_the_ell3_boundary():
-    # with d = 2 added at m = 3 the implication fails; both checks must find
-    # the same counterexamples, the Sylow 2-subgroups among them
-    covered = audits._class_coverage(3, [1, 2])
-    subgroups = list(lattice_subgroups(3))
-    counterexamples = [
-        {"det": d, "subgroup": description}
-        for codes, description in subgroups
-        for d, contains_sl2 in covered(codes)
-        if not contains_sl2
-    ]
-    nonvacuous = sum(len(covered(codes)) for codes, _ in subgroups)
-    want = set_based_coverage(3, [1, 2], subgroups)
-    assert (len(subgroups), nonvacuous, counterexamples) == want
-    assert counterexamples and all(c["det"] == 2 for c in counterexamples)
+    # with d = 2 added at m = 3 the implication fails: the sweep must record
+    # the counterexamples of the set-based check, in lattice order, the
+    # Sylow 2-subgroups among them
+    report = audits._report("class coverage forces SL2", "exhaustive", 1, 0, {"m": 3, "dets_tested": [1, 2]})
+    assert audits._sweep(report, audits._class_coverage(3, [1, 2]), 3, "GL2") is report
+    want = set_based_coverage(3, [1, 2], lattice_subgroups(3))
+    assert audit_counts(report) == want
+    counterexamples = report.counterexamples
+    assert counterexamples and all(list(c) == ["det", "subgroup"] and c["det"] == 2 for c in counterexamples)
+    sylow = mg.closure_codes(3, [mg.mat(3, 0, 1, 1, 1).code(), mg.mat(3, 0, 1, 2, 0).code()])
+    assert {"det": 2, "subgroup": sylow[:8].tolist()} in counterexamples
+    assert not report.ok and report.to_json()["counterexamples"] == counterexamples
 
 
 def test_audits_cap_trials_before_any_work(monkeypatch):

@@ -28,17 +28,25 @@ def brute_force_count(m, ambient):
 )
 def test_enumerate_group_orders(m, ambient, expected):
     G = mg.enumerate_group(m, ambient)
-    assert G.order == expected
+    assert G.size == expected
     # cross-check against a fully independent quadruple loop
     if m <= 6:
-        assert G.order == brute_force_count(m, ambient)
+        assert G.size == brute_force_count(m, ambient)
 
 
 def test_order_formulas_match_enumeration():
     for m in range(1, 14):
-        assert mg.enumerate_group(m, "SL2").order == mg.sl2_order(m)
+        assert mg.enumerate_group(m, "SL2").size == mg.sl2_order(m)
     for m in range(1, 11):
-        assert mg.enumerate_group(m, "GL2").order == mg.gl2_order(m)
+        assert mg.enumerate_group(m, "GL2").size == mg.gl2_order(m)
+
+
+def test_enumerate_group_is_read_only():
+    # the cached array is shared by every caller
+    G = mg.enumerate_group(5, "GL2")
+    with pytest.raises(ValueError):
+        G[0] = 0
+    assert G is mg.enumerate_group(5, "GL2") and G[0] == mg.mat(5, 0, 1, 1, 0).code()
 
 
 def test_enumerate_group_caps():
@@ -56,70 +64,75 @@ def test_matrix_invariants():
         mg.mat(6, 2, 0, 0, 3)  # det 6 = 0 mod 6
 
 
+def closure(m, entries):
+    """closure_codes of generators given by their entries (a, b, c, d)."""
+    return mg.closure_codes(m, [mg.mat(m, *e).code() for e in entries])
+
+
 def test_closure_elementary_generates_sl2_mod_5():
-    H = mg.closure(5, [(1, 1, 0, 1), (1, 0, 1, 1)])
-    assert H.order == 120
+    H = closure(5, [(1, 1, 0, 1), (1, 0, 1, 1)])
+    assert H.size == 120
 
 
 def test_closure_trivial_and_minus_identity():
-    assert mg.closure(5, []).order == 1
-    H = mg.closure(7, [(-1, 0, 0, -1)])
-    assert H.order == 2
+    assert closure(5, []).size == 1
+    H = closure(7, [(-1, 0, 0, -1)])
+    assert H.size == 2
 
 
 def test_closure_rejects_non_unit_det():
     with pytest.raises(InvalidInputError):
-        mg.closure(6, [(1, 0, 0, 2)])
+        closure(6, [(1, 0, 0, 2)])
 
 
 def test_closure_idempotent_and_conjugation_stable():
     rng = random.Random(5)
     G = mg.enumerate_group(8, "SL2")
     for _ in range(5):
-        gens = [G.elements[rng.randrange(G.order)] for _ in range(2)]
-        H = mg.closure(8, gens)
-        H2 = mg.closure(8, H.elements)
-        assert H.codes == H2.codes
+        gens = [int(G[rng.randrange(G.size)]) for _ in range(2)]
+        H = mg.closure_codes(8, gens)
+        H2 = mg.closure_codes(8, H)
+        assert H.tolist() == H2.tolist()
         # closed under conjugation by its own elements
-        arr = H.code_array()
-        for g in H.elements[:6]:
-            assert set(mg.conj_codes(g, arr).tolist()) == set(H.codes)
+        for g in H[:6].tolist():
+            assert set(mg.conj_codes(mg.mat_from_code(g, 8), H).tolist()) == set(H.tolist())
 
 
 def test_derived_subgroup_values():
-    assert mg.derived_subgroup(mg.enumerate_group(5, "SL2")).order == 120
-    assert mg.derived_subgroup(mg.enumerate_group(3, "GL2")).order == 24
-    triv = mg.closure(5, [])
-    assert mg.derived_subgroup(triv).order == 1
+    assert mg.derived_subgroup(5, mg.sl2_generators(5)).size == 120
+    assert mg.derived_subgroup(3, mg.gl2_generators(3)).size == 24
+    assert mg.derived_subgroup(5, []).size == 1
 
 
 def test_derived_subgroup_is_normal_with_abelian_quotient():
-    H = mg.enumerate_group(4, "SL2")
-    Hp = mg.derived_subgroup(H)
-    hp = set(Hp.codes)
-    arr = Hp.code_array()
-    for g in H.elements[:10]:
-        assert set(mg.conj_codes(g, arr).tolist()) == hp
+    H = [mg.mat_from_code(c, 4) for c in mg.enumerate_group(4, "SL2").tolist()]
+    Hp = mg.derived_subgroup(4, mg.sl2_generators(4))
+    hp = set(Hp.tolist())
+    for g in H[:10]:
+        assert set(mg.conj_codes(g, Hp).tolist()) == hp
     # abelian quotient: commutators of random elements land in H'
     rng = random.Random(1)
     for _ in range(20):
-        x = H.elements[rng.randrange(H.order)]
-        y = H.elements[rng.randrange(H.order)]
+        x = H[rng.randrange(len(H))]
+        y = H[rng.randrange(len(H))]
         comm = x.mul(y).mul(x.inv()).mul(y.inv())
         assert comm.code() in hp
 
 
 @pytest.mark.parametrize("m", list(range(2, 25)))
 def test_abelianization_gcd_formula(m):
-    ab = mg.abelianization_order(mg.enumerate_group(m, "SL2"))
+    ab = mg.abelianization_order(m, mg.sl2_generators(m))
     assert ab.order == math.gcd(m, 12)
     assert ab.is_cyclic
 
 
 def test_abelianization_examples():
-    assert mg.abelianization_order(mg.enumerate_group(12, "SL2")) == (12, True)
-    assert mg.abelianization_order(mg.enumerate_group(2, "SL2")).order == 2
-    assert mg.abelianization_order(mg.enumerate_group(7, "SL2")).order == 1
+    assert mg.abelianization_order(12, mg.sl2_generators(12)) == (12, True)
+    assert mg.abelianization_order(2, mg.sl2_generators(2)).order == 2
+    assert mg.abelianization_order(7, mg.sl2_generators(7)).order == 1
+    # GL2(Z/4)^ab and GL2(Z/8)^ab are not cyclic
+    assert mg.abelianization_order(4, mg.gl2_generators(4)) == (4, False)
+    assert mg.abelianization_order(8, mg.gl2_generators(8)) == (8, False)
 
 
 def test_conjugacy_classes_mod2_det1():
@@ -137,10 +150,10 @@ def test_conjugacy_classes_partition_and_invariants():
     for m, ambient in [(5, "GL2"), (4, "SL2"), (9, "SL2")]:
         G = mg.enumerate_group(m, ambient)
         classes = mg.conjugacy_classes(m, ambient)
-        assert sum(c.size for c in classes) == G.order
+        assert sum(c.size for c in classes) == G.size
         seen = set()
         for c in classes:
-            assert G.order % c.size == 0
+            assert G.size % c.size == 0
             assert not seen & set(c.member_codes)
             seen.update(c.member_codes)
             for code in list(c.member_codes)[:6]:
@@ -156,47 +169,47 @@ def test_conjugacy_classes_rejects_bad_filter():
         mg.conjugacy_classes(4, "GL2", det_filter=2)
 
 
-def reduce_mod(H, m_target):
-    """Sorted codes of the entrywise reduction of H to Z/m_target."""
-    return tuple(np.unique(mg.reduce_codes(H.code_array(), H.m, m_target)).tolist())
+def reduce_mod(codes, m, m_target):
+    """Sorted codes of the entrywise reduction of codes mod m to Z/m_target."""
+    return np.unique(mg.reduce_codes(codes, m, m_target)).tolist()
 
 
 def test_reduce_mod():
-    r = reduce_mod(mg.enumerate_group(8, "SL2"), 4)
+    r = reduce_mod(mg.enumerate_group(8, "SL2"), 8, 4)
     assert len(r) == 48
-    assert r == mg.enumerate_group(4, "SL2").codes
-    t = reduce_mod(mg.enumerate_group(9, "SL2"), 1)
+    assert r == mg.enumerate_group(4, "SL2").tolist()
+    t = reduce_mod(mg.enumerate_group(9, "SL2"), 9, 1)
     assert len(t) == 1
-    single = mg.closure(9, [(1, 0, 0, 1)])
-    assert len(reduce_mod(single, 3)) == 1
+    single = closure(9, [(1, 0, 0, 1)])
+    assert len(reduce_mod(single, 9, 3)) == 1
 
 
 @pytest.mark.parametrize("m,m2", [(8, 4), (8, 2), (12, 6), (9, 3)])
 def test_reduce_mod_full_groups_surject(m, m2):
-    assert reduce_mod(mg.enumerate_group(m, "SL2"), m2) == mg.enumerate_group(m2, "SL2").codes
+    assert reduce_mod(mg.enumerate_group(m, "SL2"), m, m2) == mg.enumerate_group(m2, "SL2").tolist()
 
 
-def missed_class(H, d):
-    """The first GL2-conjugacy class of determinant d that H misses, or None."""
-    members = set(H.codes)
-    return next((cl for cl in mg.conjugacy_classes(H.m, "GL2", det_filter=d) if members.isdisjoint(cl.member_codes)), None)
+def missed_class(codes, m, d):
+    """The first GL2-conjugacy class of determinant d that the codes miss, or None."""
+    members = set(codes.tolist())
+    return next((cl for cl in mg.conjugacy_classes(m, "GL2", det_filter=d) if members.isdisjoint(cl.member_codes)), None)
 
 
 def test_meets_all_classes():
     G5 = mg.enumerate_group(5, "GL2")
-    assert missed_class(G5, 1) is None
+    assert missed_class(G5, 5, 1) is None
     S5 = mg.enumerate_group(5, "SL2")
-    assert missed_class(S5, 1) is None
-    borel = mg.closure(5, [(a, b, 0, d) for a in (1, 2, 3, 4) for d in (1, 2, 3, 4) for b in range(5)])
-    assert borel.order == 80
-    missing = missed_class(borel, 1)
+    assert missed_class(S5, 5, 1) is None
+    borel = closure(5, [(a, b, 0, d) for a in (1, 2, 3, 4) for d in (1, 2, 3, 4) for b in range(5)])
+    assert borel.size == 80
+    missing = missed_class(borel, 5, 1)
     assert missing is not None
     # the missed class has irreducible characteristic polynomial
     rep = missing.representative
     disc = (rep.trace**2 - 4 * rep.det) % 5
     assert pow(disc, 2, 5) != 0 and pow(disc, (5 - 1) // 2, 5) == 5 - 1
     with pytest.raises(InvalidInputError):
-        missed_class(borel, 5)
+        missed_class(borel, 5, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +224,7 @@ def matrix_of_code(code, m):
 
 @pytest.mark.parametrize("m", range(2, 17))
 def test_mul_codes_matches_matmodm_mul(m):
-    codes = mg.enumerate_group(m, "GL2").code_array()
+    codes = mg.enumerate_group(m, "GL2")
     elements = [matrix_of_code(c, m) for c in codes.tolist()]
     rng = random.Random(m)
     for g in [*mg.sl2_generators(m), *(elements[rng.randrange(len(elements))] for _ in range(2))]:
@@ -239,7 +252,7 @@ def reference_closure(m, gen_codes):
     "m,ambient", [(m, "GL2") for m in range(2, 17)] + [(m, "SL2") for m in (18, 25, 27)]
 )
 def test_closure_codes_matches_reference_bfs(m, ambient):
-    codes = mg.enumerate_group(m, ambient).code_array()
+    codes = mg.enumerate_group(m, ambient)
     rng = random.Random(1000 + m)
     for k in range(4):
         gens = [int(codes[rng.randrange(codes.size)]) for _ in range(k)]

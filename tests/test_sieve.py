@@ -46,14 +46,6 @@ def test_box_cap():
         list(sieve.enumerate_box(10**4))
 
 
-def test_field_box():
-    K = nf.MonogenicField([1, 1, 1])
-    pairs = list(sieve.enumerate_box(sieve.BoxSpec(1, field=K)))
-    assert 0 < len(pairs) < 81
-    for a, b in pairs:
-        assert not ecff.discriminant(a, b).is_zero()
-
-
 def test_batch_signatures_match_collect():
     # one signature_columns run per prime over the whole list gives each
     # curve the cells it gets on its own
@@ -448,6 +440,37 @@ def _cli_exit(argv):
         except SystemExit as e:
             code = e.code
     return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv,flag,form", [
+    (["certify", "--curve", "1"], "--curve", "a,b"),
+    (["certify", "--curve", "1,2,3"], "--curve", "a,b"),
+    (["sieve-bound", "--Q", "6", "--omega", "=1/2"], "--omega", "p=num/den"),
+    (["sieve-bound", "--Q", "6", "--omega", "2=1/2,3"], "--omega", "p=num/den"),
+], ids=["curve-one-value", "curve-three-values", "omega-no-prime", "omega-no-value"])
+def test_cli_malformed_values_name_the_flag(argv, flag, form):
+    code, out, err = _cli_exit(argv)
+    assert code == 2 and out == ""
+    message = err.strip().splitlines()[-1]
+    assert flag in message and form in message, message
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--curve", "1,1"],
+    ["certify", "--field", "f=[1,1,0,1]", "--curve", "[0,1296],[0,0,11664]"],
+], ids=["over-q", "over-field"])
+def test_cli_certify_refuses_csv_before_any_work(argv, monkeypatch):
+    # a certify report has no rows, so CSV output would be empty
+    code, out, err = _cli_exit([*argv, "--format", "csv"])
+    assert code == 2 and out == ""
+    assert "--format" in err.strip().splitlines()[-1]
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("certify started before --format was checked")
+
+    monkeypatch.setattr(certify, "serre_check", no_work)
+    monkeypatch.setattr(certify, "certify_maximal", no_work)
+    assert _cli_exit([*argv, "--format", "csv"])[0] == 2
 
 
 CAP = cli.FRACTION_DIGIT_CAP

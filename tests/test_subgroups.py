@@ -11,15 +11,12 @@ from galmax import subgroups as sg
 
 def two_generator_sweep(m, ambient):
     """Independent subgroup search: closures of all generator pairs."""
-    G = mg.enumerate_group(m, ambient)
-    out = {mg.closure(m, []).codes}
-    singles = []
-    for g in G.elements:
-        h = mg.closure(m, [g])
-        out.add(h.codes)
-        singles.append(g)
-    for g1, g2 in combinations(singles, 2):
-        out.add(mg.closure(m, [g1, g2]).codes)
+    G = mg.enumerate_group(m, ambient).tolist()
+    out = {tuple(mg.closure_codes(m, []).tolist())}
+    for g in G:
+        out.add(tuple(mg.closure_codes(m, [g]).tolist()))
+    for g1, g2 in combinations(G, 2):
+        out.add(tuple(mg.closure_codes(m, [g1, g2]).tolist()))
     return out
 
 
@@ -81,8 +78,8 @@ def test_nonsolvable_completion_gl2_f5():
     G = mg.enumerate_group(5, "GL2")
     rng = random.Random(3)
     for _ in range(60):
-        gens = [G.elements[rng.randrange(G.order)] for _ in range(rng.choice((1, 2, 3)))]
-        assert mg.closure(5, gens).codes in lat
+        gens = [int(G[rng.randrange(G.size)]) for _ in range(rng.choice((1, 2, 3)))]
+        assert tuple(mg.closure_codes(5, gens).tolist()) in lat
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +95,7 @@ def test_signature_table_mod2_example():
 def test_signature_table_mod4_every_entry_full_det():
     tbl = sg.subgroup_signature_table(4)
     assert tbl.entries
-    sl2 = set(mg.enumerate_group(4, "SL2").codes)
+    sl2 = set(mg.enumerate_group(4, "SL2").tolist())
     for e in tbl.entries:
         dets = {mg.mat_from_code(c, 4).det for c in e.codes}
         assert dets == {1, 3}
@@ -146,7 +143,7 @@ def _is_full_det_sl2_missing(codes, m):
     units = {u for u in range(m) if math.gcd(u, m) == 1}
     if dets != units:
         return False
-    sl2 = set(mg.enumerate_group(m, "SL2").codes)
+    sl2 = set(mg.enumerate_group(m, "SL2").tolist())
     return not sl2 <= set(int(c) for c in codes)
 
 
@@ -156,8 +153,7 @@ def test_table_covers_sampled_subgroups_up_to_conjugacy(m, trials):
     fits inside a table entry after conjugation."""
     tbl = sg.subgroup_signature_table(m)
     entry_sets = [set(e.codes) for e in tbl.entries]
-    G = mg.enumerate_group(m, "GL2")
-    gcodes = G.code_array()
+    gcodes = mg.enumerate_group(m, "GL2")
     gens = mg.gl2_generators(m)
     rng = random.Random(11)
     tested = 0
@@ -202,7 +198,7 @@ def test_mod8_couplings_are_subgroups_with_expected_shape():
             assert x.mul(y).code() in cset
         # mod-4 image is everything
         red = set(mg.reduce_codes(np.array(codes), 8, 4).tolist())
-        assert red == set(mg.enumerate_group(4, "GL2").codes)
+        assert red == set(mg.enumerate_group(4, "GL2").tolist())
 
 
 @pytest.mark.slow
@@ -213,8 +209,8 @@ def test_mod8_coupling_completeness_exhaustive():
     table = sg.SmallGroupTable.for_group(8, "GL2")
     masks = table.subgroup_lattice()
     assert len(masks) == 24587
-    sl2_8 = set(mg.enumerate_group(8, "SL2").codes)
-    sl2_4 = set(mg.enumerate_group(4, "SL2").codes)
+    sl2_8 = set(mg.enumerate_group(8, "SL2").tolist())
+    sl2_4 = set(mg.enumerate_group(4, "SL2").tolist())
     tbl = sg.subgroup_signature_table(8)
     couplings = {
         frozenset(e.codes) for e in tbl.entries if e.label.startswith("sign-det")
