@@ -15,10 +15,12 @@ An audit is a check, a function from the sorted code array of a subgroup
 implication, run by one sweep, ``_sweep``.  Exhaustive modes sweep a
 complete subgroup lattice; randomized modes sweep the closures of seeded
 generator sets constructed so that the hypothesis of the implication holds by
-construction (each trial is a real test, not a vacuous one).
+construction (each trial is a real test, not a vacuous one), closed in
+blocks by ``modgroup.closure_block``, whose memory budget sets the size.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -92,7 +94,7 @@ def _sweep(report: AuditReport, check, m: int, ambient: mg.Ambient, draws=None, 
         table = SmallGroupTable.for_group(m, ambient)
         subgroups = ((codes, codes[:8].tolist()) for codes in map(table.mask_to_codes, table.subgroup_lattice()))
     else:
-        subgroups = ((mg.closure_codes(m, gens, stop_above=stop_above), about) for gens, about in draws)
+        subgroups = _closed_in_blocks(m, draws, stop_above)
     for codes, about in subgroups:
         report.subgroups_tested += 1
         if codes is None:
@@ -103,6 +105,15 @@ def _sweep(report: AuditReport, check, m: int, ambient: mg.Ambient, draws=None, 
             if not holds:
                 report.counterexamples.append({**fields, "subgroup": about})
     return report
+
+
+def _closed_in_blocks(m: int, draws, stop_above):
+    """(closure or None, description) for each draw, closed a block at a time."""
+    size = mg.closure_block_size(m, stop_above)
+    draws = iter(draws)
+    while block := list(itertools.islice(draws, size)):
+        gens, abouts = zip(*block)
+        yield from zip(mg.closure_block(m, gens, stop_above), abouts)
 
 
 def _surjects(codes: np.ndarray, modulus: int, level: int) -> bool:

@@ -167,8 +167,8 @@ def _run_certify(args) -> dict:
         return report.to_json()
     coeffs = args.curve.split(",")
     if len(coeffs) != 2:
-        raise InvalidInputError(f"--curve over Q needs two rationals a,b, e.g. --curve 1,1/2; got {_shown(args.curve)}")
-    curve = ecff.validate(*map(_fraction, coeffs))
+        raise InvalidInputError(f"{Q_CURVE_FORM}; got {_shown(args.curve)}")
+    curve = ecff.validate(*(_fraction(c, Q_CURVE_FORM) for c in coeffs))
     # the report writes the integral model, up to 13 times as many digits
     if not all(_within_cap(Fraction(c)) for c in certify.integer_model(curve.a, curve.b)):
         raise _cap_error("the integral model (u^4 a, u^6 b) of the curve")
@@ -180,6 +180,9 @@ def _run_certify(args) -> dict:
 # or writes: inputs, the integral model of a Q curve, disc(f), L(Q).  Well inside
 # Python's 4300-digit int-to-str limit, so every report can be written and read.
 FRACTION_DIGIT_CAP = 1000
+Q_CURVE_FORM = "--curve over Q needs two rationals a,b, e.g. --curve 1,1/2"
+FIELD_CURVE_FORM = "--curve over a field needs two lists of rationals, e.g. --curve [0,1296],[0,0,11664]"
+OMEGA_FORM = "--omega entries have the form p=num/den, e.g. 2=1/2"
 
 
 def _within_cap(value: Fraction) -> bool:
@@ -195,9 +198,9 @@ def _shown(text: str) -> str:
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
-def _fraction(text: str) -> Fraction:
+def _fraction(text: str, form: str) -> Fraction:
     """An exact rational read from its own text (``1/2``, ``-3``, ``0.1``,
-    ``1e400``), within FRACTION_DIGIT_CAP."""
+    ``1e400``), within FRACTION_DIGIT_CAP; its errors start with form, which names the option."""
     shown = _shown(text)
     # refuse before Fraction expands a long literal or a large exponent
     exponent = re.search(r"[eE][-+]?(\d+)", text)
@@ -206,7 +209,7 @@ def _fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError):
-        raise InvalidInputError(f"not a rational number: {text!r}") from None
+        raise InvalidInputError(f"{form}; {shown} is not a rational number") from None
     if not _within_cap(value):
         raise _cap_error(shown)
     return value
@@ -232,8 +235,8 @@ def _parse_field_curve(text: str, K: numfield.MonogenicField):
     own text, as over Q."""
     lists = re.fullmatch(r"\s*\[([^][]*)\]\s*,\s*\[([^][]*)\]\s*", text)
     if lists is None:
-        raise InvalidInputError("field curve needs two coefficient lists, e.g. [0,1296],[0,0,11664]")
-    return tuple(K.elem([_fraction(c) for c in v.split(",")] if v.strip() else []) for v in lists.groups())
+        raise InvalidInputError(FIELD_CURVE_FORM)
+    return tuple(K.elem([_fraction(c, FIELD_CURVE_FORM) for c in v.split(",")] if v.strip() else []) for v in lists.groups())
 
 
 def _run_sieve_bound(args) -> dict:
@@ -242,8 +245,8 @@ def _run_sieve_bound(args) -> dict:
         for part in args.omega.split(","):
             key, eq, val = part.partition("=")
             if not (eq and re.fullmatch(r"\s*[-+]?\d+\s*", key)):
-                raise InvalidInputError(f"--omega entries have the form p=num/den, e.g. 2=1/2; got {_shown(part)}")
-            omega[int(key)] = _fraction(val)
+                raise InvalidInputError(f"{OMEGA_FORM}; got {_shown(part)}")
+            omega[int(key)] = _fraction(val, OMEGA_FORM)
     L, bound = sieve.sieve_bound(omega, args.Q, x=args.x, degree=args.degree, rank=args.rank)
     if not _within_cap(L):
         raise _cap_error("L(Q)")

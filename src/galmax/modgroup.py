@@ -5,10 +5,12 @@ element sets live in numpy arrays.  A subgroup is the sorted int64 array of
 its codes: ``enumerate_group`` (cached, read-only), ``closure_codes`` and
 ``derived_subgroup`` all return one, and every group-level operation
 (closure, derived subgroup, abelianization, conjugacy orbits, reductions) is
-a vectorized scan over such arrays.  Integer codes sort lexicographically by
-(a, b, c, d), which is the canonical element order used for representatives
-and reports.  ``MatModM`` is the scalar form of one matrix, for generators
-and seeded draws.
+a vectorized scan over such arrays.  Subgroups are closed in blocks:
+``closure_block`` closes many generator sets in one breadth-first sweep, as
+many as the memory budget in ``closure_block_size`` allows, and
+``closure_codes`` is its one-set case.  Integer codes sort lexicographically
+by (a, b, c, d), the canonical element order of representatives and
+reports.  ``MatModM`` is one matrix, for generators and seeded draws.
 """
 from __future__ import annotations
 
@@ -99,8 +101,8 @@ def encode(a, b, c, d, m: int) -> np.ndarray:
 
 
 def mat_from_code(code: int, m: int) -> MatModM:
-    a, b, c, d = decode(np.array([code]), m)
-    return MatModM(m, int(a[0]), int(b[0]), int(c[0]), int(d[0]))
+    top, bottom = divmod(int(code), m * m)
+    return MatModM(m, *divmod(top, m), *divmod(bottom, m))
 
 
 def _row_tables(gen_codes: np.ndarray, m: int) -> np.ndarray:
@@ -124,18 +126,15 @@ def mul_codes(codes: np.ndarray, g: MatModM) -> np.ndarray:
     return rows[top] * m2 + rows[bottom]
 
 
-def mul_codes_left(g: MatModM, codes: np.ndarray) -> np.ndarray:
-    m = g.m
-    a, b, c, d = decode(codes, m)
-    na = (g.a * a + g.b * c) % m
-    nb = (g.a * b + g.b * d) % m
-    nc = (g.c * a + g.d * c) % m
-    nd = (g.c * b + g.d * d) % m
-    return encode(na, nb, nc, nd, m)
+def _mul_pairs(x, y, m: int) -> np.ndarray:
+    """Entrywise products x[i] * y[i] of two code arrays (either may be one code)."""
+    a, b, c, d = decode(x, m)
+    e, f, g, h = decode(y, m)
+    return encode((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m)
 
 
 def conj_codes(g: MatModM, codes: np.ndarray) -> np.ndarray:
-    return mul_codes(mul_codes_left(g, codes), g.inv())
+    return mul_codes(_mul_pairs(g.code(), codes, g.m), g.inv())
 
 
 def det_of_codes(codes: np.ndarray, m: int) -> np.ndarray:
@@ -161,33 +160,65 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[np.append(True, a[1:] != a[:-1])] if a.size else a
 
 
-def closure_codes(m: int, gen_codes: Sequence[int], stop_above: int | None = None) -> np.ndarray | None:
-    """Sorted codes of the subgroup generated by gen_codes.
+# The memory budget of one closure block of B sets: B * m^4 keys share one
+# mask, and B closures of the largest order allowed bound its frontiers.
+BLOCK_CODES_CAP = 2**20
+BLOCK_ELEMENTS_CAP = 2**18
 
-    The generated submonoid of a finite group is the generated subgroup, so a
-    breadth-first sweep under right multiplication by the generators suffices.
-    With stop_above set, returns None as soon as more than stop_above elements
-    are seen (early exit for is-it-the-full-group tests).
+
+def closure_block_size(m: int, stop_above: int | None = None) -> int:
+    """How many generator sets one closure_block call may close at modulus m."""
+    bound = gl2_order(m) if stop_above is None else max(stop_above, 1)
+    return max(1, min(BLOCK_CODES_CAP // m**4, BLOCK_ELEMENTS_CAP // bound))
+
+
+def closure_codes(m: int, gen_codes: Sequence[int], stop_above: int | None = None) -> np.ndarray | None:
+    """Sorted codes of the group generated by gen_codes; None if it has more than stop_above elements."""
+    return closure_block(m, [gen_codes], stop_above)[0]
+
+
+def closure_block(m: int, gen_sets: Sequence[Sequence[int]], stop_above: int | None = None) -> list:
+    """closure_codes of each generator set, all in one breadth-first sweep.
+
+    The generated submonoid of a finite group is the generated subgroup, so
+    right multiplication by the generators suffices.  Set t owns the keys
+    t*m^4 + code.  Sets are padded to the longest by repeating a generator
+    (the identity for an empty set), which leaves each closure unchanged.
     """
-    m2 = m * m
-    rows = _row_tables(np.asarray(gen_codes, dtype=np.int64), m)
-    seen = np.zeros(m**4, dtype=bool)
+    m2, m4, B, k = m * m, m**4, len(gen_sets), max([1, *map(len, gen_sets)])
+    if B * m4 >= 2**31:
+        raise ResourceCapError(f"{B} closures mod {m} overflow the int32 keys")
     ident = identity(m).code()
-    seen[ident] = True
-    frontier = np.array([ident], dtype=np.int64)
-    count = 1
-    while True:
-        # one level for every generator at once: gather both rows of each
-        # frontier element through each generator's row table
-        top, bottom = np.divmod(frontier, m2)
-        prod = (rows[:, top] * m2 + rows[:, bottom]).ravel()
-        frontier = _sorted_unique(prod[~seen[prod]])
-        if not frontier.size:
-            return np.flatnonzero(seen)
-        seen[frontier] = True
-        count += frontier.size
-        if stop_above is not None and count > stop_above:
-            return None
+    gens = np.array([list(s) + [s[0] if len(s) else ident] * (k - len(s)) for s in gen_sets], dtype=np.int64)
+    # row r times the j-th generator of set t, at [j, t*m^2 + r]: as the top
+    # row of a code, and as the bottom row of a key in set t
+    rows = _row_tables(gens.T.ravel(), m).astype(np.int32).reshape(k, B * m2)
+    offsets = np.arange(B, dtype=np.int32) * m4
+    tops, bottoms = rows * m2, rows + np.repeat(offsets, m2)
+    frontier = offsets + ident
+    unseen = np.ones(B * m4, dtype=bool)
+    unseen[frontier] = False
+    count, live = np.ones(B, dtype=np.int64), np.ones(B, dtype=bool)
+    while frontier.size:
+        # key = (t*m^2 + top)*m^2 + bottom
+        q, bottom = np.divmod(frontier, m2)
+        bottom += q // m2 * m2
+        fresh = []
+        for top_j, bottom_j in zip(tops, bottoms):
+            # one generator permutes the keys, so its unseen products are new
+            prod = top_j[q] + bottom_j[bottom]
+            prod = prod[unseen[prod]]
+            unseen[prod] = False
+            fresh.append(prod)
+        frontier = np.concatenate(fresh)
+        if stop_above is not None:
+            t = frontier // m4
+            count += np.bincount(t, minlength=B)
+            live = count <= stop_above
+            frontier = frontier[live[t]]
+    keys = np.flatnonzero(~unseen)
+    closures = np.split(keys % m4, np.searchsorted(keys, offsets[1:]))
+    return [codes if alive else None for alive, codes in zip(live, closures)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +339,6 @@ def abelianization_order(m: int, gens: Sequence[MatModM]) -> Abelianization:
     return Abelianization(index, index == 1 or bool(generates.any()))
 
 
-def _mul_pairs(x: np.ndarray, y: np.ndarray, m: int) -> np.ndarray:
-    """Entrywise products x[i] * y[i] of two code arrays."""
-    a, b, c, d = decode(x, m)
-    e, f, g, h = decode(y, m)
-    return encode((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m)
-
-
 # ---------------------------------------------------------------------------
 # conjugacy classes
 
@@ -337,9 +361,11 @@ class ConjClass:
 def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None = None) -> list[ConjClass]:
     """Partition of the (optionally det-filtered) group into conjugation orbits.
 
-    Orbits are computed under conjugation by the full ambient group, via
-    breadth-first search with the standard ambient generators.  Classes are
-    sorted by their minimal element code, which is also the representative.
+    Orbits are under conjugation by the standard ambient generators.  Labels
+    start at each element's index; a pass lowers each to the least of its
+    label's label and its conjugates' labels.  Generators permute the finite
+    set, so the stable label of an orbit is its minimal code, which is the
+    representative and the sort key of the classes.
     """
     codes = enumerate_group(m, ambient)
     if det_filter is not None:
@@ -348,36 +374,17 @@ def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None =
             raise InvalidInputError(f"det filter {det_filter} is not a unit mod {m}")
         codes = codes[det_of_codes(codes, m) == d]
     gens = sl2_generators(m) if ambient == "SL2" else gl2_generators(m)
-    in_set = np.zeros(m**4, dtype=bool)
-    in_set[codes] = True
-    assigned = np.zeros(m**4, dtype=bool)
-    classes: list[ConjClass] = []
-    for c in codes.tolist():
-        if assigned[c]:
-            continue
-        orbit = _conj_orbit(m, c, gens)
-        assigned[orbit] = True
+    index_of = np.zeros(m**4, dtype=np.int64)
+    index_of[codes] = np.arange(codes.size)
+    images = [index_of[conj_codes(g, codes)] for g in gens]
+    label = np.arange(codes.size)
+    while not np.array_equal(label, lowered := np.minimum.reduce([label[label], *(label[i] for i in images)])):
+        label = lowered
+    roots = np.flatnonzero(label == np.arange(codes.size))
+    # cut the codes, grouped by label, after each class; the last piece is empty
+    orbits = np.split(codes[np.argsort(label, kind="stable")], np.cumsum(np.bincount(label)[roots]))[:-1]
+    classes = []
+    for orbit in orbits:
         rep = mat_from_code(int(orbit[0]), m)
-        classes.append(
-            ConjClass(
-                m,
-                ambient,
-                rep,
-                tuple(int(x) for x in orbit),
-                rep.trace,
-                rep.det,
-            )
-        )
-    classes.sort(key=lambda cl: cl.member_codes[0])
+        classes.append(ConjClass(m, ambient, rep, tuple(orbit.tolist()), rep.trace, rep.det))
     return classes
-
-
-def _conj_orbit(m: int, code: int, gens: list[MatModM]) -> np.ndarray:
-    seen = np.zeros(m**4, dtype=bool)
-    seen[code] = True
-    frontier = np.array([code], dtype=np.int64)
-    while frontier.size:
-        conj = np.concatenate([frontier[:0]] + [conj_codes(g, frontier) for g in gens])
-        frontier = _sorted_unique(conj[~seen[conj]])
-        seen[frontier] = True
-    return np.nonzero(seen)[0].astype(np.int64)

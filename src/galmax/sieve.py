@@ -274,23 +274,25 @@ def sieve_bound(
             raise InvalidInputError(f"omega_{p} = {w} outside [0, 1)")
         if w > 0:
             ratios[int(p)] = w / (1 - w)
-    total = Fraction(0)
-    terms = 0
-    primes = sorted(ratios)
+    # L(Q) * D in integers, D = prod d_p over the ratios n_p/d_p; a term's cofactor is D / prod of its d_p
+    primes = sorted(p for p in ratios if p <= Q)
+    D = math.prod(ratios[p].denominator for p in primes)
+    numerator = terms = 0
 
-    def expand(i: int, prod_val: int, prod_ratio: Fraction):
-        nonlocal total, terms
+    def expand(i: int, prod_val: int, num: int, cofactor: int):
+        nonlocal numerator, terms
         terms += 1
         if terms > SIEVE_TERMS_CAP:
             raise ResourceCapError(f"L(Q) has more than {SIEVE_TERMS_CAP} squarefree terms")
-        total += prod_ratio
+        numerator += num * cofactor
         for j in range(i, len(primes)):
             q = primes[j]
             if prod_val * q > Q:
-                continue
-            expand(j + 1, prod_val * q, prod_ratio * ratios[q])
+                break
+            expand(j + 1, prod_val * q, num * ratios[q].numerator, cofactor // ratios[q].denominator)
 
-    expand(0, 1, Fraction(1))
+    expand(0, 1, 1, D)
+    total = Fraction(numerator, D)
     if x is None:
         return total, None
     try:  # float powers: an exact Q^(2 rank) could be huge before it overflows

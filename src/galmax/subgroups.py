@@ -59,10 +59,14 @@ class SmallGroupTable:
         row_of = np.full(m**4, -1, dtype=np.int64)
         row_of[self.codes] = np.arange(self.n)
         self.index_of_code = row_of[key_of_code]
+        # entry [i, j] is the row of codes[i] * codes[j]: both rows of codes[i]
+        # go through the row table of codes[j], for columns j in blocks of 2^14 entries
+        m2, block = m * m, max(1, 2**14 // self.n)
+        tops, bottoms = np.divmod(self.codes, m2)
         self.cayley = np.empty((self.n, self.n), dtype=np.int32)
-        for i in range(self.n):
-            g = mg.mat_from_code(int(self.codes[i]), m)
-            self.cayley[i] = self.index_of_code[mg.mul_codes_left(g, self.codes)]
+        for j in range(0, self.n, block):
+            rows = mg._row_tables(self.codes[j:j + block], m)
+            self.cayley[:, j:j + block] = self.index_of_code[rows[:, tops] * m2 + rows[:, bottoms]].T
         self.identity = int(self.index_of_code[mg.identity(m).code()])
         # inverse: the unique j with i*j = identity
         self.inv = np.empty(self.n, dtype=np.int32)
@@ -75,13 +79,13 @@ class SmallGroupTable:
         return cls(mg.enumerate_group(m, ambient), np.arange(m**4), m)
 
     def _element_orders(self) -> np.ndarray:
-        orders = np.zeros(self.n, dtype=np.int64)
-        for i in range(self.n):
-            k, x = 1, i
-            while x != self.identity:
-                x = int(self.cayley[x, i])
-                k += 1
-            orders[i] = k
+        # powers[i] runs through i^k; order k is recorded where it first hits 1
+        orders, elements = np.zeros(self.n, dtype=np.int64), np.arange(self.n)
+        powers, k = elements, 1
+        while not orders.all():
+            orders[(powers == self.identity) & (orders == 0)] = k
+            powers = self.cayley[powers, elements]
+            k += 1
         return orders
 
     def power_map(self, p: int) -> np.ndarray:
@@ -439,8 +443,10 @@ def _octahedral_preimage(ell: int) -> np.ndarray | None:
     scalar = (b == 0) & (c == 0) & (a == d)
     order = 24 * (ell - 1)
     s = int(codes[np.argmax(u == 2)])
+    # the scalars are generated by a primitive root times the identity
+    root = next(x for x in range(2, ell) if all(pow(x, (ell - 1) // p, ell) != 1 for p in nt.factorint(ell - 1)))
     for cand in codes[u == 1].tolist():
-        pre = mg.closure_codes(ell, [s, cand, *codes[scalar].tolist()], stop_above=order)
+        pre = mg.closure_codes(ell, [s, cand, mg.mat(ell, root, 0, 0, root).code()], stop_above=order)
         if pre is None or pre.size != order:
             continue
         rows = np.searchsorted(codes, pre)

@@ -212,6 +212,7 @@ def test_audits_cap_trials_before_any_work(monkeypatch):
     monkeypatch.setattr(mg, "conjugacy_classes", no_work)
     monkeypatch.setattr(mg, "enumerate_group", no_work)
     monkeypatch.setattr(mg, "closure_codes", no_work)
+    monkeypatch.setattr(mg, "closure_block", no_work)
     too_many = audits.TRIALS_CAP + 1
     with pytest.raises(ResourceCapError):
         audits.coverage_implies_sl2_audit(16, trials=too_many)
@@ -219,3 +220,19 @@ def test_audits_cap_trials_before_any_work(monkeypatch):
         audits.reduction_lemma_audit(2, 4, trials=too_many)
     with pytest.raises(ResourceCapError):
         audits.goursat_audit(4, 3, trials=too_many)
+
+
+@pytest.mark.parametrize("audit,modulus,stop_above", [
+    (lambda trials: audits.coverage_implies_sl2_audit(8, trials=trials, seed=3), 8, None),
+    (lambda trials: audits.reduction_lemma_audit(2, 4, mode="randomized", trials=trials, seed=3), 16, 1536),
+    (lambda trials: audits.goursat_audit(4, 3, mode="randomized", trials=trials, seed=3), 12, 576),
+], ids=["coverage", "reduction", "goursat"])
+def test_sweep_in_blocks_matches_one_closure_at_a_time(audit, modulus, stop_above, monkeypatch):
+    size = mg.closure_block_size(modulus, stop_above)
+    assert size > 1
+    for trials in (1, size, size + 1):
+        blocked = audit(trials).to_json()
+        with monkeypatch.context() as patch:
+            patch.setattr(mg, "closure_block_size", lambda m, stop_above=None: 1)
+            alone = audit(trials).to_json()
+        assert blocked == alone and blocked["subgroups_tested"] == trials

@@ -263,3 +263,82 @@ def test_closure_codes_matches_reference_bfs(m, ambient):
         assert mg.closure_codes(m, gens, stop_above=len(want)).tolist() == want
         if len(want) > 1:
             assert mg.closure_codes(m, gens, stop_above=len(want) - 1) is None
+
+
+@pytest.mark.parametrize(
+    "m,ambient", [(m, "GL2") for m in range(2, 17)] + [(m, "SL2") for m in (18, 25, 27)]
+)
+def test_closure_block_matches_one_set_closures(m, ambient):
+    # one block mixing generator sets of 0 to 4 elements
+    codes = mg.enumerate_group(m, ambient)
+    rng = random.Random(2000 + m)
+    sets = [[int(codes[rng.randrange(codes.size)]) for _ in range(k)] for k in (2, 0, 4, 1, 3, 1)]
+    wants = [reference_closure(m, gens) for gens in sets]
+    got = mg.closure_block(m, sets)
+    assert [c.tolist() for c in got] == wants
+    assert all(c.dtype == np.int64 for c in got)
+    assert [c.tolist() for c in got] == [mg.closure_codes(m, gens).tolist() for gens in sets]
+    # under one stop_above, the largest closures stop and the others close,
+    # one of them with exactly stop_above elements
+    stop = sorted(set(map(len, wants)))[-2]
+    got = mg.closure_block(m, sets, stop_above=stop)
+    want = [w if len(w) <= stop else None for w in wants]
+    assert None in want and want[1] is not None
+    assert [None if c is None else c.tolist() for c in got] == want
+    for gens, c in zip(sets, got):
+        one = mg.closure_codes(m, gens, stop_above=stop)
+        assert (one is None and c is None) or one.tolist() == c.tolist()
+
+
+@pytest.mark.parametrize("m,stop_above", [(2, None), (8, None), (16, None), (16, 1536), (27, 8748)])
+def test_closure_block_size_keeps_the_memory_budget(m, stop_above):
+    size = mg.closure_block_size(m, stop_above)
+    bound = mg.gl2_order(m) if stop_above is None else stop_above
+    assert size >= 1
+    assert size == 1 or size * m**4 <= mg.BLOCK_CODES_CAP
+    assert size == 1 or size * bound <= mg.BLOCK_ELEMENTS_CAP
+
+
+def test_closure_block_refuses_keys_past_int32():
+    with pytest.raises(ResourceCapError):
+        mg.closure_codes(216, [])
+    with pytest.raises(ResourceCapError):
+        mg.closure_block(16, [[]] * 2**15)
+
+
+def conj_orbit_reference(m, code, gens):
+    """The conjugation orbit of one code, by breadth-first search over sets."""
+    seen, frontier = {code}, [code]
+    while frontier:
+        images = np.concatenate([mg.conj_codes(g, np.array(frontier, dtype=np.int64)) for g in gens])
+        frontier = sorted(set(images.tolist()) - seen)
+        seen.update(frontier)
+    return tuple(sorted(seen))
+
+
+@pytest.mark.parametrize(
+    "m,ambient,det",
+    [(m, "GL2", 1) for m in range(2, 17)]
+    + [(m, "GL2", m - 1) for m in range(3, 17)]
+    + [(m, "GL2", None) for m in range(2, 7)]
+    + [(m, "SL2", None) for m in range(2, 17)],
+)
+def test_conjugacy_classes_match_orbit_bfs(m, ambient, det):
+    codes = mg.enumerate_group(m, ambient)
+    if det is not None:
+        codes = codes[mg.det_of_codes(codes, m) == det]
+    gens = mg.sl2_generators(m) if ambient == "SL2" else mg.gl2_generators(m)
+    want, assigned = [], set()
+    for code in codes.tolist():
+        if code not in assigned:
+            want.append(conj_orbit_reference(m, code, gens))
+            assigned.update(want[-1])
+    classes = mg.conjugacy_classes(m, ambient, det_filter=det)
+    assert [cl.member_codes for cl in classes] == want
+    for cl in classes:
+        rep = mg.mat_from_code(cl.member_codes[0], m)
+        assert (cl.m, cl.ambient, cl.representative, cl.trace, cl.det) == (m, ambient, rep, rep.trace, rep.det)
+
+
+def test_conjugacy_classes_of_an_empty_det_slice():
+    assert mg.conjugacy_classes(5, "SL2", det_filter=2) == []

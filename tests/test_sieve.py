@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -151,6 +152,26 @@ def test_sieve_bound_examples():
     # exact rational arithmetic
     L, _ = sieve.sieve_bound({2: Fraction(1, 3), 5: Fraction(2, 7)}, 10)
     assert L == 1 + Fraction(1, 2) + Fraction(2, 5) + Fraction(1, 5)
+
+
+def fraction_sum_L(omega, Q):
+    """L(Q) added up term by term in Fractions."""
+    ratios = {p: w / (1 - w) for p, w in omega.items() if w > 0}
+    total = Fraction(0)
+    for q in range(1, Q + 1):
+        factors = nt.factorint(q)
+        if all(e == 1 and p in ratios for p, e in factors.items()):
+            total += math.prod((ratios[p] for p in factors), start=Fraction(1))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sieve_bound_equals_the_fraction_sum(seed):
+    rng = random.Random(seed)
+    primes = nt.primes_up_to(60)
+    omega = {p: Fraction(rng.randrange(0, 9), rng.randrange(9, 40)) for p in primes if rng.random() < 0.7}
+    for Q in (1, 2, 30, 210, 400):
+        assert sieve.sieve_bound(omega, Q)[0] == fraction_sum_L(omega, Q)
 
 
 def test_sieve_bound_monotone_in_q():
@@ -447,7 +468,11 @@ def _cli_exit(argv):
     (["certify", "--curve", "1,2,3"], "--curve", "a,b"),
     (["sieve-bound", "--Q", "6", "--omega", "=1/2"], "--omega", "p=num/den"),
     (["sieve-bound", "--Q", "6", "--omega", "2=1/2,3"], "--omega", "p=num/den"),
-], ids=["curve-one-value", "curve-three-values", "omega-no-prime", "omega-no-value"])
+    (["certify", "--curve", "1,x"], "--curve", "a,b"),
+    (["sieve-bound", "--Q", "6", "--omega", "2=x"], "--omega", "p=num/den"),
+    (["certify", "--field", "f=[1,0,1]", "--curve", "[x],[1]"], "--curve", "[0,1296],[0,0,11664]"),
+], ids=["curve-one-value", "curve-three-values", "omega-no-prime", "omega-no-value",
+        "curve-not-a-number", "omega-not-a-number", "field-curve-not-a-number"])
 def test_cli_malformed_values_name_the_flag(argv, flag, form):
     code, out, err = _cli_exit(argv)
     assert code == 2 and out == ""
