@@ -3,7 +3,8 @@
 Everything here turns Frobenius signatures (trace, norm, torsion splitting
 data at good degree-one primes) into one-sided verdicts.  ``prime_axis``
 walks the good primes of n curves, over Q or a monogenic field, and
-``signature_columns`` turns each prime into int64 columns.  Every level test
+``signature_columns`` turns a batch of (curve, prime) cells into int64
+columns, with one kernel call per chunk of a curve's primes.  Every level test
 (mod l >= 5 by characteristic-polynomial witnesses, mod 4, 8, 9 by table
 elimination, the quadratic entanglement conditions) is one
 ``LevelAccumulator``, and ``stream_levels`` is the one loop that feeds it:
@@ -49,7 +50,7 @@ from .verdict import Verdict, certified, inconclusive, obstruction
 ENTANGLEMENT_DISCRIMINANTS = (-3, -4, 8, -8, 12, 24, -24)
 
 # nt.primes_up_to allocates one byte per integer up to the bound (the int64
-# products of the per-prime kernel stay below 21 p^2, exact far beyond it)
+# products of the per-cell kernel stay below 21 p^2, exact far beyond it)
 PRIME_BOUND_CAP = 10**6
 # every prime up to l_max is a mod-l level, and each level's witness test
 # reads a quadratic character table of length l
@@ -66,7 +67,7 @@ _PSI3_ID = {pattern: i for i, pattern in enumerate(PSI3_PATTERNS)}
 # E[3], Frobenius in PGL2(F_3) = S4 has the sign (p/3), as PSL2(F_3) = A4.
 _CUBIC_ID_BY_ROOTS = np.array([_CUBIC_ID[(3,)], _CUBIC_ID[(2, 1)], -1, _CUBIC_ID[(1, 1, 1)]])
 _PSI3_ID_BY_ROOTS = np.array([-1, _PSI3_ID[(3, 1)], _PSI3_ID[(2, 1, 1)], -1, _PSI3_ID[(1, 1, 1, 1)]])
-_PSI3_ID_ROOTLESS = {1: _PSI3_ID[(2, 2)], 2: _PSI3_ID[(4,)]}
+_PSI3_ID_ROOTLESS = np.array([-1, _PSI3_ID[(2, 2)], _PSI3_ID[(4,)]])  # by p mod 3
 # sign of the Frobenius permutation of the 2-torsion points, by cubic pattern id
 _EPS_BY_CUBIC_ID = np.array([1, -1, 1])
 
@@ -207,26 +208,52 @@ def curve_columns(
     """One curve's signatures at every good degree-one prime of prime_axis
     up to the bound, with no early stop: the source of the record view."""
     A, B, K = _axis_coefficients(curve, K)
-    return SignatureColumns.of_rows([
-        (p, -1 if c is None else c, *(int(v[0]) for v in signature_columns(p, a_p, b_p)))
-        for p, c, good, a_p, b_p in prime_axis(A, B, params.prime_bound, K)
-        if good.size
-    ])
+    steps = prime_axis(A, B, params.prime_bound, K)
+    cells = [_raw_cells(p, c, good, a, b) for p, c, good, a, b in steps if good.size]
+    return _chunk_columns(cells)[1] if cells else SignatureColumns.of_rows([])
 
 
-def signature_columns(p: int, A, B):
-    """Frobenius signatures of the curves y^2 = x^3 + A[k] x + B[k] at a
-    prime p >= 5 where all of them have good reduction, as int64 columns
-    (a_p, cubic pattern id, psi3 pattern id, 3-torsion flag), one entry per
-    curve, from one batch_curve_data run.
+def signature_columns(p, A, B):
+    """Frobenius signatures of the cells y^2 = x^3 + A[k] x + B[k] at good
+    primes p >= 5, as int64 columns (a_p, cubic pattern id, psi3 pattern id,
+    3-torsion flag), one entry per cell, from one batch_curve_data run.
 
-    A and B are reduced mod p (int64 arrays or lists of ints).  Pattern ids
-    index CUBIC_PATTERNS and PSI3_PATTERNS.  A rootless psi3 is (2,2) or (4)
-    by p mod 3 alone (see _PSI3_ID_ROOTLESS), with no polynomial arithmetic.
+    p is one prime for every cell (a Python int) or an int64 array with one
+    prime per cell; A and B are reduced mod each cell's prime (int64 arrays
+    or lists of ints).  Pattern ids index CUBIC_PATTERNS and PSI3_PATTERNS.
+    A rootless psi3 is (2,2) or (4) by p mod 3 alone (see
+    _PSI3_ID_ROOTLESS), with no polynomial arithmetic.
     """
     ap, cubic_roots, psi3_roots, has_3pt = ecff.batch_curve_data(p, A, B)
     psi3 = np.where(psi3_roots == 0, _PSI3_ID_ROOTLESS[p % 3], _PSI3_ID_BY_ROOTS[psi3_roots])
     return ap, _CUBIC_ID_BY_ROOTS[cubic_roots], psi3, has_3pt.astype(np.int64)
+
+
+def _raw_cells(p: int, c, good, a, b) -> tuple:
+    """The cells of one prime_axis step, as columns (curve, p, root, A mod P,
+    B mod P) awaiting their signatures."""
+    return good, np.full(good.size, p), np.full(good.size, -1 if c is None else c), a, b
+
+
+def _chunk_columns(cells: list) -> tuple[np.ndarray, SignatureColumns]:
+    """(curve of each cell, its signature columns) for a nonempty list of
+    raw cells in prime order.  The signatures take one signature_columns
+    call per run of primes worth about ecff.BATCH_CELLS (x, cell) entries
+    of sweep, and a run never splits one prime's cells; a run of one prime
+    passes p as an int."""
+    curves, p, root, a, b = (np.concatenate(col) for col in zip(*cells))
+    starts = np.flatnonzero(np.diff(p, prepend=-1)).tolist()  # each prime's first cell
+    runs, lo = [], 0
+    for start, end in zip(starts[1:], starts[2:] + [p.size]):
+        if (end - lo) * int(p[end - 1]) > ecff.BATCH_CELLS:
+            runs.append((lo, start))
+            lo = start
+    runs.append((lo, p.size))
+    sigs = [
+        signature_columns(int(p[lo]) if p[lo] == p[hi - 1] else p[lo:hi], a[lo:hi], b[lo:hi])
+        for lo, hi in runs
+    ]
+    return curves, SignatureColumns(p, root, *(np.concatenate(col) for col in zip(*sigs)))
 
 
 def _records(cols: SignatureColumns) -> list[FrobSignature]:
@@ -270,9 +297,11 @@ def check_ell(ell: int) -> None:
         raise InvalidInputError("certify_mod_ell needs a prime l >= 5")
 
 
-def _mod_ell_hits(ell: int, norm, ap) -> np.ndarray:
-    """hits[i, k]: whether cell k witnesses condition i of certify_mod_ell
-    (split, nonsplit, projective order > 5); never where ell divides the norm.
+def _mod_ell_hits(ell: np.ndarray, chi, norm, ap) -> np.ndarray:
+    """hits[i, j, k]: whether cell k witnesses condition j of certify_mod_ell
+    (split, nonsplit, projective order > 5) at the prime ell[i]; never where
+    that prime divides the norm.  ell is a column of primes, and chi their
+    quadratic characters, as ecff._character(ell) reads them.
 
     With t, d the trace and determinant mod ell and u = t^2/d, the tests
     u in {0, 1, 2, 4} and u^2 - 3u + 1 = 0 are taken times d and d^2, so no
@@ -281,12 +310,12 @@ def _mod_ell_hits(ell: int, norm, ap) -> np.ndarray:
     t, d = ap % ell, norm % ell
     t2 = t * t % ell
     disc = (t2 - 4 * d) % ell
-    chi = ecff.quadratic_character_table(ell)[disc]
-    split = (t != 0) & (disc != 0) & (chi == 1)
-    nonsplit = (t != 0) & (chi == -1)
+    sign = chi(disc)
+    split = (t != 0) & (disc != 0) & (sign == 1)
+    nonsplit = (t != 0) & (sign == -1)
     order = (t2 != 0) & (t2 != d) & (t2 != 2 * d % ell) & (t2 != 4 * d % ell)
     order &= (t2 * t2 - 3 * t2 * d + d * d) % ell != 0
-    return np.stack([split, nonsplit, order]) & (d != 0)
+    return np.stack([split, nonsplit, order], axis=1) & (d != 0)[:, None]
 
 
 @lru_cache(maxsize=None)
@@ -346,28 +375,36 @@ class LevelAccumulator:
 
     ``feed`` takes a batch of cells as equal-length columns (curve index,
     norm, a_p, cubic and psi3 pattern ids, 3-torsion flag; -1 for a missing
-    pattern or flag), such as
-    one prime's signature_columns over a box or all of one curve's
-    curve_columns.  Cells are numbered in feed order.  Per curve it keeps the
-    first cell witnessing each condition of certify_mod_ell at each ell, the
-    first cell refuting each entanglement coupling, and the observed-class
-    and determinant bitmaps of each elimination level m.
+    pattern or flag), such as one prime's signature_columns over a box or a
+    chunk of one curve's primes.  Cells are numbered in feed order.  Per
+    curve it keeps the first cell witnessing each condition of
+    certify_mod_ell at each ell (one (ell, condition, curve) array, with
+    witnesses[ell] a view of its ell rows), the first cell refuting each
+    entanglement coupling, and the observed-class and determinant bitmaps
+    of each elimination level m.
     """
 
     UNSET = np.iinfo(np.int64).max
 
     def __init__(self, n: int, ells=(), ms=(), entanglement: bool = False):
+        ells = tuple(ells)
         for ell in ells:
             check_ell(ell)
         self.n = n
         self.cells = 0
-        self.witnesses = {ell: np.full((3, n), self.UNSET) for ell in ells}
+        self.first_witness = np.full((len(ells), 3, n), self.UNSET)
+        self.witnesses = dict(zip(ells, self.first_witness))
+        self._ells = np.array(ells, dtype=np.int64)[:, None]
+        self._ell_chi = ecff._character(self._ells) if ells else None
         self.levels = {m: _level(m) for m in ms}
         self.observed = {m: np.zeros((n, len(lv.classes)), dtype=bool) for m, lv in self.levels.items()}
         self.dets = {m: np.zeros((n, m), dtype=bool) for m in ms}
         self.refuted = np.full((len(ENTANGLEMENT_DISCRIMINANTS), n), self.UNSET) if entanglement else None
 
     def feed(self, curves, norm, ap, cubic, psi3, flag) -> None:
+        """Take a batch of cells: every ell's witness test in one pass over
+        the (ell, cell) grid, one lowering of all first-witness rows, then
+        the elimination bitmaps and the entanglement refutations."""
         curves, norm, ap, cubic, psi3, flag = (
             np.asarray(v, dtype=np.int64) for v in (curves, norm, ap, cubic, psi3, flag)
         )
@@ -377,8 +414,8 @@ class LevelAccumulator:
             raise InvalidInputError(f"trace {ap[k]} violates the Hasse bound at {norm[k]}")
         order = self.cells + np.arange(curves.size)
         self.cells += curves.size
-        for ell, first in self.witnesses.items():
-            self._first(first, _mod_ell_hits(ell, norm, ap), curves, order)
+        if self._ell_chi is not None:
+            self._first(self.first_witness, _mod_ell_hits(self._ells, self._ell_chi, norm, ap), curves, order)
         for m, lv in self.levels.items():
             keys = _cell_keys(m, norm, ap, cubic, psi3, flag)
             use = keys >= 0
@@ -395,9 +432,11 @@ class LevelAccumulator:
 
     @staticmethod
     def _first(first, hits, curves, order) -> None:
-        """Lower first[i, k] to the order of curve k's first cell in hits[i]."""
-        for row, hit in zip(first, hits):
-            np.minimum.at(row, curves[hit], order[hit])
+        """Lower first[..., k] to the order of curve k's first cell in
+        hits[..., :], every row in one pass (first is C-contiguous, so its
+        reshape is a view)."""
+        row, cell = np.divmod(np.flatnonzero(hits), curves.size)
+        np.minimum.at(first.reshape(-1), row * first.shape[-1] + curves[cell], order[cell])
 
     # -- per-curve outcomes, as bool arrays over the given curves (default: all)
 
@@ -423,7 +462,7 @@ class LevelAccumulator:
         """Which of the given curves every level test the accumulator runs
         certified.  Each test reads only the curves all earlier tests passed,
         so the elimination products are paid for the few curves left."""
-        tests = [lambda k, ell=ell: self.mod_ell_certified(ell, k) for ell in self.witnesses]
+        tests = [lambda k: (self.first_witness[:, :, k] != self.UNSET).all(axis=(0, 1))]
         tests += [lambda k, m=m: self.elimination_certified(m, k) for m in self.levels]
         if self.refuted is not None:
             tests.append(self.entanglement_certified)
@@ -502,15 +541,18 @@ def stream_levels(
     (as prime_axis takes them) until acc certifies every curve or the primes
     run out, and yield each fed chunk as (curve of each cell, its columns).
 
-    A chunk ends at the first prime that brings it to at least
-    max(_FIRST_CHUNK, cells fed so far / curves) cells: one prime of a box,
-    runs of 16, 16, 32, 64, ... primes for one curve, so a decided curve
-    stops within twice the primes it needed (or 16) and the accumulator is
-    fed only O(log primes) times.  After each chunk, the curves it fed that
-    acc now certifies leave the stream: later primes neither reduce nor feed
-    them.  Certification is monotone in the cells fed, so every curve ends
-    with the outcome a full feed gives; a curve left uncertified sees every
-    prime.
+    A chunk holds the raw cells (curve, p, c, A mod P, B mod P) of the
+    primes walked since the last feed, and ends at the first prime that
+    brings it to at least max(_FIRST_CHUNK, cells fed so far / curves)
+    cells: one prime of a box, runs of 16, 16, 32, 64, ... primes for one
+    curve, so a decided curve stops within twice the primes it needed (or
+    16) and the accumulator is fed only O(log primes) times.  Its signatures
+    take one kernel call per run of primes worth about ecff.BATCH_CELLS
+    sweep entries (see _chunk_columns): one call for each of a certified
+    curve's first chunks.  After each chunk, the curves it fed that acc now
+    certifies leave the stream: later primes neither reduce nor feed them.
+    Certification is monotone in the cells fed, so every curve ends with the
+    outcome a full feed gives; a curve left uncertified sees every prime.
     """
     if acc.n == 0:
         return
@@ -519,8 +561,7 @@ def stream_levels(
     for p, c, good, a, b in prime_axis(A, B, prime_bound, K, live):
         if not good.size:
             continue
-        root = -1 if c is None else c
-        chunk.append((good, np.full(good.size, p), np.full(good.size, root), *signature_columns(p, a, b)))
+        chunk.append(_raw_cells(p, c, good, a, b))
         held += good.size
         if held >= max(_FIRST_CHUNK, fed // acc.n):
             yield _feed_chunk(acc, chunk, live)
@@ -532,10 +573,9 @@ def stream_levels(
 
 
 def _feed_chunk(acc: LevelAccumulator, chunk: list, live: np.ndarray) -> tuple[np.ndarray, SignatureColumns]:
-    """Feed the per-prime cells in chunk as one batch, then clear in live the
-    curves of the chunk that acc now certifies."""
-    curves, *cols = (np.concatenate(col) for col in zip(*chunk))
-    cols = SignatureColumns(*cols)
+    """Feed the signatures of the raw cells in chunk as one batch, then clear
+    in live the curves of the chunk that acc now certifies."""
+    curves, cols = _chunk_columns(chunk)
     acc.feed(curves, cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)
     rows = np.unique(curves)
     live[rows[acc.certified(rows)]] = False

@@ -2,12 +2,13 @@
 and over the rationals, plus the exhaustive family counts used by the
 statistics harness.
 
-One per-prime kernel, ``batch_curve_data``, computes everything a Frobenius
+One per-cell kernel, ``batch_curve_data``, computes everything a Frobenius
 signature needs (the trace, the root count of the cubic, the root count of
-the 3-division quartic and the 3-torsion flag) for one curve or a whole box
-at once: a vectorised sweep over x in F_p for the trace, in blocks of x
-values by curves, and the rest read off the trace.  Family scans over all
-coefficient pairs mod p are vectorized to O(p^2).
+the 3-division quartic and the 3-torsion flag) for a batch of (curve, prime)
+cells at once, a whole box at one prime or one curve at a run of primes: a
+vectorised sweep over x for the trace, in blocks of x values by cells, and
+the rest read off the trace.  Family scans over all coefficient pairs mod p
+are vectorized to O(p^2).
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from . import nt
 from .errors import BadReductionError, InvalidInputError, ResourceCapError, SingularCurveError
 
 FAMILY_SCAN_P_CAP = 2000
-BATCH_CELLS = 1 << 16  # (x, curve) cells per block of the batch_curve_data sweep
+BATCH_CELLS = 1 << 16  # (x, cell) entries per block of the batch_curve_data sweep
 
 
 def discriminant(a, b):
@@ -118,6 +119,18 @@ def _check_p(p: int):
         raise InvalidInputError(f"prime fields require a prime p >= 5, got {p}")
 
 
+def _cell_primes(p):
+    """p as batch_curve_data takes it: a Python int, or an int64 array with
+    one prime per cell; every distinct prime is checked."""
+    if isinstance(p, (int, np.integer)):
+        _check_p(int(p))
+        return int(p)
+    p = np.asarray(p, dtype=np.int64)
+    for q in np.unique(p).tolist():
+        _check_p(q)
+    return p
+
+
 @lru_cache(maxsize=64)
 def quadratic_character_table(p: int) -> np.ndarray:
     """chi[v] = legendre(v, p) as an int8 array of length p."""
@@ -204,30 +217,52 @@ def _disc_mod(p: int, A, B) -> np.ndarray:
     return (4 * (A * A % p) % p * A + 27 * (B * B % p)) % p
 
 
-def _x_sum(p: int, shape, term) -> np.ndarray:
-    """Sum over x in F_p of term(x), an (x, curve) array for a column of x
-    values, in blocks of about BATCH_CELLS cells: one int64 per curve."""
-    total = np.zeros(shape, dtype=np.int64)
-    block = max(1, BATCH_CELLS // max(total.size, 1))
-    for x0 in range(0, p, block):
-        total += term(np.arange(x0, min(x0 + block, p), dtype=np.int64)[:, None]).sum(axis=0)
+def _x_sum(p, n: int, term) -> np.ndarray:
+    """Sum over x in F_p of term(x), an (x, cell) array for a column of x
+    values, in blocks of about BATCH_CELLS entries: one int64 per cell.  With
+    one prime per cell, x runs below the largest and each cell masks x >= p."""
+    total = np.zeros(n, dtype=np.int64)
+    block = max(1, BATCH_CELLS // max(n, 1))
+    bound = p if isinstance(p, int) else int(p.max(initial=0))
+    for x0 in range(0, bound, block):
+        x = np.arange(x0, min(x0 + block, bound), dtype=np.int64)[:, None]
+        values = term(x)
+        total += (values if isinstance(p, int) else values * (x < p)).sum(axis=0)
     return total
 
 
-def batch_curve_data(p: int, A, B):
-    """Traces and splitting data for n curves at one good prime p >= 5.
+def _character(p):
+    """chi(v) = legendre(v, p) for v reduced mod p: a lookup in p's cached
+    table, or with one prime per cell in the tables of the distinct primes
+    laid end to end, at an offset per cell."""
+    if isinstance(p, int):
+        return quadratic_character_table(p).__getitem__
+    primes, cell_prime = np.unique(p, return_inverse=True)
+    table = np.concatenate([quadratic_character_table(q) for q in primes.tolist()])
+    offset = (np.cumsum(primes) - primes)[cell_prime.reshape(p.shape)]
+    return lambda v: table[v + offset]
 
-    Returns (ap, cubic_roots, psi3_roots, psi3_point_flag), one entry per
-    curve: the trace a_p, the number of roots of x^3 + Ax + B, the number of
-    roots of psi3 = 3x^4 + 6Ax^2 + 12Bx - A^2 (the x-coordinates of the four
-    order-3 subgroups) and whether E(F_p) has a point of order 3.  A and B
-    are int64 arrays (or sequences of ints that fit); raises
-    BadReductionError if p divides any curve's discriminant.
+
+def batch_curve_data(p, A, B):
+    """Traces and splitting data for n curves at good primes p >= 5.
+
+    p is one prime for every cell (a Python int) or an int64 array with one
+    prime per cell, and cell k is the curve y^2 = x^3 + A[k] x + B[k] at
+    the prime of cell k.  Returns (ap, cubic_roots, psi3_roots,
+    psi3_point_flag), one entry per cell: the trace a_p, the number of
+    roots of x^3 + Ax + B, the number of roots of psi3 = 3x^4 + 6Ax^2 +
+    12Bx - A^2 (the x-coordinates of the four order-3 subgroups) and
+    whether E(F_p) has a point of order 3.  A and B are int64 arrays (or
+    sequences of ints that fit); raises InvalidInputError if a cell's p is
+    not a prime >= 5 and BadReductionError, naming the prime, if p divides
+    a cell's discriminant.
 
     Only a_p = -sum_x chi(x^3 + Ax + B) is swept over x, in blocks of about
-    BATCH_CELLS (x, curve) cells, so one curve at p < BATCH_CELLS takes a
-    single vectorised pass.  The rest is read off X^2 - a_p X + p, the
-    characteristic polynomial of Frobenius, mod 2 and mod 3:
+    BATCH_CELLS (x, cell) entries, so one curve at p < BATCH_CELLS takes a
+    single vectorised pass, and so do the cells of several primes, which
+    sweep x below the largest and mask x >= p per cell.  The rest is read
+    off X^2 - a_p X + p, the characteristic polynomial of Frobenius, mod 2
+    and mod 3:
     - the cubic has no root if #E(F_p) = p + 1 - a_p is odd, else 3 roots if
       Delta is a square mod p and 1 root if not; the flag is 3 | p + 1 - a_p;
     - psi3 has a root for each Frobenius-stable line of E[3].  At p = 2 mod 3
@@ -235,29 +270,27 @@ def batch_curve_data(p: int, A, B):
       none if 3 | a_p; otherwise Frobenius has the double eigenvalue
       lambda = -a_p and fixes one line, or all four if it is scalar, which
       needs E[3] in E(F_p) (lambda = 1, 9 | p + 1 - a_p) or in the quadratic
-      twist (lambda = -1, 9 | p + 1 + a_p).  Only those curves get a second
+      twist (lambda = -1, 9 | p + 1 + a_p).  Only those cells get a second
       sweep, which counts the roots of psi3.
     """
-    _check_p(p)
+    p = _cell_primes(p)
     A = np.asarray(A, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     disc = _disc_mod(p, A, B)
     if not disc.all():
-        raise BadReductionError(f"singular reduction at p={p}")
-    chi = quadratic_character_table(p)
-    ap = -_x_sum(p, A.shape, lambda x: chi[(x * x % p * x % p + A * x + B) % p])
-    cubic_roots = np.where(ap % 2, 0, np.where(chi[-disc % p] == 1, 3, 1))
+        bad = p if isinstance(p, int) else p[np.argmin(disc != 0)]
+        raise BadReductionError(f"singular reduction at p={bad}")
+    chi = _character(p)
+    ap = -_x_sum(p, A.size, lambda x: chi((x * x % p * x % p + A * x + B) % p))
+    cubic_roots = np.where(ap % 2, 0, np.where(chi(-disc % p) == 1, 3, 1))
     t = ap % 3
-    if p % 3 == 2:
-        psi3_roots = np.where(t == 0, 2, 0)
-    else:
-        psi3_roots = np.where(t == 0, 0, 1)
-        scalar = np.flatnonzero((t != 0) & ((p + 1 + np.where(t == 1, ap, -ap)) % 9 == 0))
-        if scalar.size:
-            a, b = A[scalar], B[scalar]
-            psi3_roots[scalar] = _x_sum(
-                p, scalar.shape, lambda x: (3 * (x * x % p) ** 2 + 6 * a * (x * x % p) + 12 * b * x - a * a) % p == 0
-            )
+    psi3_roots = np.where(p % 3 == 2, np.where(t == 0, 2, 0), np.where(t == 0, 0, 1))
+    scalar = np.flatnonzero((p % 3 == 1) & (t != 0) & ((p + 1 + np.where(t == 1, ap, -ap)) % 9 == 0))
+    if scalar.size:
+        a, b, q = A[scalar], B[scalar], p if isinstance(p, int) else p[scalar]
+        psi3_roots[scalar] = _x_sum(
+            q, scalar.size, lambda x: (3 * (x * x % q) ** 2 + 6 * a * (x * x % q) + 12 * b * x - a * a) % q == 0
+        )
     return ap, cubic_roots, psi3_roots, (p + 1 - ap) % 3 == 0
 
 

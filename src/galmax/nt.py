@@ -2,20 +2,23 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes p <= bound, ascending."""
+@lru_cache(maxsize=16)
+def primes_up_to(bound: int) -> tuple[int, ...]:
+    """All primes p <= bound, ascending; memoized, so the result is an
+    immutable tuple that every caller shares."""
     if bound < 2:
-        return []
+        return ()
     sieve = np.ones(bound + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.nonzero(sieve)[0]]
+    return tuple(np.flatnonzero(sieve).tolist())
 
 
 def legendre(a: int, p: int) -> int:

@@ -1,7 +1,7 @@
 """Box scans, equidistribution reports, and the large-sieve bound evaluator.
 
 Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan runs the
-same prime axis, per-prime kernel, level tests and stream that certify one
+same prime axis, per-cell kernel, level tests and stream that certify one
 curve: ``certify.stream_levels`` feeds a ``certify.LevelAccumulator`` over
 the box one prime at a time, each prime's ``certify.signature_columns``
 over the open curves with good reduction there (one blocked

@@ -19,10 +19,11 @@ and for m = 8, 9 it consists of the maximal such subgroups, which eliminate
 exactly the same observation sets (any smaller subgroup realizes a subset
 of the signatures of a maximal one).
 
-Every table is built with two group engines.  ``modgroup.closure_codes``
-gives the octahedral preimage at a prime.  ``SmallGroupTable`` gives the
-lattices for m <= 4 and, at m = 9, the maximal subgroups of GL2(F_3), the
-lattice of the mod-3 kernel and the complements in each quotient.
+Every table is built with two group engines.  ``modgroup.closure_block``
+gives the octahedral preimage at a prime, closing its candidates a block at
+a time.  ``SmallGroupTable`` gives the lattices for m <= 4 and, at m = 9,
+the maximal subgroups of GL2(F_3), the lattice of the mod-3 kernel and the
+complements in each quotient.
 ``SmallGroupTable.conjugacy_representatives`` keeps one subgroup per
 conjugacy class.
 """
@@ -445,14 +446,21 @@ def _octahedral_preimage(ell: int) -> np.ndarray | None:
     s = int(codes[np.argmax(u == 2)])
     # the scalars are generated by a primitive root times the identity
     root = next(x for x in range(2, ell) if all(pow(x, (ell - 1) // p, ell) != 1 for p in nt.factorint(ell - 1)))
-    for cand in codes[u == 1].tolist():
-        pre = mg.closure_codes(ell, [s, cand, mg.mat(ell, root, 0, 0, root).code()], stop_above=order)
-        if pre is None or pre.size != order:
-            continue
-        rows = np.searchsorted(codes, pre)
-        counts = [int(((u[rows] == k) & ~scalar[rows]).sum()) for k in (0, 1, 2)]
-        if counts == [9 * (ell - 1), 8 * (ell - 1), 6 * (ell - 1)]:
-            return pre if _det_is_full(pre, ell) else None
+    scalars = mg.mat(ell, root, 0, 0, root).code()
+    candidates = codes[u == 1].tolist()
+    # blocks of 1, 2, 4, ... candidates (up to the memory budget): an early
+    # candidate usually passes, and a long search pays O(log) block calls
+    start, size, cap = 0, 1, mg.closure_block_size(ell, order)
+    while start < len(candidates):
+        block = [[s, cand, scalars] for cand in candidates[start : start + size]]
+        start, size = start + size, min(2 * size, cap)
+        for pre in mg.closure_block(ell, block, stop_above=order):
+            if pre is None or pre.size != order:
+                continue
+            rows = np.searchsorted(codes, pre)
+            counts = [int(((u[rows] == k) & ~scalar[rows]).sum()) for k in (0, 1, 2)]
+            if counts == [9 * (ell - 1), 8 * (ell - 1), 6 * (ell - 1)]:
+                return pre if _det_is_full(pre, ell) else None
     return None
 
 

@@ -511,17 +511,25 @@ def test_certified_reports_do_not_depend_on_the_prime_bound(case):
 
 
 def test_certified_curve_runs_the_kernel_at_few_primes(monkeypatch):
-    kernel, primes = ecff.batch_curve_data, []
+    kernel, feed, primes, calls, chunks = ecff.batch_curve_data, certify.LevelAccumulator.feed, [], [], []
 
     def counting(p, A, B):
-        primes.append(p)
+        primes.extend(np.broadcast_to(p, len(A)).tolist())  # every cell's prime
+        calls.append(p)
         return kernel(p, A, B)
 
+    def feeding(self, curves, *cols):
+        chunks.append(len(curves))
+        return feed(self, curves, *cols)
+
     monkeypatch.setattr(ecff, "batch_curve_data", counting)
+    monkeypatch.setattr(certify.LevelAccumulator, "feed", feeding)
     rep = certify.serre_check(E11, certify.CertParams(prime_bound=10**4))
     assert rep.verdict.is_certified
     assert 0 < len(primes) <= 64
     assert rep.primes_scanned == len(set(primes)) == len(primes)
+    # one kernel call per chunk fed: the 32 primes of the certificate are two chunks of 16
+    assert rep.primes_scanned == 32 and len(calls) == len(chunks) == 2
 
 
 def test_primes_scanned_counts_every_prime_of_an_undecided_curve():

@@ -249,6 +249,72 @@ def test_batch_with_one_singular_curve_raises():
     assert (ecff.discriminant(A, B) % 11 == 0).tolist() == [False, False, True, False]
 
 
+def _mixed_cells(rng, primes, roots_per_prime):
+    """Cells (p, A mod p, B mod p) for some primes: Q-style cells (one curve
+    per prime) when roots_per_prime is 1, field-style cells (several reduced
+    curves share one p) otherwise, plus at each p = 1 mod 3 a cell whose
+    Frobenius passes the scalar test and reaches the second psi3 sweep."""
+    cells = []
+    for p in primes:
+        pairs = []
+        while len(pairs) < roots_per_prime:
+            a, b = rng.randrange(p), rng.randrange(p)
+            if ecff.discriminant(a, b) % p:
+                pairs.append((a, b))
+        if p % 3 == 1:
+            for a, b in ((a, b) for a in range(p) for b in range(p) if ecff.discriminant(a, b) % p):
+                ap = point_count(p, a, b)[1]
+                if ap % 3 and (p + 1 + (ap if ap % 3 == 1 else -ap)) % 9 == 0:
+                    pairs.append((a, b))
+                    break
+        cells += [(p, a, b) for a, b in pairs]
+    rng.shuffle(cells)
+    return cells
+
+
+@pytest.mark.parametrize("roots_per_prime", [1, 3])
+@pytest.mark.parametrize("batch_cells", [ecff.BATCH_CELLS, 50])
+def test_mixed_prime_cells_match_one_call_per_prime(monkeypatch, roots_per_prime, batch_cells):
+    # one call over cells of many primes (in any order, the sweep in one block
+    # or in many) gives each cell the columns of its own prime's call
+    rng = random.Random(roots_per_prime)
+    primes = [5, 7, 13, 19, 31, 37, 43, 97, 101, 211, 499, 1009]
+    cells = _mixed_cells(rng, primes, roots_per_prime)
+    p, A, B = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    monkeypatch.setattr(ecff, "BATCH_CELLS", batch_cells)
+    mixed = ecff.batch_curve_data(p, A, B)
+    columns = certify.signature_columns(p, A, B)
+    monkeypatch.setattr(ecff, "BATCH_CELLS", 1 << 16)
+    for q in primes:
+        at = np.flatnonzero(p == q)
+        single = (*ecff.batch_curve_data(q, A[at], B[at]), *certify.signature_columns(q, A[at], B[at]))
+        for got, want in zip((*mixed, *columns), single):
+            assert got[at].tolist() == want.tolist(), q
+    ap, t = mixed[0], mixed[0] % 3
+    swept = (p % 3 == 1) & (t != 0) & ((p + 1 + np.where(t == 1, ap, -ap)) % 9 == 0)
+    assert swept.sum() >= sum(q % 3 == 1 for q in primes)
+    assert set(mixed[2][swept].tolist()) == {1, 4}  # scalar Frobenius met, and turned down
+
+
+def test_mixed_prime_cells_check_every_prime():
+    A, B = [1, 1, 1], [1, 1, 1]
+    for p in ([7, 11, 9], [7, 3, 11], [7, 1, 11], [7, -7, 11]):
+        with pytest.raises(InvalidInputError):
+            ecff.batch_curve_data(np.array(p), A, B)
+        with pytest.raises(InvalidInputError):
+            certify.signature_columns(np.array(p), A, B)
+
+
+def test_mixed_prime_cells_name_the_singular_cell():
+    # cell 2 is singular at its prime 13; the other cells are good at theirs
+    p = np.array([7, 11, 13, 17])
+    A, B = [1, 1, 1, 1], [1, 1, 1, 1]
+    A[2], B[2] = next((a, b) for a in range(1, 13) for b in range(1, 13) if ecff.discriminant(a, b) % 13 == 0)
+    for kernel in (ecff.batch_curve_data, certify.signature_columns):
+        with pytest.raises(BadReductionError, match=r"p=13\b"):
+            kernel(p, A, B)
+
+
 def test_quartic_split_arrays_match_scalar_path():
     # the scalar (Python int) path is the reference for the int64 array path
     rng = random.Random(7)

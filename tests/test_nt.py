@@ -13,6 +13,15 @@ def test_is_prime_matches_sympy():
         assert nt.is_prime(n) == sympy.isprime(n), n
 
 
+def test_primes_up_to_is_memoized_and_immutable():
+    for bound in (0, 1, 2, 3, 100, 7919, 10**4):
+        primes = nt.primes_up_to(bound)
+        assert primes == tuple(sympy.primerange(2, bound + 1))
+        assert nt.primes_up_to(bound) is primes  # one sieve per bound, shared
+    with pytest.raises(TypeError):
+        nt.primes_up_to(100)[0] = 4
+
+
 def test_factorint_and_phi_match_sympy_below_3000():
     # every n below 3000: the trial division that stops at sqrt(n)
     for n in range(1, 3000):
