@@ -1,4 +1,10 @@
-"""Three-valued certification outcomes with machine-checkable witnesses."""
+"""Three-valued certification outcomes with machine-checkable witnesses.
+
+Witnesses and diagnostics hold JSON values only: str, int, float, bool,
+None, lists, tuples and dicts with str keys.  Producers build them that way
+(``int(...)``, ``str(...)``, ``.tolist()``), and nothing converts them later:
+``Verdict.to_json`` puts the same objects into the report.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -43,10 +49,16 @@ class Verdict:
         return self.status == INCONCLUSIVE
 
     def to_json(self) -> dict[str, Any]:
+        """The verdict as a report dict that ``json.dumps`` writes as is.
+
+        The report shares the witness tuple and the diagnostic values with
+        this verdict (the diagnostics dict itself is a copy), so building it
+        costs O(number of diagnostics) whatever the witnesses hold.
+        """
         return {
             "status": self.status,
-            "witnesses": _jsonable(self.witnesses),
-            "diagnostics": {k: _jsonable(v) for k, v in self.diagnostics.items()},
+            "witnesses": self.witnesses,
+            "diagnostics": dict(self.diagnostics),
         }
 
 
@@ -60,22 +72,3 @@ def obstruction(*witnesses, **diagnostics) -> Verdict:
 
 def inconclusive(**diagnostics) -> Verdict:
     return Verdict(INCONCLUSIVE, (), diagnostics)
-
-
-def _jsonable(v):
-    """v as values json.dumps writes.  A list, tuple or dict with nothing
-    inside to convert is returned as itself, and tuples stay tuples (written
-    as arrays), so reports share witness data instead of copying it."""
-    if isinstance(v, (str, int, float, bool)) or v is None:
-        return v
-    if isinstance(v, dict):
-        out = {str(k): _jsonable(x) for k, x in v.items()}
-        return v if all(isinstance(k, str) and out[k] is x for k, x in v.items()) else out
-    if isinstance(v, (list, tuple, set, frozenset)):
-        out = [_jsonable(x) for x in v]
-        if isinstance(v, (list, tuple)) and all(y is x for x, y in zip(v, out)):
-            return v
-        return tuple(out) if isinstance(v, tuple) else out
-    if hasattr(v, "to_json"):
-        return v.to_json()
-    return repr(v)

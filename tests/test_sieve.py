@@ -174,6 +174,27 @@ def test_sieve_bound_equals_the_fraction_sum(seed):
         assert sieve.sieve_bound(omega, Q)[0] == fraction_sum_L(omega, Q)
 
 
+def test_squarefree_count_counts_the_terms_of_l():
+    primes = list(nt.primes_up_to(60))
+    for Q in (1, 2, 30, 210, 400):
+        terms = sum(1 for q in range(1, Q + 1) if all(
+            e == 1 and p in primes for p, e in nt.factorint(q).items()))
+        assert sieve._squarefree_count(primes, Q, 10**6) == terms
+        if terms > 1:  # stopped as soon as it passes the limit
+            assert sieve._squarefree_count(primes, Q, terms - 2) == terms - 1
+
+
+def test_sieve_bound_cap_raises_before_any_term_is_formed(monkeypatch):
+    # omega on the 9592 primes below 10^5 at Q = 3 * 10^5: past the cap
+    def no_terms(*args):
+        raise AssertionError("a term's product was formed before the cap was checked")
+
+    monkeypatch.setattr(sieve, "_scaled_sum", no_terms)
+    omega = {p: Fraction(1, 2) for p in nt.primes_up_to(10**5)}
+    with pytest.raises(ResourceCapError, match="squarefree terms"):
+        sieve.sieve_bound(omega, 3 * 10**5)
+
+
 def test_sieve_bound_monotone_in_q():
     omega = {2: Fraction(1, 2), 3: Fraction(1, 3), 5: Fraction(1, 5)}
     values = [sieve.sieve_bound(omega, q)[0] for q in (1, 2, 4, 8, 16, 32)]
