@@ -277,7 +277,20 @@ def sieve_bound(
     primes = sorted(p for p in ratios if p <= Q)
     if _squarefree_count(primes, Q, SIEVE_TERMS_CAP) > SIEVE_TERMS_CAP:
         raise ResourceCapError(f"L(Q) has more than {SIEVE_TERMS_CAP} squarefree terms")
-    numerator, D = _scaled_sum(primes, ratios, Q)
+    # L(Q) * D in integers, D = prod d_p over the ratios n_p/d_p; a term's cofactor is D / prod of its d_p
+    D = math.prod(ratios[p].denominator for p in primes)
+    numerator = 0
+
+    def expand(i: int, prod_val: int, num: int, cofactor: int):
+        nonlocal numerator
+        numerator += num * cofactor
+        for j in range(i, len(primes)):
+            q = primes[j]
+            if prod_val * q > Q:
+                break
+            expand(j + 1, prod_val * q, num * ratios[q].numerator, cofactor // ratios[q].denominator)
+
+    expand(0, 1, 1, D)
     total = Fraction(numerator, D)
     if x is None:
         return total, None
@@ -293,34 +306,12 @@ def sieve_bound(
 def _squarefree_count(primes: list[int], Q: int, limit: int) -> int:
     """Number of squarefree q <= Q supported on the sorted primes, counted
     with int comparisons only and stopped once it passes limit."""
-    count = 0
-
-    def walk(i: int, prod_val: int):
-        nonlocal count
+    count, stack = 0, [(0, 1)]  # (index of the next prime allowed, q)
+    while stack and count <= limit:
+        i, q = stack.pop()
         count += 1
         for j in range(i, len(primes)):
-            if count > limit or prod_val * primes[j] > Q:
+            if q * primes[j] > Q:
                 break
-            walk(j + 1, prod_val * primes[j])
-
-    walk(0, 1)
+            stack.append((j + 1, q * primes[j]))
     return count
-
-
-def _scaled_sum(primes: list[int], ratios: dict[int, Fraction], Q: int) -> tuple[int, int]:
-    """(L(Q) * D, D) in integers, D the product of the denominators d_p of
-    the ratios n_p/d_p; a term's cofactor is D / (product of its d_p)."""
-    D = math.prod(ratios[p].denominator for p in primes)
-    numerator = 0
-
-    def expand(i: int, prod_val: int, num: int, cofactor: int):
-        nonlocal numerator
-        numerator += num * cofactor
-        for j in range(i, len(primes)):
-            q = primes[j]
-            if prod_val * q > Q:
-                break
-            expand(j + 1, prod_val * q, num * ratios[q].numerator, cofactor // ratios[q].denominator)
-
-    expand(0, 1, 1, D)
-    return numerator, D

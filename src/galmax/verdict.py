@@ -49,12 +49,9 @@ class Verdict:
         return self.status == INCONCLUSIVE
 
     def to_json(self) -> dict[str, Any]:
-        """The verdict as a report dict that ``json.dumps`` writes as is.
-
-        The report shares the witness tuple and the diagnostic values with
-        this verdict (the diagnostics dict itself is a copy), so building it
-        costs O(number of diagnostics) whatever the witnesses hold.
-        """
+        """The report dict, which ``json.dumps`` writes as is.  It shares the
+        witness tuple and the diagnostic values with this verdict (only the
+        diagnostics dict is copied), so it costs the same whatever they hold."""
         return {
             "status": self.status,
             "witnesses": self.witnesses,

@@ -185,12 +185,13 @@ def test_squarefree_count_counts_the_terms_of_l():
 
 
 def test_sieve_bound_cap_raises_before_any_term_is_formed(monkeypatch):
-    # omega on the 9592 primes below 10^5 at Q = 3 * 10^5: past the cap
-    def no_terms(*args):
-        raise AssertionError("a term's product was formed before the cap was checked")
+    # omega_p = 1/p on the 9592 primes below 10^5 at Q = 3 * 10^5 is past
+    # the cap; the 143 812-bit common denominator D is built before any term
+    def no_denominator(*args):
+        raise AssertionError("D was built before the cap was checked")
 
-    monkeypatch.setattr(sieve, "_scaled_sum", no_terms)
-    omega = {p: Fraction(1, 2) for p in nt.primes_up_to(10**5)}
+    monkeypatch.setattr(sieve.math, "prod", no_denominator)
+    omega = {p: Fraction(1, p) for p in nt.primes_up_to(10**5)}
     with pytest.raises(ResourceCapError, match="squarefree terms"):
         sieve.sieve_bound(omega, 3 * 10**5)
 
