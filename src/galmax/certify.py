@@ -754,7 +754,7 @@ class MaximalityReport:
     conditions: dict
     field_certificate: Verdict
     params: CertParams
-    curve: tuple
+    curve: tuple  # (a, b), each as its tuple of power-basis coefficients: (a,) over Q
     field: tuple
     primes_scanned: int = 0  # degree-one primes fed to conditions (a) and (b)
 
@@ -763,7 +763,7 @@ class MaximalityReport:
         per_m.update({str(m): v.status for m, v in self.conditions["b"].items()})
         per_m.update({str(ell): v.status for ell, v in self.conditions["a"].items()})
         return {
-            "curve": [[str(x) for x in c.coeffs] for c in self.curve],
+            "curve": [[str(x) for x in c] for c in self.curve],
             "field": list(self.field),
             "params": {"prime_bound": self.params.prime_bound, "l_max": self.params.l_max},
             "primes_scanned": self.primes_scanned,
@@ -806,7 +806,7 @@ def certify_maximal(
             conditions={"a": {}, "b": {}, "c": inconclusive(), "d": inconclusive()},
             field_certificate=inconclusive(),
             params=params,
-            curve=(curve.a, curve.b),
+            curve=((curve.a,), (curve.b,)),
             field=(),
         )
     if K is None:
@@ -836,7 +836,7 @@ def certify_maximal(
         conditions={"a": cond_a, "b": cond_b, "c": cond_c, "d": cond_d},
         field_certificate=field_cert,
         params=params,
-        curve=(curve.a, curve.b),
+        curve=(curve.a.coeffs, curve.b.coeffs),
         field=K.coeffs,
         primes_scanned=cols.p.size,
     )

@@ -388,3 +388,31 @@ def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None =
         rep = mat_from_code(int(orbit[0]), m)
         classes.append(ConjClass(m, ambient, rep, tuple(orbit.tolist()), rep.trace, rep.det))
     return classes
+
+
+def conjugacy_representatives(m: int, subgroups: Sequence[np.ndarray]) -> list[tuple[np.ndarray, int]]:
+    """The first subgroup of each GL2(Z/mZ)-conjugacy class among subgroups
+    (sorted code arrays), in input order, with the size of its class.
+
+    A class is the orbit of its first member under conjugation by the
+    standard GL2 generators, each tabulated once as a permutation of all m^4
+    codes; a sort names each image.
+    """
+    perms = [conj_codes(g, np.arange(m**4)) for g in gl2_generators(m)]
+    claimed: set[bytes] = set()
+    out = []
+    for codes in subgroups:
+        codes = np.asarray(codes, dtype=np.int64)
+        if codes.tobytes() in claimed:
+            continue
+        orbit, frontier = {codes.tobytes()}, [codes]
+        while frontier:
+            cur = frontier.pop()
+            for perm in perms:
+                image = np.sort(perm[cur])
+                if (key := image.tobytes()) not in orbit:
+                    orbit.add(key)
+                    frontier.append(image)
+        claimed |= orbit
+        out.append((codes, len(orbit)))
+    return out

@@ -205,6 +205,15 @@ def euler_phi(m: int) -> int:
     return m
 
 
+def primitive_root(n: int) -> int:
+    """The least unit mod n of order phi(n); ValueError if there is none."""
+    phi = euler_phi(n)
+    for g in range(1, n):
+        if math.gcd(g, n) == 1 and all(pow(g, phi // q, n) != 1 for q in factorint(phi)):
+            return g
+    raise ValueError(f"no primitive root mod {n}")
+
+
 def poly_mulmod(f: list, g: list, mod_poly: list, p: int) -> list:
     """Product of f and g modulo (mod_poly, p); mod_poly monic, little-endian.
 

@@ -442,7 +442,7 @@ def _cubic_index(x: int, q: int) -> int:
 @lru_cache(maxsize=128)
 def _cube_roots_of_unity(q: int, phi: int) -> list[int]:
     """z^0, z^1, z^2 mod q for z = g^(phi/3), g the smallest primitive root."""
-    g = next(g for g in range(2, q) if all(pow(g, phi // pf, q) != 1 for pf in nt.factorint(phi)))
+    g = nt.primitive_root(q)
     return [pow(g, k * phi // 3, q) for k in range(3)]
 
 

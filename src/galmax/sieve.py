@@ -141,7 +141,7 @@ def density_scan(
             rows.append(ScanRow(x, 0, 0))
             continue
         if check == "disc-square":
-            failures = sum(1 for a, b in pairs if _is_square(ecff.discriminant(a, b)))
+            failures = sum(1 for a, b in pairs if nt.is_perfect_square(ecff.discriminant(a, b)))
         elif check == "serre":
             failures = _serre_failures(pairs, params)
         else:
@@ -151,10 +151,6 @@ def density_scan(
         "desk-scale trend check only; asymptotic exponents are out of reach at these box sizes",
     ]
     return ScanReport(check=check, rows=rows, params={"prime_bound": params.prime_bound, "l_max": params.l_max, "ell": ell}, caveats=caveats)
-
-
-def _is_square(n) -> bool:
-    return n >= 0 and math.isqrt(int(n)) ** 2 == int(n)
 
 
 def _serre_failures(pairs, params) -> int:

@@ -1,15 +1,13 @@
 """Subgroup enumeration and signature tables for small GL2/SL2 over Z/mZ.
 
-``SmallGroupTable`` is the one Cayley-table engine.  It tabulates either a
-materialized group of modest order or a quotient G/K given by coset keys
-(the level-9 complement search works in such quotients), and provides
-closures, element orders, conjugacy orbits of subgroups and exact
-subgroup-lattice enumeration by cyclic extension.  Every subgroup of a
-solvable group has a subnormal chain with prime cyclic quotients, so
-repeatedly extending known subgroups K by normalizing elements g with g^p in
-K finds the complete lattice whenever the ambient group is solvable.  For
-GL2/SL2 over F_5 and F_7 the non-solvable subgroups are exactly the
-determinant preimages containing SL2, which are appended explicitly.
+``SmallGroupTable`` is the dense Cayley table of a materialized group of
+modest order, for exact subgroup-lattice enumeration by cyclic extension.
+Every subgroup of a solvable group has a subnormal chain with prime cyclic
+quotients, so repeatedly extending known subgroups K by normalizing
+elements g with g^p in K finds the complete lattice whenever the ambient
+group is solvable.  For GL2/SL2 over F_5 and F_7 the non-solvable subgroups
+are exactly the determinant preimages containing SL2, which are appended
+explicitly.
 
 ``subgroup_signature_table`` builds on it: for a modulus m in {2, 3, 4, 8, 9}
 or a prime up to 13, the proper subgroups H with surjective determinant not
@@ -19,13 +17,14 @@ and for m = 8, 9 it consists of the maximal such subgroups, which eliminate
 exactly the same observation sets (any smaller subgroup realizes a subset
 of the signatures of a maximal one).
 
-Every table is built with two group engines.  ``modgroup.closure_block``
-gives the octahedral preimage at a prime, closing its candidates a block at
-a time.  ``SmallGroupTable`` gives the lattices for m <= 4 and, at m = 9,
-the maximal subgroups of GL2(F_3), the lattice of the mod-3 kernel and the
-complements in each quotient.
-``SmallGroupTable.conjugacy_representatives`` keeps one subgroup per
-conjugacy class.
+Every table is built from sorted code arrays.  ``modgroup.closure_block``
+is the one closure: it gives the octahedral preimage at a prime and, at
+m = 9, the complements in each quotient by a normal subgroup of the mod-3
+kernel, closing the candidates of each in one sweep.  ``SmallGroupTable``
+gives the lattices for m <= 4 and, at m = 9, the maximal subgroups of
+GL2(F_3) and the lattice of the mod-3 kernel.
+``modgroup.conjugacy_representatives`` keeps one subgroup per conjugacy
+class.
 """
 from __future__ import annotations
 
@@ -43,15 +42,10 @@ LATTICE_ORDER_CAP = 2600
 
 
 class SmallGroupTable:
-    """Dense multiplication table of a small group or of a quotient G/K."""
+    """Dense multiplication table of a small group, for its subgroup lattice."""
 
-    def __init__(self, codes: np.ndarray, key_of_code: np.ndarray, m: int):
-        """One row per entry of the sorted array ``codes``.
-
-        ``key_of_code`` maps every code mod m to the code of its row: the
-        identity map for a group; for a quotient G/K, the coset key of each
-        element of G, with ``codes`` the sorted keys.
-        """
+    def __init__(self, codes: np.ndarray, m: int):
+        """One row per entry of the sorted array ``codes``, a group mod m."""
         if codes.size > LATTICE_ORDER_CAP:
             raise ResourceCapError(f"group of order {codes.size} exceeds lattice cap {LATTICE_ORDER_CAP}")
         self.m = m
@@ -59,7 +53,6 @@ class SmallGroupTable:
         self.n = int(self.codes.size)
         row_of = np.full(m**4, -1, dtype=np.int64)
         row_of[self.codes] = np.arange(self.n)
-        self.index_of_code = row_of[key_of_code]
         # entry [i, j] is the row of codes[i] * codes[j]: both rows of codes[i]
         # go through the row table of codes[j], for columns j in blocks of 2^14 entries
         m2, block = m * m, max(1, 2**14 // self.n)
@@ -67,27 +60,16 @@ class SmallGroupTable:
         self.cayley = np.empty((self.n, self.n), dtype=np.int32)
         for j in range(0, self.n, block):
             rows = mg._row_tables(self.codes[j:j + block], m)
-            self.cayley[:, j:j + block] = self.index_of_code[rows[:, tops] * m2 + rows[:, bottoms]].T
-        self.identity = int(self.index_of_code[mg.identity(m).code()])
+            self.cayley[:, j:j + block] = row_of[rows[:, tops] * m2 + rows[:, bottoms]].T
+        self.identity = int(row_of[mg.identity(m).code()])
         # inverse: the unique j with i*j = identity
         self.inv = np.empty(self.n, dtype=np.int32)
         rows, cols = np.nonzero(self.cayley == self.identity)
         self.inv[rows] = cols
-        self.order_of = self._element_orders()
 
     @classmethod
     def for_group(cls, m: int, ambient: mg.Ambient) -> "SmallGroupTable":
-        return cls(mg.enumerate_group(m, ambient), np.arange(m**4), m)
-
-    def _element_orders(self) -> np.ndarray:
-        # powers[i] runs through i^k; order k is recorded where it first hits 1
-        orders, elements = np.zeros(self.n, dtype=np.int64), np.arange(self.n)
-        powers, k = elements, 1
-        while not orders.all():
-            orders[(powers == self.identity) & (orders == 0)] = k
-            powers = self.cayley[powers, elements]
-            k += 1
-        return orders
+        return cls(mg.enumerate_group(m, ambient), m)
 
     def power_map(self, p: int) -> np.ndarray:
         acc = np.full(self.n, self.identity, dtype=np.int64)
@@ -99,22 +81,6 @@ class SmallGroupTable:
             cur = self.cayley[cur, cur]
             e >>= 1
         return acc
-
-    def closure_mask(self, seeds) -> np.ndarray:
-        seeds = np.array([int(s) for s in seeds], dtype=np.int64)
-        mask = np.zeros(self.n, dtype=bool)
-        mask[self.identity] = True
-        mask[seeds] = True
-        frontier = np.flatnonzero(mask)
-        while frontier.size:
-            prod = self.cayley[frontier[:, None], seeds].ravel()
-            frontier = mg._sorted_unique(prod[~mask[prod]])
-            mask[frontier] = True
-        return mask
-
-    def normalizes(self, g: int, mask: np.ndarray, members: np.ndarray) -> bool:
-        image = self.cayley[self.cayley[g, members], self.inv[g]]
-        return bool(mask[image].all())
 
     def subgroup_lattice(self) -> list[np.ndarray]:
         """All subgroups, as boolean masks over the element list.
@@ -188,44 +154,6 @@ class SmallGroupTable:
         # always include SL2 itself
         masks.append(sl2_mask)
         return masks
-
-    def conjugacy_orbit_of_subgroup(self, mask: np.ndarray, gen_idxs: list[int]) -> list[np.ndarray]:
-        seen = {mask.tobytes(): mask}
-        frontier = [mask]
-        while frontier:
-            cur = frontier.pop()
-            members = np.nonzero(cur)[0]
-            for g in gen_idxs:
-                image_members = self.cayley[self.cayley[g, members], self.inv[g]]
-                img = np.zeros(self.n, dtype=bool)
-                img[image_members] = True
-                key = img.tobytes()
-                if key not in seen:
-                    seen[key] = img
-                    frontier.append(img)
-        return list(seen.values())
-
-    def conjugacy_representatives(self, masks) -> list[tuple[np.ndarray, int]]:
-        """The first mask of each conjugacy class among ``masks``, in input
-        order, paired with the size of its class."""
-        gen_idxs = self.generator_idxs()
-        claimed: set[bytes] = set()
-        out = []
-        for msk in masks:
-            if msk.tobytes() in claimed:
-                continue
-            orbit = self.conjugacy_orbit_of_subgroup(msk, gen_idxs)
-            claimed.update(om.tobytes() for om in orbit)
-            out.append((msk, len(orbit)))
-        return out
-
-    def generator_idxs(self) -> list[int]:
-        gens = mg.sl2_generators(self.m) if self._looks_sl2() else mg.gl2_generators(self.m)
-        idxs = [int(self.index_of_code[g.code()]) for g in gens]
-        return [i for i in idxs if i >= 0]
-
-    def _looks_sl2(self) -> bool:
-        return self.n == mg.sl2_order(self.m)
 
     def mask_to_codes(self, mask: np.ndarray) -> np.ndarray:
         return self.codes[mask]
@@ -377,15 +305,13 @@ def subgroup_signature_table(m: int) -> SignatureTable:
 
 def _table_from_lattice(m: int) -> SignatureTable:
     table = SmallGroupTable.for_group(m, "GL2")
-    sl2_rows = table.index_of_code[mg.enumerate_group(m, "SL2")]
+    sl2_rows = np.searchsorted(table.codes, mg.enumerate_group(m, "SL2"))
     candidates = [
-        msk for msk in table.subgroup_lattice()
+        table.mask_to_codes(msk) for msk in table.subgroup_lattice()
         if not msk[sl2_rows].all() and _det_is_full(table.mask_to_codes(msk), m)
     ]
-    picked = table.conjugacy_representatives(candidates)
     entries = []
-    for k, (msk, n_conj) in enumerate(picked):
-        codes = table.mask_to_codes(msk)
+    for k, (codes, n_conj) in enumerate(mg.conjugacy_representatives(m, candidates)):
         entries.append(
             TableEntry(
                 label=f"H{k}(order {codes.size})",
@@ -445,7 +371,7 @@ def _octahedral_preimage(ell: int) -> np.ndarray | None:
     order = 24 * (ell - 1)
     s = int(codes[np.argmax(u == 2)])
     # the scalars are generated by a primitive root times the identity
-    root = next(x for x in range(2, ell) if all(pow(x, (ell - 1) // p, ell) != 1 for p in nt.factorint(ell - 1)))
+    root = nt.primitive_root(ell)
     scalars = mg.mat(ell, root, 0, 0, root).code()
     candidates = codes[u == 1].tolist()
     # blocks of 1, 2, 4, ... candidates (up to the memory budget): an early
@@ -583,8 +509,8 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
     K is elementary abelian of order 81 and conjugation acts on it through
     GL2(F_3), so the K0 are the I + 3*S for the maximal invariant subspaces S
     of M2(F_3); they are read off the lattice of K (212 subgroups) as the
-    maximal proper members every GL2(Z/9) generator conjugates into
-    themselves, largest first.  Each M is the preimage of a complement to
+    maximal proper members that are their own conjugacy class, largest
+    first.  Each M is the preimage of a complement to
     K/K0 in G/K0.  Together the cases cover every maximal subgroup: a
     maximal M either contains K (case a) or M.K = G with M meeting K in a
     maximal normal subgroup of G inside K (case b).
@@ -595,20 +521,18 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
 
     # case (a): preimages of conjugates are conjugate
     t3 = SmallGroupTable.for_group(3, "GL2")
-    proper3 = [msk for msk in t3.subgroup_lattice() if not msk.all()]
-    maximal3 = _maximal(proper3, lambda msk: set(np.flatnonzero(msk).tolist()))
-    for k, (msk, _) in enumerate(t3.conjugacy_representatives(maximal3)):
-        sel = np.isin(red3, t3.mask_to_codes(msk))
+    proper3 = [t3.mask_to_codes(msk) for msk in t3.subgroup_lattice() if not msk.all()]
+    maximal3 = _maximal(proper3, lambda sub: set(sub.tolist()))
+    for k, (sub, _) in enumerate(mg.conjugacy_representatives(3, maximal3)):
+        sel = np.isin(red3, sub)
         out.append((f"pre-mod3-max{k}(order {int(sel.sum())})", codes[sel]))
 
     # case (b)
     K = codes[red3 == mg.identity(3).code()]
-    kt = SmallGroupTable(K, np.arange(9**4), 9)
-    gens = mg.gl2_generators(9)
-    normalized = [
-        sub for sub in (kt.mask_to_codes(msk) for msk in kt.subgroup_lattice())
-        if sub.size < K.size and all(np.isin(mg.conj_codes(g, sub), sub).all() for g in gens)
-    ]
+    kt = SmallGroupTable(K, 9)
+    proper = [kt.mask_to_codes(msk) for msk in kt.subgroup_lattice() if not msk.all()]
+    # GL2(Z/9) normalizes a subgroup iff the subgroup is its whole conjugacy class
+    normalized = [sub for sub, n_conj in mg.conjugacy_representatives(9, proper) if n_conj == 1]
     for K0 in sorted(_maximal(normalized, lambda sub: set(sub.tolist())), key=lambda sub: -sub.size):
         name = f"dim{round(math.log(K0.size, 3))}"
         for j, member_codes in enumerate(_complement_preimages_mod9(K0, K)):
@@ -618,55 +542,51 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
 
 def _complement_preimages_mod9(K0: np.ndarray, K: np.ndarray) -> list[np.ndarray]:
     """Subgroups M of GL2(Z/9) with M mod 3 full and M meeting the mod-3
-    kernel K exactly in K0, found as complements in G/K0."""
-    codes = mg.enumerate_group(9, "GL2")
-    # coset key: minimal code in g * K0 (codes outside G are their own key)
-    key_of_code = np.arange(9**4, dtype=np.int64)
-    key_of_code[codes] = np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(int(k), 9)) for k in K0])
-    qt = SmallGroupTable(mg._sorted_unique(key_of_code[codes]), key_of_code, 9)
-    W_mask = np.zeros(qt.n, dtype=bool)
-    W_mask[qt.index_of_code[K]] = True
-    target = qt.n // int(W_mask.sum())
-    # Sylow 2-subgroup of the quotient
-    p_idx = np.nonzero(_sylow2(qt))[0].tolist()
-    complements = []
-    for t in np.nonzero(qt.order_of == 3)[0].tolist():
-        C = qt.closure_mask(p_idx + [t])
-        if int(C.sum()) == target and int((C & W_mask).sum()) == 1:
-            complements.append(C)
-    # one complement per conjugacy class, pulled back to GL2(Z/9)
-    return [codes[C[qt.index_of_code[codes]]] for C, _ in qt.conjugacy_representatives(complements)]
+    kernel K exactly in K0, one per conjugacy class.
 
+    K0 is normal, so a subgroup containing it is the closure of generators
+    plus K0, and each coset of K0 is named by its least code.  M/K0 is a
+    complement to K/K0 in G/K0, of order |GL2(F_3)| = 48, so it holds a
+    Sylow 2-subgroup (order 16) and is generated by it and any element of
+    order 3 in it.  Sylow subgroups are conjugate, so every class has a
+    member containing one fixed P/K0, grown least coset first through
+    normalizers: the candidates are P plus each coset t of order 3, closed
+    in one sweep.
+    """
+    codes, k0 = mg.enumerate_group(9, "GL2"), K0.tolist()
+    cosets = mg._sorted_unique(np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(k, 9)) for k in k0]))
+    in_K0 = np.zeros(9**4, dtype=bool)
+    in_K0[K0] = True
+    # the cosets of 2-power order (g^16 in K0) and of order 3
+    power = cosets
+    for _ in range(4):
+        power = mg._mul_pairs(power, power, 9)
+    two_power = cosets[in_K0[power]]
+    cube = mg._mul_pairs(mg._mul_pairs(cosets, cosets, 9), cosets, 9)
+    order_three = cosets[in_K0[cube] & ~in_K0[cosets]]
 
-def _sylow2(qt: SmallGroupTable) -> np.ndarray:
-    """A Sylow 2-subgroup of the quotient, grown through normalizers."""
-    two_part = 1
-    n = qt.n
-    while n % 2 == 0:
-        two_part *= 2
-        n //= 2
-    mask = np.zeros(qt.n, dtype=bool)
-    mask[qt.identity] = True
     gens: list[int] = []
-    while int(mask.sum()) < two_part:
-        members = np.nonzero(mask)[0]
-        grown = False
-        for g in np.nonzero(_is_2_power(qt.order_of))[0].tolist():
-            if mask[g]:
+    P = K0
+    while P.size < 16 * K0.size:
+        in_P = np.zeros(9**4, dtype=bool)
+        in_P[P] = True
+        for g in two_power[~in_P[two_power]].tolist():
+            if not in_P[mg.conj_codes(mg.mat_from_code(g, 9), P)].all():
                 continue
-            if not qt.normalizes(g, mask, members):
-                continue
-            cand = qt.closure_mask(gens + [g])
-            sz = int(cand.sum())
-            if sz & (sz - 1) == 0:
+            grown = mg.closure_codes(9, gens + [g] + k0)
+            index = grown.size // K0.size
+            if index & (index - 1) == 0:
                 gens.append(g)
-                mask = cand
-                grown = True
+                P = grown
                 break
-        if not grown:
+        else:
             raise RuntimeError("sylow 2-subgroup construction stalled")
-    return mask
 
-
-def _is_2_power(arr: np.ndarray) -> np.ndarray:
-    return (arr & (arr - 1)) == 0
+    # 26 candidates for |K0| = 27 and 98 for |K0| = 3, both within
+    # closure_block_size(9, target) = 159
+    target = 48 * K0.size
+    in_K = np.zeros(9**4, dtype=bool)
+    in_K[K] = True
+    closures = mg.closure_block(9, [gens + [t] + k0 for t in order_three.tolist()], stop_above=target)
+    complements = [C for C in closures if C is not None and C.size == target and in_K[C].sum() == K0.size]
+    return [C for C, _ in mg.conjugacy_representatives(9, complements)]

@@ -29,6 +29,21 @@ def test_factorint_and_phi_match_sympy_below_3000():
         assert nt.euler_phi(n) == sympy.totient(n), n
 
 
+def test_primitive_root_is_least_unit_of_full_order():
+    def order(g, n):
+        k, x = 1, g % n
+        while x != 1 % n:
+            k, x = k + 1, x * g % n
+        return k
+
+    for n in [*nt.primes_up_to(200), 9]:
+        phi = nt.euler_phi(n)
+        units = [g for g in range(1, n) if math.gcd(g, n) == 1]
+        assert nt.primitive_root(n) == next(g for g in units if order(g, n) == phi), n
+    with pytest.raises(ValueError):
+        nt.primitive_root(8)
+
+
 def test_kronecker_matches_sympy():
     rng = random.Random(5)
     for _ in range(20000):

@@ -55,9 +55,27 @@ def test_lattice_counting_identities(m, ambient):
     table = sg.SmallGroupTable.for_group(m, ambient)
     masks = table.subgroup_lattice()
     for p in (2, 3, 5, 7):
-        n_elems = int((table.order_of == p).sum())
+        # x^p = 1 for the identity and exactly the elements of order p
+        n_elems = int((table.power_map(p) == table.identity).sum()) - 1
         n_subs = sum(1 for msk in masks if msk.sum() == p)
         assert n_subs == n_elems // (p - 1), (m, ambient, p)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_conjugacy_representatives_match_brute_force(m):
+    """Conjugating by every element of GL2(Z/m): the representatives are
+    pairwise non-conjugate, their classes cover the lattice, and each class
+    has |GL2| / |normalizer| members."""
+    G = [mg.mat_from_code(g, m) for g in mg.enumerate_group(m, "GL2").tolist()]
+    subs = lattice(m, "GL2")
+    picked = mg.conjugacy_representatives(m, [np.array(h) for h in subs])
+    reps = [tuple(codes.tolist()) for codes, _ in picked]
+    images = {r: [tuple(np.sort(mg.conj_codes(g, np.array(r))).tolist()) for g in G] for r in reps}
+    for r, s in combinations(reps, 2):
+        assert s not in images[r]
+    assert sum(size for _, size in picked) == len(subs)
+    for r, (_, size) in zip(reps, picked):
+        assert size == len(G) // images[r].count(r)
 
 
 def test_lattice_closure_property_sampled():

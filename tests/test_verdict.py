@@ -114,6 +114,12 @@ def test_field_reports_hold_json_values():
             "two degree-one primes over one p disagree on cube-ness"} <= mechanisms
 
 
+def test_maximality_report_over_q_holds_json_values():
+    report = _check(certify.certify_maximal(ecff.validate(Fraction(1), Fraction(1))).to_json())
+    assert report["final"]["status"] == "obstruction-certified"
+    assert report["curve"] == [["1"], ["1"]] and report["field"] == []
+
+
 def test_assemble_maximality_reports_hold_json_values():
     per_m = {4: certified("mod 4 full"), 9: certified("mod 9 full"), 5: certified("mod 5 full")}
     report = _check(certify.assemble_maximality({**per_m, 5: obstruction({"p": 7})}, certified("c"), certified("d"))
