@@ -1,12 +1,14 @@
 """Frobenius sampling and sound certification of large torsion Galois images.
 
 Everything here turns Frobenius signatures (trace, norm, torsion splitting
-data at good degree-one primes) into one-sided verdicts.  ``prime_axis``
-walks the good primes of n curves, over Q or a monogenic field, and
-``signature_columns`` turns a batch of (curve, prime) cells into int64
-columns, with one kernel call per chunk of a curve's primes.  Every level test
-(mod l >= 5 by characteristic-polynomial witnesses, mod 4, 8, 9 by table
-elimination, the quadratic entanglement conditions) is one
+data at good degree-one primes) into one-sided verdicts.  The splitting
+patterns come from the root counts of the 2- and 3-division polynomials by
+``subgroups.pattern_ids``, the rule the signature tables use for matrices.
+``prime_axis`` walks the good primes of n curves, over Q or a monogenic
+field, and ``signature_columns`` turns a batch of (curve, prime) cells into
+int64 columns, with one kernel call per chunk of a curve's primes.  Every
+level test (mod l >= 5 by characteristic-polynomial witnesses, mod 4, 8, 9
+by table elimination, the quadratic entanglement conditions) is one
 ``LevelAccumulator``, and ``stream_levels`` is the one loop that feeds it:
 it walks the axis for the curves still open, feeds their columns in chunks,
 and a curve leaves the stream as soon as every level test has certified it.
@@ -43,7 +45,9 @@ import numpy as np
 
 from . import ecff, nt, numfield
 from .errors import InvalidInputError, ResourceCapError
-from .subgroups import SignatureTable, subgroup_signature_table
+from .subgroups import (
+    CUBIC_PATTERNS, EPS_BY_CUBIC_ID, PSI3_PATTERNS, SignatureTable, pattern_ids, subgroup_signature_table,
+)
 from .verdict import Verdict, certified, inconclusive, obstruction
 
 # the quadratic subfields of Q(mu_72), by fundamental discriminant
@@ -56,20 +60,8 @@ PRIME_BOUND_CAP = 10**6
 # reads a quadratic character table of length l
 L_MAX_CAP = 100
 
-# splitting patterns, numbered in sorted-tuple order so that sorting
-# signatures by pattern id sorts them by pattern
-CUBIC_PATTERNS = ((1, 1, 1), (2, 1), (3,))
-PSI3_PATTERNS = ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
 _CUBIC_ID = {pattern: i for i, pattern in enumerate(CUBIC_PATTERNS)}
 _PSI3_ID = {pattern: i for i, pattern in enumerate(PSI3_PATTERNS)}
-# pattern id by root count of the cubic / of psi3 (-1: impossible count).  A
-# rootless psi3 is (2,2) at p = 1 and (4) at p = 2 mod 3: on the four lines of
-# E[3], Frobenius in PGL2(F_3) = S4 has the sign (p/3), as PSL2(F_3) = A4.
-_CUBIC_ID_BY_ROOTS = np.array([_CUBIC_ID[(3,)], _CUBIC_ID[(2, 1)], -1, _CUBIC_ID[(1, 1, 1)]])
-_PSI3_ID_BY_ROOTS = np.array([-1, _PSI3_ID[(3, 1)], _PSI3_ID[(2, 1, 1)], -1, _PSI3_ID[(1, 1, 1, 1)]])
-_PSI3_ID_ROOTLESS = np.array([-1, _PSI3_ID[(2, 2)], _PSI3_ID[(4,)]])  # by p mod 3
-# sign of the Frobenius permutation of the 2-torsion points, by cubic pattern id
-_EPS_BY_CUBIC_ID = np.array([1, -1, 1])
 
 _MOD_ELL_WITNESSES = ("split semisimple", "nonsplit semisimple", "projective order > 5")
 _MOD_ELL_CONDITIONS = (
@@ -221,12 +213,13 @@ def signature_columns(p, A, B):
     p is one prime for every cell (a Python int) or an int64 array with one
     prime per cell; A and B are reduced mod each cell's prime (int64 arrays
     or lists of ints).  Pattern ids index CUBIC_PATTERNS and PSI3_PATTERNS.
-    A rootless psi3 is (2,2) or (4) by p mod 3 alone (see
-    _PSI3_ID_ROOTLESS), with no polynomial arithmetic.
+    The roots of the cubic are the 2-torsion points Frobenius fixes and the
+    roots of psi3 the lines of E[3] it fixes, so the patterns follow from
+    the root counts and det = p by subgroups.pattern_ids, with no polynomial
+    arithmetic.
     """
     ap, cubic_roots, psi3_roots, has_3pt = ecff.batch_curve_data(p, A, B)
-    psi3 = np.where(psi3_roots == 0, _PSI3_ID_ROOTLESS[p % 3], _PSI3_ID_BY_ROOTS[psi3_roots])
-    return ap, _CUBIC_ID_BY_ROOTS[cubic_roots], psi3, has_3pt.astype(np.int64)
+    return (ap, *pattern_ids(cubic_roots, psi3_roots, p), has_3pt.astype(np.int64))
 
 
 def _raw_cells(p: int, c, good, a, b) -> tuple:
@@ -427,7 +420,7 @@ class LevelAccumulator:
             self.dets[m][curves[use], norm[use] % m] = True
         if self.refuted is not None:
             use = (cubic >= 0) & (norm % 2 != 0) & (norm % 3 != 0)
-            eps = _EPS_BY_CUBIC_ID[cubic]
+            eps = EPS_BY_CUBIC_ID[cubic]
             self._first(self.refuted, use & (_entanglement_characters()[:, norm % 24] != eps), curves, order)
 
     @staticmethod

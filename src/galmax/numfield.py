@@ -496,6 +496,11 @@ def cyclotomic_intersection_certificate(K: MonogenicField, prime_budget: int = 2
             {"kind": "nonsquare discriminant", "disc": K.disc_f},
             statement="Galois closure is non-abelian, so no subfield lies in Q^cyc",
         )
+    abelian = inconclusive(note="consistent with an abelian (cyclotomic) field; not certified")
+    if d == 3:
+        # an irreducible cubic with square discriminant is cyclic, so each of
+        # its unramified patterns is (1,1,1) or (3) and no prime can certify
+        return abelian
     for p in nt.primes_up_to(prime_budget):
         if K.disc_f % p == 0:
             continue
@@ -505,5 +510,5 @@ def cyclotomic_intersection_certificate(K: MonogenicField, prime_budget: int = 2
                 {"kind": "unequal factor pattern", "p": p, "pattern": degs},
                 statement="Frobenius cycle type rules out a cyclic (abelian) Galois group",
             )
-    return inconclusive(note="consistent with an abelian (cyclotomic) field; not certified")
+    return abelian
 

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator
 
 from . import certify, ecff, modgroup, nt
 from .errors import InvalidInputError, ResourceCapError
+from .subgroups import CUBIC_PATTERNS, pattern_ids_of_codes
 
 BOX_X_CAP = 400
 SERRE_SCAN_X_CAP = 200
@@ -211,11 +212,8 @@ def omega_report(p_list: Iterable[int], m: int = 2) -> list[OmegaRow]:
         raise InvalidInputError("omega reports are implemented for m = 2")
     classes = modgroup.conjugacy_classes(2, "GL2", det_filter=1)
     sl2_order = modgroup.sl2_order(2)
-    pattern_of_class = {}
-    from .subgroups import PATTERN2
-
-    for cl in classes:
-        pattern_of_class[PATTERN2[cl.representative.code()]] = cl.size
+    cubic, _ = pattern_ids_of_codes([cl.representative.code() for cl in classes], 2)
+    pattern_of_class = {CUBIC_PATTERNS[i]: cl.size for i, cl in zip(cubic.tolist(), classes)}
     rows = []
     for p in sorted(set(int(p) for p in p_list)):
         counts = ecff.omega_counts_mod2(p)

@@ -17,6 +17,13 @@ and for m = 8, 9 it consists of the maximal such subgroups, which eliminate
 exactly the same observation sets (any smaller subgroup realizes a subset
 of the signatures of a maximal one).
 
+A signature at m = 2, 4, 8 or 3, 9 carries the splitting pattern, the cycle
+type on the 2-torsion points or on the lines of E[3].  ``pattern_ids`` is
+the one rule for it: the pattern follows from how many points or lines are
+fixed, and the determinant.  ``certify`` applies it to the root counts of a
+Frobenius class and the tables to matrix codes, through
+``pattern_ids_of_codes``.
+
 Every table is built from sorted code arrays.  ``modgroup.closure_block``
 is the one closure: it gives the octahedral preimage at a prime and, at
 m = 9, the complements in each quotient by a normal subgroup of the mod-3
@@ -194,91 +201,68 @@ class SignatureTable:
         return sum(e.n_conjugates for e in self.entries)
 
 
-def _pattern2_lookup() -> dict[int, tuple[int, ...]]:
-    """Cycle type of each invertible mod-2 matrix on the 3 nonzero vectors."""
-    out = {}
-    vecs = [(0, 1), (1, 0), (1, 1)]
-    for code in range(16):
-        M = mg.mat_from_code(code, 2)
-        if math.gcd(M.det, 2) != 1:
-            continue
-        perm = {}
-        for v in vecs:
-            w = ((M.a * v[0] + M.b * v[1]) % 2, (M.c * v[0] + M.d * v[1]) % 2)
-            perm[v] = w
-        out[code] = _cycle_type(perm)
-    return out
+# The splitting pattern of a Frobenius class, or of a matrix g, is its cycle
+# type on the three points of E[2] (the roots of the cubic) or on the four
+# lines of E[3] (the roots of psi3), and both are read off how many of them
+# it fixes.  On E[2], 3, 1 or 0 fixed points give (1,1,1), (2,1) or (3).  On
+# the lines of E[3], g acts through PGL2(F_3) = S4, and 4, 2 or 1 fixed lines
+# give (1,1,1,1), (2,1,1) or (3,1).  With no fixed line the pattern is (2,2)
+# or (4), as the permutation is even or odd, and it is even exactly when
+# det g is 1 mod 3, because PSL2(F_3) = A4.  For Frobenius at p, det is p.
+# Patterns are numbered in sorted-tuple order, so that sorting signatures by
+# pattern id sorts them by pattern.
+CUBIC_PATTERNS = ((1, 1, 1), (2, 1), (3,))
+PSI3_PATTERNS = ((1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,))
+# pattern id by fixed count (-1: no class fixes that many), and the psi3 id
+# of a class fixing no line by det mod 3
+_CUBIC_ID_BY_FIXED = np.array([2, 1, -1, 0])  # (3), (2,1), -, (1,1,1)
+_PSI3_ID_BY_FIXED = np.array([-1, 3, 1, -1, 0])  # by det, (3,1), (2,1,1), -, (1,1,1,1)
+_PSI3_ID_UNFIXED = np.array([-1, 2, 4])  # -, (2,2), (4)
+# sign of the permutation of the 2-torsion points, by cubic pattern id
+EPS_BY_CUBIC_ID = np.array([1, -1, 1])
 
 
-def _pattern3_lookup() -> dict[int, tuple[tuple[int, ...], bool]]:
-    """Cycle type on the 4 lines of F_3^2 plus has-fixed-nonzero-vector flag."""
-    out = {}
-    lines = [(0, 1), (1, 0), (1, 1), (1, 2)]
-
-    def normalize(v):
-        x, y = v[0] % 3, v[1] % 3
-        if x == 0 and y == 0:
-            return None
-        lead = x if x != 0 else y
-        inv = 1 if lead == 1 else 2
-        return ((x * inv) % 3, (y * inv) % 3)
-
-    for code in range(81):
-        M = mg.mat_from_code(code, 3)
-        if math.gcd(M.det, 3) != 1:
-            continue
-        perm = {}
-        for v in lines:
-            w = normalize(((M.a * v[0] + M.b * v[1]), (M.c * v[0] + M.d * v[1])))
-            perm[v] = w
-        ct = _cycle_type(perm)
-        # eigenvalue 1 exists iff char poly vanishes at 1
-        flag = (1 - M.trace + M.det) % 3 == 0
-        out[code] = (ct, flag)
-    return out
+def pattern_ids(fixed_points, fixed_lines, det):
+    """(cubic pattern id, psi3 pattern id) of classes that fix fixed_points
+    of the three points of E[2] and fixed_lines of the four lines of E[3],
+    with determinant det (ints or int arrays).  The ids index CUBIC_PATTERNS
+    and PSI3_PATTERNS; -1 marks a count no class has."""
+    fixed_lines = np.asarray(fixed_lines)
+    psi3 = np.where(fixed_lines == 0, _PSI3_ID_UNFIXED[np.asarray(det) % 3], _PSI3_ID_BY_FIXED[fixed_lines])
+    return _CUBIC_ID_BY_FIXED[fixed_points], psi3
 
 
-def _cycle_type(perm: dict) -> tuple[int, ...]:
-    seen = set()
-    lens = []
-    for start in perm:
-        if start in seen:
-            continue
-        k, x = 1, perm[start]
-        seen.add(start)
-        while x != start:
-            seen.add(x)
-            x = perm[x]
-            k += 1
-        lens.append(k)
-    return tuple(sorted(lens, reverse=True))
-
-
-PATTERN2 = _pattern2_lookup()
-PATTERN3 = _pattern3_lookup()
+def pattern_ids_of_codes(codes: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """pattern_ids of each matrix code mod m: the cubic id reads g mod 2 and
+    is meaningful when 2 | m, the psi3 id reads g mod 3 and is meaningful
+    when 3 | m."""
+    a, b, c, d = mg.decode(codes, m)
+    fixed = []
+    for q in (2, 3):
+        # g fixes the line through (x, y) iff g(x, y) is a multiple of it:
+        # c x^2 + (d - a) x y - b y^2 = 0 mod q; at q = 2 a line is a point
+        form = [(c * x * x + (d - a) * x * y - b * y * y) % q == 0 for x, y in [(1, 0)] + [(k, 1) for k in range(q)]]
+        fixed.append(np.sum(form, axis=0))
+    return pattern_ids(*fixed, mg.det_of_codes(codes, m))
 
 
 def signatures_of_codes(codes: np.ndarray, m: int) -> frozenset:
     """Frobenius-visible signatures of a set of matrices mod m.
 
-    m = 4: (trace, det, splitting pattern of the mod-2 action on the three
-    2-torsion points).  m = 9: (trace, det, line pattern of the mod-3 action,
-    fixed-vector flag).  prime m: (trace, det).
+    m = 2, 4, 8: (trace, det, splitting pattern of the mod-2 action on the
+    three 2-torsion points).  m = 3, 9: (trace, det, pattern of the mod-3
+    action on the four lines, fixed-vector flag).  prime m: (trace, det).
     """
     codes = np.asarray(codes, dtype=np.int64)
-    tr = mg.trace_of_codes(codes, m)
-    dt = mg.det_of_codes(codes, m)
+    tr, dt = mg.trace_of_codes(codes, m), mg.det_of_codes(codes, m)
+    columns = [tr.tolist(), dt.tolist()]
     if m in (2, 4, 8):
-        red = mg.reduce_codes(codes, m, 2)
-        return frozenset(
-            (int(t), int(d), PATTERN2[int(r)]) for t, d, r in zip(tr, dt, red)
-        )
-    if m in (3, 9):
-        red = mg.reduce_codes(codes, m, 3)
-        return frozenset(
-            (int(t), int(d)) + PATTERN3[int(r)] for t, d, r in zip(tr, dt, red)
-        )
-    return frozenset((int(t), int(d)) for t, d in zip(tr, dt))
+        columns.append([CUBIC_PATTERNS[i] for i in pattern_ids_of_codes(codes, m)[0].tolist()])
+    elif m in (3, 9):
+        columns.append([PSI3_PATTERNS[i] for i in pattern_ids_of_codes(codes, m)[1].tolist()])
+        # a fixed nonzero vector mod 3 is an eigenvalue 1: 1 - trace + det = 0
+        columns.append(((1 - tr + dt) % 3 == 0).tolist())
+    return frozenset(zip(*columns))
 
 
 def _det_is_full(codes: np.ndarray, m: int) -> bool:
@@ -303,6 +287,15 @@ def subgroup_signature_table(m: int) -> SignatureTable:
     raise InvalidInputError(f"signature tables are built for m in {{2,3,4,8,9}} or primes <= 13, got {m}")
 
 
+def _entry(label: str, codes: np.ndarray, m: int, n_conjugates: int) -> TableEntry:
+    return TableEntry(label, int(codes.size), n_conjugates, tuple(codes.tolist()), signatures_of_codes(codes, m))
+
+
+def _table(m: int, entries, scope: str) -> SignatureTable:
+    """The table of the given entries, with the signatures of all of GL2(Z/m)."""
+    return SignatureTable(m, tuple(entries), signatures_of_codes(mg.enumerate_group(m, "GL2"), m), scope)
+
+
 def _table_from_lattice(m: int) -> SignatureTable:
     table = SmallGroupTable.for_group(m, "GL2")
     sl2_rows = np.searchsorted(table.codes, mg.enumerate_group(m, "SL2"))
@@ -310,19 +303,11 @@ def _table_from_lattice(m: int) -> SignatureTable:
         table.mask_to_codes(msk) for msk in table.subgroup_lattice()
         if not msk[sl2_rows].all() and _det_is_full(table.mask_to_codes(msk), m)
     ]
-    entries = []
-    for k, (codes, n_conj) in enumerate(mg.conjugacy_representatives(m, candidates)):
-        entries.append(
-            TableEntry(
-                label=f"H{k}(order {codes.size})",
-                order=int(codes.size),
-                n_conjugates=n_conj,
-                codes=tuple(int(c) for c in codes),
-                signatures=signatures_of_codes(codes, m),
-            )
-        )
-    entries.sort(key=lambda e: (-e.order, e.label))
-    return SignatureTable(m, tuple(entries), signatures_of_codes(table.codes, m), scope="all-subgroups")
+    entries = [
+        _entry(f"H{k}(order {codes.size})", codes, m, n_conj)
+        for k, (codes, n_conj) in enumerate(mg.conjugacy_representatives(m, candidates))
+    ]
+    return _table(m, sorted(entries, key=lambda e: (-e.order, e.label)), "all-subgroups")
 
 
 # -- prime level: Borel, Cartan normalizers, octahedral preimage -------------
@@ -391,23 +376,13 @@ def _octahedral_preimage(ell: int) -> np.ndarray | None:
 
 
 def _table_prime(ell: int) -> SignatureTable:
-    entries = []
-    for label, codes in _prime_table_masks(ell):
-        if not _det_is_full(codes, ell):
-            continue
-        n_conj = {"borel": ell + 1, "split-cartan-normalizer": ell * (ell + 1) // 2,
-                  "nonsplit-cartan-normalizer": ell * (ell - 1) // 2}.get(label, 0)
-        entries.append(
-            TableEntry(
-                label=label,
-                order=int(codes.size),
-                n_conjugates=n_conj,
-                codes=tuple(int(c) for c in codes),
-                signatures=signatures_of_codes(codes, ell),
-            )
-        )
-    full = signatures_of_codes(mg.enumerate_group(ell, "GL2"), ell)
-    return SignatureTable(ell, tuple(entries), full, scope="maximal-only")
+    n_conj = {"borel": ell + 1, "split-cartan-normalizer": ell * (ell + 1) // 2,
+              "nonsplit-cartan-normalizer": ell * (ell - 1) // 2}
+    entries = [
+        _entry(label, codes, ell, n_conj.get(label, 0))
+        for label, codes in _prime_table_masks(ell) if _det_is_full(codes, ell)
+    ]
+    return _table(ell, entries, "maximal-only")
 
 
 # -- m = 8: mod-4 preimages plus the sign/determinant couplings --------------
@@ -425,42 +400,19 @@ def _table_mod8() -> SignatureTable:
     slow test rather than rerun here.
     """
     codes = mg.enumerate_group(8, "GL2")
-    tr = mg.trace_of_codes(codes, 8)
     dt = mg.det_of_codes(codes, 8)
-    red2 = mg.reduce_codes(codes, 8, 2)
-    eps = np.array([1 if PATTERN2.get(int(r), (1,)) != (2, 1) else -1 for r in red2])
-    entries: list[TableEntry] = []
+    eps = EPS_BY_CUBIC_ID[pattern_ids_of_codes(codes, 8)[0]]
+    entries = []
     for D in (8, -8):
         chi = np.array([nt.kronecker(D, int(d)) for d in dt])
-        sel = eps == chi
-        member = codes[sel]
+        member = codes[eps == chi]
         assert _det_is_full(member, 8)
-        entries.append(
-            TableEntry(
-                label=f"sign-det coupling D={D}",
-                order=int(member.size),
-                n_conjugates=1,
-                codes=tuple(int(c) for c in member),
-                signatures=signatures_of_codes(member, 8),
-            )
-        )
-    table4 = subgroup_signature_table(4)
-    maximal4 = _maximal(table4.entries, lambda e: set(e.codes))
+        entries.append(_entry(f"sign-det coupling D={D}", member, 8, 1))
     red4 = mg.reduce_codes(codes, 8, 4)
-    for e in maximal4:
-        sel = np.isin(red4, np.fromiter(e.codes, dtype=np.int64))
-        member = codes[sel]
-        entries.append(
-            TableEntry(
-                label=f"preimage of level-4 {e.label}",
-                order=int(member.size),
-                n_conjugates=e.n_conjugates,
-                codes=tuple(int(c) for c in member),
-                signatures=signatures_of_codes(member, 8),
-            )
-        )
-    full = signatures_of_codes(codes, 8)
-    return SignatureTable(8, tuple(entries), full, scope="maximal-only")
+    for e in _maximal(subgroup_signature_table(4).entries, lambda e: set(e.codes)):
+        member = codes[np.isin(red4, np.array(e.codes))]
+        entries.append(_entry(f"preimage of level-4 {e.label}", member, 8, e.n_conjugates))
+    return _table(8, entries, "maximal-only")
 
 
 def _maximal(items, members) -> list:
@@ -474,29 +426,13 @@ def _maximal(items, members) -> list:
 
 
 def _table_mod9() -> SignatureTable:
-    masks = _maximal_candidates_mod9()
-    codes9 = mg.enumerate_group(9, "GL2")
     sl2_set = set(mg.enumerate_group(9, "SL2").tolist())
-    picked = []
-    for label, member_codes in masks:
-        if not _det_is_full(member_codes, 9):
-            continue
-        if sl2_set <= set(int(c) for c in member_codes):
-            continue
-        picked.append((label, member_codes))
+    picked = [
+        (label, member_codes) for label, member_codes in _maximal_candidates_mod9()
+        if _det_is_full(member_codes, 9) and not sl2_set <= set(member_codes.tolist())
+    ]
     final = _maximal(picked, lambda entry: set(entry[1].tolist()))
-    entries = tuple(
-        TableEntry(
-            label=label,
-            order=int(mc.size),
-            n_conjugates=0,
-            codes=tuple(int(c) for c in mc),
-            signatures=signatures_of_codes(mc, 9),
-        )
-        for label, mc in final
-    )
-    full = signatures_of_codes(codes9, 9)
-    return SignatureTable(9, entries, full, scope="maximal-only")
+    return _table(9, [_entry(label, mc, 9, 0) for label, mc in final], "maximal-only")
 
 
 def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:

@@ -135,6 +135,28 @@ def test_audits_import_leaves_sympy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "--curve", "1,1"],
+        ["certify", "--curve", "[0,1296],[0,0,11664]", "--field", "f=[1,1,0,1]"],
+        ["serre-scan", "--x", "10"],
+    ],
+)
+def test_cli_runs_leave_sympy_unloaded(argv):
+    # the README promise: certify over Q and over fields of degree up to 4,
+    # and box scans, never load sympy
+    code = (
+        "import contextlib, io, sys\n"
+        "from galmax import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    status = cli.main(sys.argv[1:])\n"
+        "print(status, 'sympy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+
+
 # ---------------------------------------------------------------------------
 # the array coverage test against the set-based check it replaced
 

@@ -84,6 +84,27 @@ def test_certify_mod_ell_e11(sigs_e11):
         assert certify.certify_mod_ell(sigs_e11, ell).is_certified
 
 
+# which condition of certify_mod_ell each tabled subgroup can never meet
+_MOD_ELL_ESCAPES = {"nonsplit-cartan-normalizer": 0, "borel": 1, "split-cartan-normalizer": 1, "octahedral": 2}
+
+
+@pytest.mark.parametrize("ell", [5, 7, 11, 13])
+def test_mod_ell_witnesses_escape_the_tabled_subgroups(ell):
+    """The soundness claim of certify_mod_ell, checked on the prime tables:
+    no signature (t, d) of an entry meets the condition that entry escapes,
+    and the signatures of GL2(F_ell) meet all three."""
+    column = np.array([[ell]])
+
+    def conditions_met(signatures):
+        t, d = np.array(sorted(signatures)).T
+        return certify._mod_ell_hits(column, ecff._character(column), d, t)[0].any(axis=1)
+
+    tbl = subgroup_signature_table(ell)
+    for e in tbl.entries:
+        assert not conditions_met(e.signatures)[_MOD_ELL_ESCAPES[e.label]], (ell, e.label)
+    assert conditions_met(tbl.full_signatures).all()
+
+
 def test_certify_mod_small_e11(sigs_e11):
     assert certify.certify_mod_small(sigs_e11, 4).is_certified
     assert certify.certify_mod_small(sigs_e11, 9).is_certified

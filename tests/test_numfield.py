@@ -412,3 +412,26 @@ def test_cyclotomic_intersection_pattern_witness():
     K5 = nf.MonogenicField([-1, -1, 0, 0, 0, 1])
     v = nf.cyclotomic_intersection_certificate(K5)
     assert v.is_certified
+    # x^5 + 20x + 16: Galois group A5 and disc 1024000000 = 32000^2, so only
+    # a prime with unequal factor degrees certifies
+    A5 = nf.MonogenicField([16, 20, 0, 0, 0, 1])
+    assert A5.disc_f == 32000**2
+    v = nf.cyclotomic_intersection_certificate(A5)
+    assert v.is_certified
+    assert v.witnesses[0] == {"kind": "unequal factor pattern", "p": 7, "pattern": [3, 1, 1]}
+
+
+@pytest.mark.parametrize("coeffs", [[1, -3, 0, 1], [1, -2, -1, 1], [-1, -3, 0, 1]])
+def test_cyclotomic_intersection_skips_the_primes_of_a_cyclic_cubic(coeffs, monkeypatch):
+    # a cubic with square discriminant is cyclic, so no factor pattern can
+    # certify: the verdict is reached without factoring at any prime
+    K = nf.MonogenicField(coeffs)
+    assert nt.is_perfect_square(K.disc_f)
+
+    def no_factoring(*args):
+        raise AssertionError("factor_degrees_mod_p called for a cyclic cubic")
+
+    monkeypatch.setattr(nt, "factor_degrees_mod_p", no_factoring)
+    v = nf.cyclotomic_intersection_certificate(K)
+    assert v.is_inconclusive
+    assert v.diagnostics == {"note": "consistent with an abelian (cyclotomic) field; not certified"}

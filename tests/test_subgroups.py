@@ -104,6 +104,38 @@ def test_nonsolvable_completion_gl2_f5():
 # signature tables
 
 
+def line_cycle_type(code: int, m: int, q: int) -> tuple[int, ...]:
+    """Cycle type of g mod q on the q + 1 lines of F_q^2 (the three nonzero
+    vectors at q = 2), by following each line's orbit."""
+    a, b, c, d = (int(x[0]) % q for x in mg.decode([code], m))
+
+    def line(x, y):
+        # the representative whose first nonzero coordinate is 1
+        x, y = x % q, y % q
+        inv = pow(x or y, -1, q)
+        return (x * inv % q, y * inv % q)
+
+    image = {v: line(a * v[0] + b * v[1], c * v[0] + d * v[1]) for v in [(0, 1)] + [(1, k) for k in range(q)]}
+    unseen, lengths = set(image), []
+    while unseen:
+        start = v = unseen.pop()
+        length = 1
+        while (v := image[v]) != start:
+            unseen.remove(v)
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 8, 9])
+def test_pattern_ids_match_cycle_types_on_every_code(m):
+    codes = mg.enumerate_group(m, "GL2")
+    cubic, psi3 = sg.pattern_ids_of_codes(codes, m)
+    q, patterns, ids = (2, sg.CUBIC_PATTERNS, cubic) if m % 2 == 0 else (3, sg.PSI3_PATTERNS, psi3)
+    for code, i in zip(codes.tolist(), ids.tolist()):
+        assert patterns[i] == line_cycle_type(code, m, q), (m, code)
+
+
 def test_signature_table_mod2_example():
     tbl = sg.subgroup_signature_table(2)
     assert len(tbl.entries) == 3  # conjugacy classes
