@@ -7,6 +7,7 @@ import pytest
 from galmax import audits, modgroup as mg
 from galmax.errors import InvalidInputError, ResourceCapError
 from galmax.subgroups import SmallGroupTable
+from test_verdict import assert_json_values
 
 
 @pytest.mark.parametrize("m,tested", [(2, 6), (3, 55), (4, 234), (5, 466)])
@@ -258,3 +259,50 @@ def test_sweep_in_blocks_matches_one_closure_at_a_time(audit, modulus, stop_abov
             patch.setattr(mg, "closure_block_size", lambda m, stop_above=None: 1)
             alone = audit(trials).to_json()
         assert blocked == alone and blocked["subgroups_tested"] == trials
+
+
+# ---------------------------------------------------------------------------
+# the seeded draws, pinned: generator codes and report descriptions for seed 0
+
+COVERAGE_DRAWS_16 = [
+    [4701, 23113, 45795], [64001, 47883], [45362, 13223], [36867], [28530, 9044],
+]
+LIFTING_DRAWS_16 = [
+    ([56717, 38993], [[13, 13, 8, 13], [9, 8, 5, 1]]),
+    ([22849, 5269], [[5, 9, 4, 1], [1, 4, 9, 5]]),
+    ([56717, 21521], [[13, 13, 8, 13], [5, 4, 1, 1]]),
+    ([23821, 56401], [[5, 13, 0, 13], [13, 12, 5, 1]]),
+    ([6469, 37017], [[1, 9, 4, 5], [9, 0, 9, 9]]),
+    ([39297, 21713, 38985], [[9, 9, 8, 1], [5, 4, 13, 1], [9, 8, 4, 9]]),
+]
+CRT_DRAWS_4_3 = [
+    ([2449, 2901, 7102, 2641], [[1, 5, 0, 1], [1, 8, 1, 9], [4, 1, 3, 10], [1, 6, 4, 1]]),
+    ([9989, 8753, 17539, 2683], [[5, 9, 4, 5], [5, 0, 9, 5], [10, 1, 9, 7], [1, 6, 7, 7]]),
+    ([9941, 2373, 12358, 3046], [[5, 9, 0, 5], [1, 4, 5, 9], [7, 1, 9, 10], [1, 9, 1, 10]]),
+    ([9989, 16717, 3241, 1777], [[5, 9, 4, 5], [9, 8, 1, 1], [1, 10, 6, 1], [1, 0, 4, 1]]),
+    ([16329, 9229, 3169, 12223], [[9, 5, 4, 9], [5, 4, 1, 1], [1, 10, 0, 1], [7, 0, 10, 7]]),
+]
+
+
+def test_seeded_draws_are_pinned():
+    coverage = list(audits._coverage_draws(16, len(COVERAGE_DRAWS_16), random.Random(0)))
+    assert coverage == [(gens, {"generators": gens}) for gens in COVERAGE_DRAWS_16]
+    lifting = list(audits._lifting_draws([4], 16, len(LIFTING_DRAWS_16), random.Random(0)))
+    assert lifting == [(gens, {"generators": entries}) for gens, entries in LIFTING_DRAWS_16]
+    crt = list(audits._crt_draws(4, 3, len(CRT_DRAWS_4_3), random.Random(0)))
+    assert crt == [(gens, {"generators": entries}) for gens, entries in CRT_DRAWS_4_3]
+    for draws in (coverage, lifting, crt):
+        assert_json_values([list(d) for d in draws])
+
+
+@pytest.mark.parametrize("modulus,draws", [
+    (16, lambda: audits._coverage_draws(16, 5, random.Random(0))),
+    (16, lambda: audits._lifting_draws([4], 16, 5, random.Random(0))),
+    (12, lambda: audits._crt_draws(4, 3, 5, random.Random(0))),
+], ids=["coverage", "reduction", "goursat"])
+def test_failed_randomized_checks_report_json_values(modulus, draws):
+    # a check that always fails records every draw as a counterexample
+    report = audits._report("always fails", "randomized", 5, 0, {})
+    audits._sweep(report, lambda codes: [(False, {"order": codes.size})], modulus, "SL2", draws())
+    assert len(report.counterexamples) == 5 and not report.ok
+    assert_json_values(report.to_json())

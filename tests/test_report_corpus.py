@@ -56,6 +56,9 @@ CASES = [
     ["group-audit", "--m", "8", "--trials", "20"],
     ["group-audit", "--m", "9", "--trials", "20"],
     ["group-audit", "--m", "12", "--trials", "20"],
+    # Goursat (exhaustive) and reduction (randomized) sweeps of their own
+    ["group-audit", "--m", "6", "--trials", "20"],
+    ["group-audit", "--m", "16", "--trials", "20"],
     ["omega-dist", "--p", "101,199"],
     ["omega-dist", "--p", "101", "--format", "csv"],
     ["weil-count", "--p", "13,29,53", "--r", "2"],
