@@ -14,9 +14,11 @@ An audit is a check, a function from the sorted code array of a subgroup
 (``modgroup``'s one subgroup format) to its nonvacuous tests of the
 implication, run by one sweep, ``_sweep``.  Exhaustive modes sweep a
 complete subgroup lattice; randomized modes sweep the closures of seeded
-generator sets constructed so that the hypothesis of the implication holds by
-construction (each trial is a real test, not a vacuous one), closed in
-blocks by ``modgroup.closure_block``, whose memory budget sets the size.
+sets of generator codes constructed so that the hypothesis of the
+implication holds by construction (each trial is a real test, not a vacuous
+one), closed in blocks by ``modgroup.closure_block``, whose memory budget
+sets the size.  The draws build each generator as a code with ``modgroup``'s
+code arithmetic; a report shows its entries (a, b, c, d) as plain ints.
 """
 from __future__ import annotations
 
@@ -92,7 +94,8 @@ def _sweep(report: AuditReport, check, m: int, ambient: mg.Ambient, draws=None, 
     """
     if draws is None:
         table = SmallGroupTable.for_group(m, ambient)
-        subgroups = ((codes, codes[:8].tolist()) for codes in map(table.mask_to_codes, table.subgroup_lattice()))
+        lattice = (table.codes[mask] for mask in table.subgroup_lattice())
+        subgroups = ((codes, codes[:8].tolist()) for codes in lattice)
     else:
         subgroups = _closed_in_blocks(m, draws, stop_above)
     for codes, about in subgroups:
@@ -158,7 +161,7 @@ def _class_coverage(m: int, dets: list[int]):
         classes = mg.conjugacy_classes(m, "GL2", det_filter=d)
         ids = np.zeros(m**4, dtype=np.int64)
         for k, cl in enumerate(classes, start=1):
-            ids[list(cl.member_codes)] = k
+            ids[cl] = k
         class_id[d] = (ids, len(classes))
     in_sl2 = np.zeros(m**4, dtype=bool)
     in_sl2[mg.enumerate_group(m, "SL2")] = True
@@ -184,9 +187,9 @@ def _coverage_draws(m: int, trials: int, rng: random.Random):
         yield gens, {"generators": gens}
 
 
-def _matrix_draw(gens: list[mg.MatModM]) -> tuple[list[int], dict]:
+def _matrix_draw(gens: list[int], m: int) -> tuple[list[int], dict]:
     """A drawn generator set as sweep input: codes, and entries for the report."""
-    return [g.code() for g in gens], {"generators": [list(g[1:]) for g in gens]}
+    return gens, {"generators": [list(mg.decode(g, m)) for g in gens]}
 
 
 # ---------------------------------------------------------------------------
@@ -234,44 +237,35 @@ def _lifting_draws(hyp_levels: list[int], modulus: int, trials: int, rng: random
         gens = _lifted_generators(level, modulus, rng)
         if rng.random() < 0.5:
             gens.append(_random_kernel_element(level, modulus, rng))
-        yield _matrix_draw(gens)
+        yield _matrix_draw(gens, modulus)
 
 
-def _lifted_generators(level: int, modulus: int, rng: random.Random) -> list[mg.MatModM]:
+def _lifted_generators(level: int, modulus: int, rng: random.Random) -> list[int]:
     """Lifts of the standard generators of SL2(Z/level), each multiplied by a
     random determinant-1 element of the kernel of reduction to that level, so
     the closure surjects mod level by construction."""
     gens = []
     for g in mg.sl2_generators(level):
-        lift = _fix_det(mg.MatModM(modulus, g.a, g.b, g.c, g.d), modulus)
-        gens.append(lift.mul(_random_kernel_element(level, modulus, rng)))
+        lift = _fix_det(mg.encode(*mg.decode(g, level), modulus), modulus)
+        gens.append(mg.mul_codes(lift, _random_kernel_element(level, modulus, rng), modulus))
     return gens
 
 
-def _random_kernel_element(level: int, modulus: int, rng: random.Random) -> mg.MatModM:
+def _random_kernel_element(level: int, modulus: int, rng: random.Random) -> int:
     while True:
-        entries = [rng.randrange(modulus // level) for _ in range(4)]
-        M = mg.MatModM(
-            modulus,
-            (1 + level * entries[0]) % modulus,
-            (level * entries[1]) % modulus,
-            (level * entries[2]) % modulus,
-            (1 + level * entries[3]) % modulus,
-        )
-        if math.gcd(M.det, modulus) == 1:
+        e = [rng.randrange(modulus // level) for _ in range(4)]
+        M = mg.encode(1 + level * e[0], level * e[1], level * e[2], 1 + level * e[3], modulus)
+        if math.gcd(mg.det_of_codes(M, modulus), modulus) == 1:
             return _fix_det(M, modulus)
 
 
-def _fix_det(M: mg.MatModM, modulus: int) -> mg.MatModM:
+def _fix_det(M: int, modulus: int) -> int:
     """Scale the first row so the determinant becomes exactly 1.
 
     The determinant of a lift is 1 + (level)*u, whose inverse is also
     1 mod level, so the scaled matrix reduces to the same thing."""
-    d = M.det
-    if d == 1:
-        return M
-    s = pow(d, -1, modulus)
-    return mg.MatModM(modulus, (M.a * s) % modulus, (M.b * s) % modulus, M.c, M.d)
+    s = pow(mg.det_of_codes(M, modulus), -1, modulus)
+    return mg.mul_codes(mg.encode(s, 0, 0, 1, modulus), M, modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +300,15 @@ def _crt_draws(m: int, n: int, trials: int, rng: random.Random):
     pools = {k: mg.enumerate_group(k, "SL2") for k in (m, n) if k > 1}
     inv = pow(m, -1, n)
 
-    def combine(gm: mg.MatModM, gn: mg.MatModM) -> mg.MatModM:
+    def combine(gm: int, gn: int) -> int:
         # the CRT lift of each entry pair
-        return mg.MatModM(m * n, *((x + m * ((y - x) * inv % n)) % (m * n) for x, y in zip(gm[1:], gn[1:])))
+        return mg.encode(*(x + m * ((y - x) * inv % n) for x, y in zip(mg.decode(gm, m), mg.decode(gn, n))), m * n)
 
-    def rand_mat(level: int) -> mg.MatModM:
+    def rand_mat(level: int) -> int:
         pool = pools.get(level)
-        return mg.identity(level) if pool is None else mg.mat_from_code(int(pool[rng.randrange(pool.size)]), level)
+        return mg.identity(level) if pool is None else int(pool[rng.randrange(pool.size)])
 
     for _ in range(trials):
         yield _matrix_draw([combine(g, rand_mat(n)) for g in mg.sl2_generators(m)]
-                           + [combine(rand_mat(m), g) for g in mg.sl2_generators(n)])
+                           + [combine(rand_mat(m), g) for g in mg.sl2_generators(n)], m * n)
 

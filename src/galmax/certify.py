@@ -185,11 +185,19 @@ def _bad_number(K: numfield.MonogenicField, a, b) -> int:
 
 def _axis_coefficients(curve: ecff.ShortWeierstrass, K: numfield.MonogenicField | None):
     """(A, B, K) of one curve for prime_axis: the integer model over Q, the
-    power-basis coefficients over K (default: the field of the coefficients)."""
+    power-basis coefficients over the field of the coefficients."""
+    _check_field(curve, K)
     if curve.is_rational:
         a, b = integer_model(curve.a, curve.b)
         return [a], [b], None
-    return [curve.a], [curve.b], K or curve.a.field
+    return [curve.a], [curve.b], curve.a.field
+
+
+def _check_field(curve: ecff.ShortWeierstrass, K: numfield.MonogenicField | None) -> None:
+    """Refuse a K given that is not the field of the curve's coefficients."""
+    field = None if curve.is_rational else curve.a.field
+    if K is not None and K != field:
+        raise InvalidInputError(f"the curve's coefficients lie in {field or 'Q'}, not in the field {K} given")
 
 
 def curve_columns(
@@ -198,7 +206,8 @@ def curve_columns(
     K: numfield.MonogenicField | None = None,
 ) -> SignatureColumns:
     """One curve's signatures at every good degree-one prime of prime_axis
-    up to the bound, with no early stop: the source of the record view."""
+    up to the bound, with no early stop: the source of the record view.  K,
+    if given, must be the field of the curve's coefficients."""
     A, B, K = _axis_coefficients(curve, K)
     steps = prime_axis(A, B, params.prime_bound, K)
     cells = [_raw_cells(p, c, good, a, b) for p, c, good, a, b in steps if good.size]
@@ -786,8 +795,10 @@ def certify_maximal(
     Conditions: (a) SL2 mod every prime 5..l_max, (b) SL2 mod 4 and mod 9,
     (c) sqrt(Delta) not cyclotomic, (d) no cube roots of unity in the field
     or cbrt(Delta) not cyclotomic.  (a) and (b) are one stream that stops
-    once both are certified; primes_scanned counts the primes it fed.
+    once both are certified; primes_scanned counts the primes it fed.  K,
+    if given, must be the field of the curve's coefficients.
     """
+    _check_field(curve, K)
     if curve.is_rational:
         return MaximalityReport(
             verdict=obstruction(
@@ -802,17 +813,16 @@ def certify_maximal(
             curve=((curve.a,), (curve.b,)),
             field=(),
         )
-    if K is None:
-        K = curve.a.field
+    K = curve.a.field
     acc, cols = _stream_curve(curve, params, K, ells=_primes_in(5, params.l_max), ms=(4, 9))
     cond_a = {ell: acc.mod_ell_verdict(ell, cols) for ell in acc.witnesses}
     cond_b = {m: acc.elimination_verdict(m, cols) for m in acc.levels}
-    cond_c = numfield.sqrt_cyclotomic_certificate(curve.delta, K, prime_budget=params.prime_bound)
+    cond_c = numfield.sqrt_cyclotomic_certificate(curve.delta, prime_budget=params.prime_bound)
     mu3 = numfield.mu_n_membership(K, 3)
     if mu3.is_certified:
         cond_d = mu3
     else:
-        cond_d = numfield.cbrt_cyclotomic_certificate(curve.delta, K, prime_budget=params.prime_bound)
+        cond_d = numfield.cbrt_cyclotomic_certificate(curve.delta, prime_budget=params.prime_bound)
     field_cert = numfield.cyclotomic_intersection_certificate(K)
     per_m = dict(cond_b)
     per_m.update(cond_a)

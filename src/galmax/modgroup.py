@@ -1,21 +1,24 @@
 """Exact arithmetic for subgroups of GL2 and SL2 over Z/mZ.
 
-Matrices are encoded as integers ((a*m + b)*m + c)*m + d so that whole
-element sets live in numpy arrays.  A subgroup is the sorted int64 array of
-its codes: ``enumerate_group`` (cached, read-only), ``closure_codes`` and
-``derived_subgroup`` all return one, and every group-level operation
-(closure, derived subgroup, abelianization, conjugacy orbits, reductions) is
-a vectorized scan over such arrays.  Subgroups are closed in blocks:
+A matrix is its integer code ((a*m + b)*m + c)*m + d: ``mat``,
+``identity`` and the standard generators return Python ints, and product,
+inverse, determinant and trace (``mul_codes``, ``inv_code``,
+``det_of_codes``, ``trace_of_codes``) each have one implementation, which
+works elementwise on an int (giving ints) or an int64 array alike.  A set of
+matrices is the sorted int64 array of their codes: ``enumerate_group``
+(cached, read-only), ``closure_codes``, ``derived_subgroup`` and each class
+of ``conjugacy_classes`` are one, and every group-level operation (closure,
+derived subgroup, abelianization, conjugacy orbits, reductions) is a
+vectorized scan over such arrays.  Subgroups are closed in blocks:
 ``closure_block`` closes many generator sets in one breadth-first sweep, as
 many as the memory budget in ``closure_block_size`` allows, and
 ``closure_codes`` is its one-set case.  Integer codes sort lexicographically
 by (a, b, c, d), the canonical element order of representatives and
-reports.  ``MatModM`` is one matrix, for generators and seeded draws.
+reports.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
@@ -31,78 +34,67 @@ GL2_MODULUS_CAP = 16
 GROUP_ORDER_CAP = 2**20
 
 
-class MatModM(NamedTuple):
-    """A 2x2 matrix (a b; c d) over Z/mZ with unit determinant."""
-
-    m: int
-    a: int
-    b: int
-    c: int
-    d: int
-
-    @property
-    def det(self) -> int:
-        return (self.a * self.d - self.b * self.c) % self.m
-
-    @property
-    def trace(self) -> int:
-        return (self.a + self.d) % self.m
-
-    def mul(self, other: "MatModM") -> "MatModM":
-        if other.m != self.m:
-            raise InvalidInputError("modulus mismatch")
-        m = self.m
-        return MatModM(
-            m,
-            (self.a * other.a + self.b * other.c) % m,
-            (self.a * other.b + self.b * other.d) % m,
-            (self.c * other.a + self.d * other.c) % m,
-            (self.c * other.b + self.d * other.d) % m,
-        )
-
-    def inv(self) -> "MatModM":
-        m = self.m
-        di = pow(self.det, -1, m)
-        return MatModM(m, (self.d * di) % m, (-self.b * di) % m, (-self.c * di) % m, (self.a * di) % m)
-
-    def code(self) -> int:
-        return ((self.a * self.m + self.b) * self.m + self.c) * self.m + self.d
-
-
-def mat(m: int, a: int, b: int, c: int, d: int) -> MatModM:
-    """Canonicalize entries and check the unit-determinant invariant."""
-    if m < 1:
-        raise InvalidInputError("modulus must be >= 1")
-    M = MatModM(m, a % m, b % m, c % m, d % m)
-    if math.gcd(M.det, m) != 1:
-        raise InvalidInputError(f"matrix {M} has non-unit determinant {M.det} mod {m}")
-    return M
-
-
-def identity(m: int) -> MatModM:
-    return MatModM(m, 1 % m, 0, 0, 1 % m)
-
-
 # ---------------------------------------------------------------------------
 # integer-code representation
 
 
-def decode(codes: np.ndarray, m: int):
-    codes = np.asarray(codes, dtype=np.int64)
-    d = codes % m
-    c = (codes // m) % m
-    b = (codes // (m * m)) % m
-    a = codes // (m * m * m)
-    return a, b, c, d
+def decode(codes, m: int):
+    """Entries (a, b, c, d) of a code, elementwise on an int or an int64 array."""
+    top, bottom = divmod(codes, m * m)
+    return (*divmod(top, m), *divmod(bottom, m))
 
 
-def encode(a, b, c, d, m: int) -> np.ndarray:
-    return ((np.asarray(a, dtype=np.int64) * m + b) * m + c) * m + d
+def encode(a, b, c, d, m: int):
+    return ((a * m + b) * m + c) * m + d
 
 
-def mat_from_code(code: int, m: int) -> MatModM:
-    top, bottom = divmod(int(code), m * m)
-    return MatModM(m, *divmod(top, m), *divmod(bottom, m))
+def mat(m: int, a: int, b: int, c: int, d: int) -> int:
+    """The code of (a b; c d) mod m, which must have unit determinant."""
+    if m < 1:
+        raise InvalidInputError("modulus must be >= 1")
+    code = encode(a % m, b % m, c % m, d % m, m)
+    if math.gcd(det := det_of_codes(code, m), m) != 1:
+        raise InvalidInputError(f"matrix ({a} {b}; {c} {d}) has non-unit determinant {det} mod {m}")
+    return code
+
+
+def identity(m: int) -> int:
+    return encode(1 % m, 0, 0, 1 % m, m)
+
+
+def mul_codes(x, y, m: int):
+    """Products x * y of codes, elementwise with broadcasting."""
+    a, b, c, d = decode(x, m)
+    e, f, g, h = decode(y, m)
+    return encode((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m)
+
+
+def inv_code(x: int, m: int) -> int:
+    """Inverse of one code: the adjugate times the inverse determinant."""
+    x = int(x)
+    a, b, c, d = decode(x, m)
+    s = pow(det_of_codes(x, m), -1, m)
+    return encode(d * s % m, -b * s % m, -c * s % m, a * s % m, m)
+
+
+def conj_codes(g: int, codes, m: int):
+    """g x g^-1 for each code x."""
+    return mul_codes(mul_codes(g, codes, m), inv_code(g, m), m)
+
+
+def det_of_codes(codes, m: int):
+    a, b, c, d = decode(codes, m)
+    return (a * d - b * c) % m
+
+
+def trace_of_codes(codes, m: int):
+    a, _, _, d = decode(codes, m)
+    return (a + d) % m
+
+
+def reduce_codes(codes, m: int, m_target: int):
+    a, b, c, d = decode(codes, m)
+    return encode(a % m_target, b % m_target, c % m_target, d % m_target, m_target)
 
 
 def _row_tables(gen_codes: np.ndarray, m: int) -> np.ndarray:
@@ -116,40 +108,6 @@ def _row_tables(gen_codes: np.ndarray, m: int) -> np.ndarray:
     a, b, c, d = (v[:, None] for v in decode(gen_codes, m))
     x, y = np.divmod(np.arange(m * m, dtype=np.int64), m)
     return ((x * a + y * c) % m) * m + (x * b + y * d) % m
-
-
-def mul_codes(codes: np.ndarray, g: MatModM) -> np.ndarray:
-    """Right-multiply every encoded matrix by g."""
-    m2 = g.m * g.m
-    rows = _row_tables(np.array([g.code()]), g.m)[0]
-    top, bottom = np.divmod(np.asarray(codes, dtype=np.int64), m2)
-    return rows[top] * m2 + rows[bottom]
-
-
-def _mul_pairs(x, y, m: int) -> np.ndarray:
-    """Entrywise products x[i] * y[i] of two code arrays (either may be one code)."""
-    a, b, c, d = decode(x, m)
-    e, f, g, h = decode(y, m)
-    return encode((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m)
-
-
-def conj_codes(g: MatModM, codes: np.ndarray) -> np.ndarray:
-    return mul_codes(_mul_pairs(g.code(), codes, g.m), g.inv())
-
-
-def det_of_codes(codes: np.ndarray, m: int) -> np.ndarray:
-    a, b, c, d = decode(codes, m)
-    return (a * d - b * c) % m
-
-
-def trace_of_codes(codes: np.ndarray, m: int) -> np.ndarray:
-    a, _, _, d = decode(codes, m)
-    return (a + d) % m
-
-
-def reduce_codes(codes: np.ndarray, m: int, m_target: int) -> np.ndarray:
-    a, b, c, d = decode(codes, m)
-    return encode(a % m_target, b % m_target, c % m_target, d % m_target, m_target)
 
 
 def _sorted_unique(a: np.ndarray) -> np.ndarray:
@@ -188,7 +146,7 @@ def closure_block(m: int, gen_sets: Sequence[Sequence[int]], stop_above: int | N
     m2, m4, B, k = m * m, m**4, len(gen_sets), max([1, *map(len, gen_sets)])
     if B * m4 >= 2**31:
         raise ResourceCapError(f"{B} closures mod {m} overflow the int32 keys")
-    ident = identity(m).code()
+    ident = identity(m)
     gens = np.array([list(s) + [s[0] if len(s) else ident] * (k - len(s)) for s in gen_sets], dtype=np.int64)
     # row r times the j-th generator of set t, at [j, t*m^2 + r]: as the top
     # row of a code, and as the bottom row of a key in set t
@@ -242,14 +200,14 @@ def gl2_order(m: int) -> int:
     return nt.euler_phi(m) * sl2_order(m)
 
 
-def sl2_generators(m: int) -> list[MatModM]:
+def sl2_generators(m: int) -> list[int]:
     """The two elementary matrices, which generate SL2(Z/mZ) for every m."""
     if m == 1:
         return [identity(1)]
     return [mat(m, 1, 1, 0, 1), mat(m, 1, 0, 1, 1)]
 
 
-def gl2_generators(m: int) -> list[MatModM]:
+def gl2_generators(m: int) -> list[int]:
     gens = sl2_generators(m)
     if m > 2:
         gens += [mat(m, u, 0, 0, 1) for u in range(2, m) if math.gcd(u, m) == 1]
@@ -286,7 +244,7 @@ def enumerate_group(m: int, ambient: Ambient = "SL2") -> np.ndarray:
     return codes
 
 
-def derived_subgroup(m: int, gens: Sequence[MatModM]) -> np.ndarray:
+def derived_subgroup(m: int, gens: Sequence[int]) -> np.ndarray:
     """Sorted codes of [H, H] for H generated by gens, as the normal closure of
     the generator commutators.
 
@@ -294,9 +252,10 @@ def derived_subgroup(m: int, gens: Sequence[MatModM]) -> np.ndarray:
     set, so the algorithm grows a generating set T: whenever some conjugate of
     T by a generator of H escapes <T>, it is added and the closure recomputed.
     """
-    ident = identity(m).code()
+    ident = identity(m)
     T: list[int] = sorted(
-        {x.mul(y).mul(x.inv()).mul(y.inv()).code() for x in gens for y in gens} - {ident}
+        {mul_codes(mul_codes(x, y, m), mul_codes(inv_code(x, m), inv_code(y, m), m), m) for x in gens for y in gens}
+        - {ident}
     )
     current = closure_codes(m, T)
     stable = False
@@ -305,7 +264,7 @@ def derived_subgroup(m: int, gens: Sequence[MatModM]) -> np.ndarray:
         in_k = np.zeros(m**4, dtype=bool)
         in_k[current] = True
         for g in gens:
-            conj = conj_codes(g, np.asarray(T or [ident], dtype=np.int64))
+            conj = conj_codes(g, np.array(T or [ident], dtype=np.int64), m)
             escaped = conj[~in_k[conj]]
             if escaped.size:
                 T = sorted(set(T) | {int(c) for c in escaped})
@@ -320,21 +279,21 @@ class Abelianization(NamedTuple):
     is_cyclic: bool
 
 
-def abelianization_order(m: int, gens: Sequence[MatModM]) -> Abelianization:
+def abelianization_order(m: int, gens: Sequence[int]) -> Abelianization:
     """|H / H'| for H generated by gens, together with whether the quotient is
     cyclic.
 
     h generates H/H' iff no power h^k with 0 < k < [H : H'] lies in H'; the
     powers of every h in H are taken at once.
     """
-    H = closure_codes(m, [g.code() for g in gens])
+    H = closure_codes(m, gens)
     in_derived = np.zeros(m**4, dtype=bool)
     in_derived[derived_subgroup(m, gens)] = True
     index = H.size // int(np.count_nonzero(in_derived))
     generates = ~in_derived[H]
     power = H
     for _ in range(2, index):
-        power = _mul_pairs(power, H, m)
+        power = mul_codes(power, H, m)
         generates &= ~in_derived[power]
     return Abelianization(index, index == 1 or bool(generates.any()))
 
@@ -343,29 +302,15 @@ def abelianization_order(m: int, gens: Sequence[MatModM]) -> Abelianization:
 # conjugacy classes
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    """A conjugation orbit in GL2 or SL2 over Z/mZ."""
-
-    m: int
-    ambient: Ambient
-    representative: MatModM
-    member_codes: tuple[int, ...]
-    trace: int
-    det: int
-
-    @property
-    def size(self) -> int:
-        return len(self.member_codes)
-
-def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None = None) -> list[ConjClass]:
-    """Partition of the (optionally det-filtered) group into conjugation orbits.
+def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None = None) -> list[np.ndarray]:
+    """Partition of the (optionally det-filtered) group into conjugation
+    orbits, each a sorted code array.
 
     Orbits are under conjugation by the standard ambient generators.  Labels
     start at each element's index; a pass lowers each to the least of its
     label's label and its conjugates' labels.  Generators permute the finite
-    set, so the stable label of an orbit is its minimal code, which is the
-    representative and the sort key of the classes.
+    set, so the stable label of an orbit is its least code, its first entry:
+    the representative and the sort key of the classes.
     """
     codes = enumerate_group(m, ambient)
     if det_filter is not None:
@@ -376,18 +321,22 @@ def conjugacy_classes(m: int, ambient: Ambient = "GL2", det_filter: int | None =
     gens = sl2_generators(m) if ambient == "SL2" else gl2_generators(m)
     index_of = np.zeros(m**4, dtype=np.int64)
     index_of[codes] = np.arange(codes.size)
-    images = [index_of[conj_codes(g, codes)] for g in gens]
+    images = [index_of[conj_codes(g, codes, m)] for g in gens]
     label = np.arange(codes.size)
     while not np.array_equal(label, lowered := np.minimum.reduce([label[label], *(label[i] for i in images)])):
         label = lowered
     roots = np.flatnonzero(label == np.arange(codes.size))
     # cut the codes, grouped by label, after each class; the last piece is empty
-    orbits = np.split(codes[np.argsort(label, kind="stable")], np.cumsum(np.bincount(label)[roots]))[:-1]
-    classes = []
-    for orbit in orbits:
-        rep = mat_from_code(int(orbit[0]), m)
-        classes.append(ConjClass(m, ambient, rep, tuple(orbit.tolist()), rep.trace, rep.det))
-    return classes
+    return np.split(codes[np.argsort(label, kind="stable")], np.cumsum(np.bincount(label)[roots]))[:-1]
+
+
+@lru_cache(maxsize=8)
+def _conjugation_tables(m: int) -> tuple[np.ndarray, ...]:
+    """Conjugation by each standard GL2 generator, as a permutation of all m^4 codes."""
+    tables = tuple(conj_codes(g, np.arange(m**4), m) for g in gl2_generators(m))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def conjugacy_representatives(m: int, subgroups: Sequence[np.ndarray]) -> list[tuple[np.ndarray, int]]:
@@ -395,10 +344,10 @@ def conjugacy_representatives(m: int, subgroups: Sequence[np.ndarray]) -> list[t
     (sorted code arrays), in input order, with the size of its class.
 
     A class is the orbit of its first member under conjugation by the
-    standard GL2 generators, each tabulated once as a permutation of all m^4
-    codes; a sort names each image.
+    standard GL2 generators, through the cached ``_conjugation_tables``; a
+    sort names each image.
     """
-    perms = [conj_codes(g, np.arange(m**4)) for g in gl2_generators(m)]
+    perms = _conjugation_tables(m)
     claimed: set[bytes] = set()
     out = []
     for codes in subgroups:

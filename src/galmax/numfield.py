@@ -355,9 +355,7 @@ def _residue_incoherence(d0: FieldElem, n: int, r: int, prime_budget: int, chara
     )
 
 
-def sqrt_cyclotomic_certificate(
-    delta: FieldElem, K: MonogenicField | None = None, prime_budget: int = 10**4
-) -> Verdict:
+def sqrt_cyclotomic_certificate(delta: FieldElem, prime_budget: int = 10**4) -> Verdict:
     """Certify sqrt(delta) not in k^cyc, by quadratic symbol incoherence.
 
     If sqrt(delta) were cyclotomic, p -> legendre(delta mod (p,c), p) would
@@ -367,8 +365,7 @@ def sqrt_cyclotomic_certificate(
     primes, or finds two primes over one p with different symbols.  Failure
     to refute is reported as inconclusive, never as containment.
     """
-    if K is None:
-        K = delta.field
+    K = delta.field
     if delta.is_zero():
         raise InvalidInputError("delta must be nonzero")
     d0 = _integerize_power_class(delta, 2)
@@ -393,9 +390,7 @@ def _fundamental_discriminants(support_odd_primes: list[int]) -> list[int]:
     return [D for b in base for D in (b, -4 * b, 8 * b, -8 * b) if D != 1]
 
 
-def cbrt_cyclotomic_certificate(
-    delta: FieldElem, K: MonogenicField | None = None, prime_budget: int = 10**4
-) -> Verdict:
+def cbrt_cyclotomic_certificate(delta: FieldElem, prime_budget: int = 10**4) -> Verdict:
     """Certify the cube-root condition: either mu_3 is not in k (odd degree),
     or cbrt(delta) is not in k^cyc.
 
@@ -405,8 +400,7 @@ def cbrt_cyclotomic_certificate(
     quadratic fields (where mu_3 in k forces k = Q(sqrt(-3)) up to the
     split condition) single cubic Dirichlet characters are also refuted.
     """
-    if K is None:
-        K = delta.field
+    K = delta.field
     if delta.is_zero():
         raise InvalidInputError("delta must be nonzero")
     if K.degree % 2 == 1:

@@ -212,8 +212,8 @@ def omega_report(p_list: Iterable[int], m: int = 2) -> list[OmegaRow]:
         raise InvalidInputError("omega reports are implemented for m = 2")
     classes = modgroup.conjugacy_classes(2, "GL2", det_filter=1)
     sl2_order = modgroup.sl2_order(2)
-    cubic, _ = pattern_ids_of_codes([cl.representative.code() for cl in classes], 2)
-    pattern_of_class = {CUBIC_PATTERNS[i]: cl.size for i, cl in zip(cubic.tolist(), classes)}
+    # each class is a sorted code array; its first entry is the representative
+    pattern_of_class = {CUBIC_PATTERNS[pattern_ids_of_codes(cl[0], 2)[0]]: cl.size for cl in classes}
     rows = []
     for p in sorted(set(int(p) for p in p_list)):
         counts = ecff.omega_counts_mod2(p)

@@ -24,14 +24,15 @@ fixed, and the determinant.  ``certify`` applies it to the root counts of a
 Frobenius class and the tables to matrix codes, through
 ``pattern_ids_of_codes``.
 
-Every table is built from sorted code arrays.  ``modgroup.closure_block``
-is the one closure: it gives the octahedral preimage at a prime and, at
-m = 9, the complements in each quotient by a normal subgroup of the mod-3
-kernel, closing the candidates of each in one sweep.  ``SmallGroupTable``
-gives the lattices for m <= 4 and, at m = 9, the maximal subgroups of
-GL2(F_3) and the lattice of the mod-3 kernel.
-``modgroup.conjugacy_representatives`` keeps one subgroup per conjugacy
-class.
+Every table is built from matrix codes and sorted code arrays; a lattice
+mask over ``SmallGroupTable.codes`` selects a subgroup's codes.
+``modgroup.closure_block`` is the one closure: it gives the octahedral
+preimage at a prime and, at m = 9, the complements in each quotient by a
+normal subgroup of the mod-3 kernel, closing the candidates of each in one
+sweep from generator codes.  ``SmallGroupTable`` gives the lattices for
+m <= 4 and, at m = 9, the maximal subgroups of GL2(F_3) and the lattice of
+the mod-3 kernel.  ``modgroup.conjugacy_representatives`` keeps one
+subgroup per conjugacy class.
 """
 from __future__ import annotations
 
@@ -68,7 +69,7 @@ class SmallGroupTable:
         for j in range(0, self.n, block):
             rows = mg._row_tables(self.codes[j:j + block], m)
             self.cayley[:, j:j + block] = row_of[rows[:, tops] * m2 + rows[:, bottoms]].T
-        self.identity = int(row_of[mg.identity(m).code()])
+        self.identity = int(row_of[mg.identity(m)])
         # inverse: the unique j with i*j = identity
         self.inv = np.empty(self.n, dtype=np.int32)
         rows, cols = np.nonzero(self.cayley == self.identity)
@@ -99,7 +100,7 @@ class SmallGroupTable:
         """
         order_primes = list(nt.factorint(self.n))
         solvable = set(order_primes) <= {2, 3}
-        if not solvable and not self._is_gl2_like_57():
+        if not solvable and self.m not in (5, 7):
             raise InvalidInputError(
                 f"exhaustive lattice supported only for solvable ambients or GL2/SL2 mod 5, 7 (order {self.n})"
             )
@@ -142,9 +143,6 @@ class SmallGroupTable:
             found.update(dict.fromkeys(m_.tobytes() for m_ in self._sl2_overgroup_masks()))
         return [np.frombuffer(key, dtype=bool) for key in found]
 
-    def _is_gl2_like_57(self) -> bool:
-        return self.m in (5, 7)
-
     def _sl2_overgroup_masks(self) -> list[np.ndarray]:
         dets = mg.det_of_codes(self.codes, self.m)
         sl2_mask = dets == 1
@@ -161,9 +159,6 @@ class SmallGroupTable:
         # always include SL2 itself
         masks.append(sl2_mask)
         return masks
-
-    def mask_to_codes(self, mask: np.ndarray) -> np.ndarray:
-        return self.codes[mask]
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +295,8 @@ def _table_from_lattice(m: int) -> SignatureTable:
     table = SmallGroupTable.for_group(m, "GL2")
     sl2_rows = np.searchsorted(table.codes, mg.enumerate_group(m, "SL2"))
     candidates = [
-        table.mask_to_codes(msk) for msk in table.subgroup_lattice()
-        if not msk[sl2_rows].all() and _det_is_full(table.mask_to_codes(msk), m)
+        table.codes[msk] for msk in table.subgroup_lattice()
+        if not msk[sl2_rows].all() and _det_is_full(table.codes[msk], m)
     ]
     entries = [
         _entry(f"H{k}(order {codes.size})", codes, m, n_conj)
@@ -357,7 +352,7 @@ def _octahedral_preimage(ell: int) -> np.ndarray | None:
     s = int(codes[np.argmax(u == 2)])
     # the scalars are generated by a primitive root times the identity
     root = nt.primitive_root(ell)
-    scalars = mg.mat(ell, root, 0, 0, root).code()
+    scalars = mg.mat(ell, root, 0, 0, root)
     candidates = codes[u == 1].tolist()
     # blocks of 1, 2, 4, ... candidates (up to the memory budget): an early
     # candidate usually passes, and a long search pays O(log) block calls
@@ -457,16 +452,16 @@ def _maximal_candidates_mod9() -> list[tuple[str, np.ndarray]]:
 
     # case (a): preimages of conjugates are conjugate
     t3 = SmallGroupTable.for_group(3, "GL2")
-    proper3 = [t3.mask_to_codes(msk) for msk in t3.subgroup_lattice() if not msk.all()]
+    proper3 = [t3.codes[msk] for msk in t3.subgroup_lattice() if not msk.all()]
     maximal3 = _maximal(proper3, lambda sub: set(sub.tolist()))
     for k, (sub, _) in enumerate(mg.conjugacy_representatives(3, maximal3)):
         sel = np.isin(red3, sub)
         out.append((f"pre-mod3-max{k}(order {int(sel.sum())})", codes[sel]))
 
     # case (b)
-    K = codes[red3 == mg.identity(3).code()]
+    K = codes[red3 == mg.identity(3)]
     kt = SmallGroupTable(K, 9)
-    proper = [kt.mask_to_codes(msk) for msk in kt.subgroup_lattice() if not msk.all()]
+    proper = [kt.codes[msk] for msk in kt.subgroup_lattice() if not msk.all()]
     # GL2(Z/9) normalizes a subgroup iff the subgroup is its whole conjugacy class
     normalized = [sub for sub, n_conj in mg.conjugacy_representatives(9, proper) if n_conj == 1]
     for K0 in sorted(_maximal(normalized, lambda sub: set(sub.tolist())), key=lambda sub: -sub.size):
@@ -481,25 +476,32 @@ def _complement_preimages_mod9(K0: np.ndarray, K: np.ndarray) -> list[np.ndarray
     kernel K exactly in K0, one per conjugacy class.
 
     K0 is normal, so a subgroup containing it is the closure of generators
-    plus K0, and each coset of K0 is named by its least code.  M/K0 is a
-    complement to K/K0 in G/K0, of order |GL2(F_3)| = 48, so it holds a
-    Sylow 2-subgroup (order 16) and is generated by it and any element of
-    order 3 in it.  Sylow subgroups are conjugate, so every class has a
+    plus a generating set of K0, and each coset of K0 is named by its least
+    code.  M/K0 is a complement to K/K0 in G/K0, of order |GL2(F_3)| = 48,
+    so it holds a Sylow 2-subgroup (order 16) and is generated by it and any
+    element of order 3 in it.  Sylow subgroups are conjugate, so every class has a
     member containing one fixed P/K0, grown least coset first through
     normalizers: the candidates are P plus each coset t of order 3, closed
     in one sweep.
     """
-    codes, k0 = mg.enumerate_group(9, "GL2"), K0.tolist()
-    cosets = mg._sorted_unique(np.minimum.reduce([mg.mul_codes(codes, mg.mat_from_code(k, 9)) for k in k0]))
+    codes = mg.enumerate_group(9, "GL2")
+    cosets = mg._sorted_unique(mg.mul_codes(codes[:, None], K0, 9).min(axis=1))
     in_K0 = np.zeros(9**4, dtype=bool)
     in_K0[K0] = True
     # the cosets of 2-power order (g^16 in K0) and of order 3
     power = cosets
     for _ in range(4):
-        power = mg._mul_pairs(power, power, 9)
+        power = mg.mul_codes(power, power, 9)
     two_power = cosets[in_K0[power]]
-    cube = mg._mul_pairs(mg._mul_pairs(cosets, cosets, 9), cosets, 9)
+    cube = mg.mul_codes(mg.mul_codes(cosets, cosets, 9), cosets, 9)
     order_three = cosets[in_K0[cube] & ~in_K0[cosets]]
+    # a generating set of K0, grown greedily: K0 is elementary abelian of
+    # order at most 27, so it takes at most 3 codes
+    k0, span = [], {mg.identity(9)}
+    for x in K0.tolist():
+        if x not in span:
+            k0.append(x)
+            span = set(mg.closure_codes(9, k0).tolist())
 
     gens: list[int] = []
     P = K0
@@ -507,7 +509,7 @@ def _complement_preimages_mod9(K0: np.ndarray, K: np.ndarray) -> list[np.ndarray
         in_P = np.zeros(9**4, dtype=bool)
         in_P[P] = True
         for g in two_power[~in_P[two_power]].tolist():
-            if not in_P[mg.conj_codes(mg.mat_from_code(g, 9), P)].all():
+            if not in_P[mg.conj_codes(g, P, 9)].all():
                 continue
             grown = mg.closure_codes(9, gens + [g] + k0)
             index = grown.size // K0.size

@@ -50,11 +50,11 @@ def test_coverage_boundary_ell3_nonsquare_det():
     classes = mg.conjugacy_classes(3, "GL2", det_filter=2)
     assert len(classes) == 3
     # a Sylow 2-subgroup of GL2(F_3), order 16 (semidihedral)
-    sylow = mg.closure_codes(3, [mg.mat(3, 0, 1, 1, 1).code(), mg.mat(3, 0, 1, 2, 0).code()])
+    sylow = mg.closure_codes(3, [mg.mat(3, 0, 1, 1, 1), mg.mat(3, 0, 1, 2, 0)])
     assert sylow.size == 16
     members = set(sylow.tolist())
     for c in classes:
-        assert not members.isdisjoint(c.member_codes)
+        assert not members.isdisjoint(c.tolist())
     assert not set(mg.enumerate_group(3, "SL2").tolist()) <= members
 
 
@@ -165,7 +165,7 @@ def test_cli_runs_leave_sympy_unloaded(argv):
 def set_based_coverage(m, dets, subgroups):
     """(subgroups tested, nonvacuous checks, counterexamples) of the coverage
     check done on Python sets; subgroups yields (codes, description) pairs."""
-    class_sets = {d: [frozenset(c.member_codes) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets}
+    class_sets = {d: [frozenset(c.tolist()) for c in mg.conjugacy_classes(m, "GL2", det_filter=d)] for d in dets}
     sl2 = set(mg.enumerate_group(m, "SL2").tolist())
     tested, nonvacuous, counterexamples = 0, 0, []
     for codes, description in subgroups:
@@ -182,7 +182,7 @@ def set_based_coverage(m, dets, subgroups):
 def lattice_subgroups(m):
     table = SmallGroupTable.for_group(m, "GL2")
     for mask in table.subgroup_lattice():
-        codes = table.mask_to_codes(mask)
+        codes = table.codes[mask]
         yield codes, [int(x) for x in codes[:8]]
 
 
@@ -223,7 +223,7 @@ def test_coverage_test_matches_set_based_check_at_the_ell3_boundary():
     assert audit_counts(report) == want
     counterexamples = report.counterexamples
     assert counterexamples and all(list(c) == ["det", "subgroup"] and c["det"] == 2 for c in counterexamples)
-    sylow = mg.closure_codes(3, [mg.mat(3, 0, 1, 1, 1).code(), mg.mat(3, 0, 1, 2, 0).code()])
+    sylow = mg.closure_codes(3, [mg.mat(3, 0, 1, 1, 1), mg.mat(3, 0, 1, 2, 0)])
     assert {"det": 2, "subgroup": sylow[:8].tolist()} in counterexamples
     assert not report.ok and report.to_json()["counterexamples"] == counterexamples
 

@@ -222,6 +222,23 @@ def test_certify_maximal_cubic_field_example():
     assert js["conditions"]["d"]["status"] == "certified"
 
 
+def test_certify_maximal_refuses_a_field_other_than_the_curves():
+    # the field certificates walk the field of the discriminant, so a K that
+    # differs from it would bound the conductor from the wrong field
+    K, L = nf.MonogenicField([1, 1, 0, 1]), nf.MonogenicField([-2, 0, 1])
+    E = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))
+    params = certify.CertParams(prime_bound=500, l_max=13)
+    for call in (
+        lambda: certify.certify_maximal(E, L, params),
+        lambda: certify.curve_columns(E, params, L),
+        lambda: certify.certify_maximal(E11, K, params),
+        lambda: certify.curve_columns(E11, params, K),
+    ):
+        with pytest.raises(InvalidInputError):
+            call()
+    assert certify.certify_maximal(E, K, params).to_json() == certify.certify_maximal(E, None, params).to_json()
+
+
 def test_certify_maximal_over_q_is_obstructed():
     rep = certify.certify_maximal(E11, params=PARAMS)
     assert rep.verdict.is_obstruction

@@ -46,7 +46,7 @@ def test_enumerate_group_is_read_only():
     G = mg.enumerate_group(5, "GL2")
     with pytest.raises(ValueError):
         G[0] = 0
-    assert G is mg.enumerate_group(5, "GL2") and G[0] == mg.mat(5, 0, 1, 1, 0).code()
+    assert G is mg.enumerate_group(5, "GL2") and G[0] == mg.mat(5, 0, 1, 1, 0)
 
 
 def test_enumerate_group_caps():
@@ -58,15 +58,15 @@ def test_enumerate_group_caps():
 
 def test_matrix_invariants():
     M = mg.mat(7, 2, 3, 1, 4)
-    assert M.det == 5
-    assert M.mul(M.inv()) == mg.identity(7)
+    assert mg.det_of_codes(M, 7) == 5
+    assert mg.mul_codes(M, mg.inv_code(M, 7), 7) == mg.identity(7)
     with pytest.raises(InvalidInputError):
         mg.mat(6, 2, 0, 0, 3)  # det 6 = 0 mod 6
 
 
 def closure(m, entries):
     """closure_codes of generators given by their entries (a, b, c, d)."""
-    return mg.closure_codes(m, [mg.mat(m, *e).code() for e in entries])
+    return mg.closure_codes(m, [mg.mat(m, *e) for e in entries])
 
 
 def test_closure_elementary_generates_sl2_mod_5():
@@ -95,7 +95,7 @@ def test_closure_idempotent_and_conjugation_stable():
         assert H.tolist() == H2.tolist()
         # closed under conjugation by its own elements
         for g in H[:6].tolist():
-            assert set(mg.conj_codes(mg.mat_from_code(g, 8), H).tolist()) == set(H.tolist())
+            assert set(mg.conj_codes(g, H, 8).tolist()) == set(H.tolist())
 
 
 def test_derived_subgroup_values():
@@ -105,18 +105,18 @@ def test_derived_subgroup_values():
 
 
 def test_derived_subgroup_is_normal_with_abelian_quotient():
-    H = [mg.mat_from_code(c, 4) for c in mg.enumerate_group(4, "SL2").tolist()]
+    H = mg.enumerate_group(4, "SL2").tolist()
     Hp = mg.derived_subgroup(4, mg.sl2_generators(4))
     hp = set(Hp.tolist())
     for g in H[:10]:
-        assert set(mg.conj_codes(g, Hp).tolist()) == hp
+        assert set(mg.conj_codes(g, Hp, 4).tolist()) == hp
     # abelian quotient: commutators of random elements land in H'
     rng = random.Random(1)
     for _ in range(20):
         x = H[rng.randrange(len(H))]
         y = H[rng.randrange(len(H))]
-        comm = x.mul(y).mul(x.inv()).mul(y.inv())
-        assert comm.code() in hp
+        comm = mg.mul_codes(mg.mul_codes(x, y, 4), mg.mul_codes(mg.inv_code(x, 4), mg.inv_code(y, 4), 4), 4)
+        assert comm in hp
 
 
 @pytest.mark.parametrize("m", list(range(2, 25)))
@@ -154,14 +154,14 @@ def test_conjugacy_classes_partition_and_invariants():
         seen = set()
         for c in classes:
             assert G.size % c.size == 0
-            assert not seen & set(c.member_codes)
-            seen.update(c.member_codes)
-            for code in list(c.member_codes)[:6]:
-                M = mg.mat_from_code(code, m)
-                assert M.trace == c.trace and M.det == c.det
+            assert not seen & set(c.tolist())
+            seen.update(c.tolist())
+            for code in c.tolist()[:6]:
+                assert mg.trace_of_codes(code, m) == mg.trace_of_codes(c[0], m)
+                assert mg.det_of_codes(code, m) == mg.det_of_codes(c[0], m)
         # scalar classes are singletons
-        ident = mg.identity(m).code()
-        assert any(c.member_codes == (ident,) for c in classes)
+        ident = mg.identity(m)
+        assert any(c.tolist() == [ident] for c in classes)
 
 
 def test_conjugacy_classes_rejects_bad_filter():
@@ -192,7 +192,7 @@ def test_reduce_mod_full_groups_surject(m, m2):
 def missed_class(codes, m, d):
     """The first GL2-conjugacy class of determinant d that the codes miss, or None."""
     members = set(codes.tolist())
-    return next((cl for cl in mg.conjugacy_classes(m, "GL2", det_filter=d) if members.isdisjoint(cl.member_codes)), None)
+    return next((cl for cl in mg.conjugacy_classes(m, "GL2", det_filter=d) if members.isdisjoint(cl.tolist())), None)
 
 
 def test_meets_all_classes():
@@ -205,44 +205,79 @@ def test_meets_all_classes():
     missing = missed_class(borel, 5, 1)
     assert missing is not None
     # the missed class has irreducible characteristic polynomial
-    rep = missing.representative
-    disc = (rep.trace**2 - 4 * rep.det) % 5
+    rep = int(missing[0])
+    disc = (mg.trace_of_codes(rep, 5) ** 2 - 4 * mg.det_of_codes(rep, 5)) % 5
     assert pow(disc, 2, 5) != 0 and pow(disc, (5 - 1) // 2, 5) == 5 - 1
     with pytest.raises(InvalidInputError):
         missed_class(borel, 5, 5)
 
 
 # ---------------------------------------------------------------------------
-# the array engines against plain-Python references on MatModM.mul
+# the array engines against plain-Python references on entry tuples
 
 
-def matrix_of_code(code, m):
+def entries(code, m):
+    """(a, b, c, d) of a code, by plain division."""
     a, rest = divmod(code, m**3)
     b, rest = divmod(rest, m * m)
-    return mg.MatModM(m, a, b, *divmod(rest, m))
+    return (a, b, *divmod(rest, m))
+
+
+def code_of(x, m):
+    a, b, c, d = x
+    return ((a * m + b) * m + c) * m + d
+
+
+def matmodm_mul(x, y, m):
+    """The product of two matrices mod m given as entry tuples (a, b, c, d)."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m)
 
 
 @pytest.mark.parametrize("m", range(2, 17))
 def test_mul_codes_matches_matmodm_mul(m):
     codes = mg.enumerate_group(m, "GL2")
-    elements = [matrix_of_code(c, m) for c in codes.tolist()]
+    elements = [entries(c, m) for c in codes.tolist()]
     rng = random.Random(m)
-    for g in [*mg.sl2_generators(m), *(elements[rng.randrange(len(elements))] for _ in range(2))]:
-        assert mg.mul_codes(codes, g).tolist() == [x.mul(g).code() for x in elements]
+    for g in [*mg.sl2_generators(m), *(int(codes[rng.randrange(codes.size)]) for _ in range(2))]:
+        want = [code_of(matmodm_mul(x, entries(g, m), m), m) for x in elements]
+        assert mg.mul_codes(codes, g, m).tolist() == want
+        assert [mg.mul_codes(x, g, m) for x in codes.tolist()[:8]] == want[:8]
+
+
+@pytest.mark.parametrize("m", [2, 5, 9, 12, 16])
+def test_code_arithmetic_serves_ints_and_arrays(m):
+    # a Python int in gives Python ints out, equal to the array version's entry
+    codes = mg.enumerate_group(m, "GL2")
+    g = mg.sl2_generators(m)[0]
+    on_arrays = [*mg.decode(codes, m), mg.det_of_codes(codes, m), mg.trace_of_codes(codes, m),
+                 mg.reduce_codes(codes, m, 2), mg.conj_codes(g, codes, m)]
+    for i in range(0, codes.size, max(1, codes.size // 50)):
+        x = int(codes[i])
+        one = [*mg.decode(x, m), mg.det_of_codes(x, m), mg.trace_of_codes(x, m),
+               mg.reduce_codes(x, m, 2), mg.conj_codes(g, x, m)]
+        assert all(type(v) is int for v in one)
+        assert one == [int(col[i]) for col in on_arrays]
+        a, b, c, d = entries(x, m)
+        assert one[4:6] == [(a * d - b * c) % m, (a + d) % m]
+        inv = mg.inv_code(x, m)
+        assert type(inv) is int and matmodm_mul(entries(x, m), entries(inv, m), m) == (1 % m, 0, 0, 1 % m)
 
 
 def reference_closure(m, gen_codes):
     """Breadth-first closure under right multiplication, in plain Python."""
-    gens = [mg.mat_from_code(c, m) for c in gen_codes]
-    seen = {mg.identity(m).code()}
-    frontier = [mg.identity(m)]
+    gens = [entries(c, m) for c in gen_codes]
+    ident = (1 % m, 0, 0, 1 % m)
+    seen = {code_of(ident, m)}
+    frontier = [ident]
     while frontier:
         fresh = []
         for x in frontier:
             for g in gens:
-                y = x.mul(g)
-                if y.code() not in seen:
-                    seen.add(y.code())
+                y = matmodm_mul(x, g, m)
+                if code_of(y, m) not in seen:
+                    seen.add(code_of(y, m))
                     fresh.append(y)
         frontier = fresh
     return sorted(seen)
@@ -310,7 +345,7 @@ def conj_orbit_reference(m, code, gens):
     """The conjugation orbit of one code, by breadth-first search over sets."""
     seen, frontier = {code}, [code]
     while frontier:
-        images = np.concatenate([mg.conj_codes(g, np.array(frontier, dtype=np.int64)) for g in gens])
+        images = np.concatenate([mg.conj_codes(g, np.array(frontier, dtype=np.int64), m) for g in gens])
         frontier = sorted(set(images.tolist()) - seen)
         seen.update(frontier)
     return tuple(sorted(seen))
@@ -334,10 +369,11 @@ def test_conjugacy_classes_match_orbit_bfs(m, ambient, det):
             want.append(conj_orbit_reference(m, code, gens))
             assigned.update(want[-1])
     classes = mg.conjugacy_classes(m, ambient, det_filter=det)
-    assert [cl.member_codes for cl in classes] == want
+    assert [tuple(cl.tolist()) for cl in classes] == want
     for cl in classes:
-        rep = mg.mat_from_code(cl.member_codes[0], m)
-        assert (cl.m, cl.ambient, cl.representative, cl.trace, cl.det) == (m, ambient, rep, rep.trace, rep.det)
+        # a sorted code array, whose first entry is the representative
+        assert cl.dtype == np.int64 and (np.diff(cl) > 0).all()
+        assert len(set(mg.trace_of_codes(cl, m).tolist())) == len(set(mg.det_of_codes(cl, m).tolist())) == 1
 
 
 def test_conjugacy_classes_of_an_empty_det_slice():

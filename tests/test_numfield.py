@@ -134,7 +134,7 @@ def test_degree_one_primes_congruence_filter(monkeypatch):
     primes = []
     reduce_elem = nf.reduce_elem
     monkeypatch.setattr(nf, "reduce_elem", lambda x, P: primes.append(P.p) or reduce_elem(x, P))
-    assert nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([8]), EISENSTEIN, prime_budget=200).is_inconclusive
+    assert nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([8]), prime_budget=200).is_inconclusive
     assert primes and all(p % 3 == 1 for p in primes)
 
 
@@ -182,14 +182,14 @@ def test_sqrt_certificate_never_certifies_rational_square_classes():
         (a * a + 1) * (a * a + 1) * 7,
         a * a * CUBIC.elem([-3]),
     ]:
-        v = nf.sqrt_cyclotomic_certificate(delta, CUBIC, prime_budget=1500)
+        v = nf.sqrt_cyclotomic_certificate(delta, prime_budget=1500)
         assert not v.is_certified, delta
 
 
 def test_sqrt_certificate_certifies_cubic_field_curve_discriminant():
     a = CUBIC.alpha()
     delta = CUBIC.elem([64]) + 91 * a + 27 * a * a  # = -64 a^3 - 27 a^4
-    v = nf.sqrt_cyclotomic_certificate(delta, CUBIC, prime_budget=2000)
+    v = nf.sqrt_cyclotomic_certificate(delta, prime_budget=2000)
     assert v.is_certified
     assert v.witnesses
 
@@ -197,18 +197,18 @@ def test_sqrt_certificate_certifies_cubic_field_curve_discriminant():
 def test_sqrt_certificate_monotone_in_budget():
     a = CUBIC.alpha()
     delta = CUBIC.elem([64]) + 91 * a + 27 * a * a
-    small = nf.sqrt_cyclotomic_certificate(delta, CUBIC, prime_budget=2000)
-    big = nf.sqrt_cyclotomic_certificate(delta, CUBIC, prime_budget=4000)
+    small = nf.sqrt_cyclotomic_certificate(delta, prime_budget=2000)
+    big = nf.sqrt_cyclotomic_certificate(delta, prime_budget=4000)
     assert small.is_certified and big.is_certified
 
 
 def test_sqrt_certificate_rejects_zero():
     with pytest.raises(InvalidInputError):
-        nf.sqrt_cyclotomic_certificate(CUBIC.zero(), CUBIC)
+        nf.sqrt_cyclotomic_certificate(CUBIC.zero())
 
 
 def test_cbrt_certificate_odd_degree_short_circuit():
-    v = nf.cbrt_cyclotomic_certificate(CUBIC.elem([2]), CUBIC)
+    v = nf.cbrt_cyclotomic_certificate(CUBIC.elem([2]))
     assert v.is_certified
     assert v.witnesses[0]["kind"] == "degree parity"
 
@@ -216,13 +216,13 @@ def test_cbrt_certificate_odd_degree_short_circuit():
 def test_cbrt_certificate_over_eisenstein_field():
     # cbrt(2) is genuinely not cyclotomic over Q(mu_3): cube-ness of 2 at
     # p = 1 mod 3 is governed by p = x^2 + 27 y^2, not by any congruence
-    v = nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([2]), EISENSTEIN, prime_budget=500)
+    v = nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([2]), prime_budget=500)
     assert v.is_certified
     # a perfect cube stays inconclusive
-    v = nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([8]), EISENSTEIN, prime_budget=500)
+    v = nf.cbrt_cyclotomic_certificate(EISENSTEIN.elem([8]), prime_budget=500)
     assert v.is_inconclusive
     a = EISENSTEIN.alpha()
-    v = nf.cbrt_cyclotomic_certificate(a * a * a, EISENSTEIN, prime_budget=500)
+    v = nf.cbrt_cyclotomic_certificate(a * a * a, prime_budget=500)
     assert v.is_inconclusive
 
 
@@ -370,9 +370,9 @@ def _check_against_reference():
     checked = 0
     for K, delta in _reference_battery():
         for budget in (300, 2000):
-            new = nf.sqrt_cyclotomic_certificate(delta, K, prime_budget=budget).to_json()
+            new = nf.sqrt_cyclotomic_certificate(delta, prime_budget=budget).to_json()
             assert new == _reference_sqrt_certificate(delta, K, budget).to_json(), (K, delta, budget)
-            new = nf.cbrt_cyclotomic_certificate(delta, K, prime_budget=budget).to_json()
+            new = nf.cbrt_cyclotomic_certificate(delta, prime_budget=budget).to_json()
             assert new == _reference_cbrt_certificate(delta, K, budget).to_json(), (K, delta, budget)
             checked += 1
     return checked
