@@ -694,13 +694,15 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
         raise InvalidInputError("serre_check applies to curves over Q")
     A, B = integer_model(curve.a, curve.b)
     report = SerreReport(verdict=inconclusive(), params=params, curve=(A, B))
-    verdict, levels = serre_obstruction(A, B), {}
-    if verdict is None:
+    torsion, x, cm, j = serre_obstruction(A, B)
+    structural = [{"kind": "rational 2-torsion", "x": str(x)}] if torsion else []
+    structural += [{"kind": "complex multiplication", "j": str(j)}] if cm else []
+    if structural:
+        report.verdict = obstruction(*structural, statement="the adelic index exceeds 2 (proper mod-2 image / CM)")
+    else:
         acc, cols = _stream_curve(curve, params, **serre_level_tests(params))
-        verdict, levels = _serre_levels(acc, cols, params)
+        report.verdict, report.levels = _serre_levels(acc, cols, params)
         report.primes_scanned = cols.p.size
-    report.levels = levels
-    report.verdict = verdict
     report.notes.append(
         f"mod-l surjectivity checked for primes up to l_max = {params.l_max}; "
         "larger primes are covered only heuristically"
@@ -708,20 +710,17 @@ def serre_check(curve: ecff.ShortWeierstrass, params: CertParams = CertParams())
     return report
 
 
-def serre_obstruction(A: int, B: int) -> Verdict | None:
-    """The structural obstruction of the integer curve y^2 = x^3 + Ax + B
-    (an integer root of the cubic, or one of the thirteen CM j-invariants),
-    None if it has neither."""
-    structural = []
-    roots = nt._integer_roots_monic_cubic(A, B)
-    if roots:
-        structural.append({"kind": "rational 2-torsion", "x": str(roots[0])})
+def serre_obstruction(A, B):
+    """The structural screen of the integer curves y^2 = x^3 + Ax + B, A and B
+    Python ints or int64 arrays, elementwise like nt.least_integer_root:
+    (torsion, x, cm, j), torsion where the cubic has an integer root (a
+    rational 2-torsion point) and x its least one, cm where j = -1728 (4A)^3
+    / Delta is an integer among the thirteen CM j-invariants."""
+    torsion, x = nt.least_integer_root([B, A, 0, 1])
     j_num, j_den = -1728 * 64 * A**3, ecff.discriminant(A, B)
-    if j_num % j_den == 0 and j_num // j_den in ecff.CM_J_INVARIANTS:
-        structural.append({"kind": "complex multiplication", "j": str(j_num // j_den)})
-    if structural:
-        return obstruction(*structural, statement="the adelic index exceeds 2 (proper mod-2 image / CM)")
-    return None
+    j = j_num // j_den
+    cm = (j_num % j_den == 0) & (sum(j == cm_j for cm_j in ecff.CM_J_INVARIANTS) > 0)
+    return torsion, x, cm, j
 
 
 def serre_level_tests(params: CertParams) -> dict:

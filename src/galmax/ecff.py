@@ -159,17 +159,12 @@ def _root_count_grid(p: int) -> np.ndarray:
     return counts.reshape(p, p)
 
 
-def _delta_nonzero_grid(p: int) -> np.ndarray:
-    r = np.arange(p, dtype=np.int64)[:, None]
-    s = np.arange(p, dtype=np.int64)[None, :]
-    return (4 * (r * r % p) * r + 27 * s * s) % p != 0
-
-
 def omega_counts_mod2(p: int) -> dict[tuple[int, ...], int]:
     """Exact count of nonsingular (r, s) by splitting pattern of the cubic."""
     _check_p(p)
     counts = _root_count_grid(p)
-    good = _delta_nonzero_grid(p)
+    r = np.arange(p, dtype=np.int64)
+    good = _disc_mod(p, r[:, None], r) != 0
     return {
         (1, 1, 1): int(((counts == 3) & good).sum()),
         (2, 1): int(((counts == 1) & good).sum()),
@@ -203,7 +198,7 @@ def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
     targets[gamma * powers % p] = True
     a = np.arange(p, dtype=np.int64)[:, None]
     b = np.arange(p, dtype=np.int64)[None, :]
-    delta = (-16 * (4 * (a * a % p) * a + 27 * b * b)) % p
+    delta = -16 * _disc_mod(p, a, b) % p
     count = int(targets[delta].sum())
     deviation = abs(count - p * p / r) / p**1.5
     return count, deviation

@@ -321,80 +321,80 @@ def integer_roots_monic(coeffs: list[int]) -> list[int]:
     """Sorted distinct integer roots of the monic integer polynomial f with
     the little-endian coeffs, found without factoring the constant term.
 
-    On the integers the finite difference g(y + 1) - g(y) of a degree-k
-    polynomial g has degree k - 1, and g is monotone on the integers of
-    every run where its difference keeps one sign.  The (n-1)-th difference
-    of f is linear, so monotone on all of [-R, R], R = 1 + max |a_i|
-    (Cauchy's bound on the roots); splitting at the sign change of each
-    difference in turn, from that one down to f, cuts [-R, R] into at most
-    2^n runs on which f is monotone, and bisection finds f's roots in each.
+    Every root has |y| < R, the least R >= 0 with R^n > sum |a_i| R^i
+    (Cauchy), found by bisection in [0, S], S = 1 + sum |a_i|.  The finite
+    difference g(y + 1) - g(y) of a degree-k g has degree k - 1, and g is
+    monotone on every run of integers where it keeps one sign.  Cutting
+    [-R, R] at the sign change of each difference of f in turn, from the
+    linear one down, leaves 2^(n-1) runs (some empty) with f monotone, and
+    bisection finds f's first root in each; a run's roots are consecutive.
     The cost grows with the number of digits of the coefficients only.
+
+    The bisections run elementwise, like poly_mulmod, on coefficients that
+    are Python ints (one polynomial of any size) or int64 arrays (one per
+    entry, read by least_integer_root).  On int64 the caller keeps every
+    value below 2^63: below 2 (2S)^n while finding R, 2^n S (3R + n)^n after.
     """
-    n = len(coeffs) - 1
-    R = 1 + max(abs(c) for c in coeffs[:-1])
-    polys = [list(coeffs)]
-    for _ in range(n - 1):
-        g = polys[-1]
-        shifted = [sum(math.comb(k, i) * g[k] for k in range(i, len(g))) for i in range(len(g))]  # g(y + 1)
-        polys.append([a - b for a, b in zip(shifted, g)][:-1])
-    pieces = [(-R, R)]
-    for g in reversed(polys[1:]):
-        # g monotone on each piece: split it where g changes sign; g's
-        # antidifference is monotone on each side, one step further
-        runs = []
-        for lo, hi in pieces:
-            c = _first_nonnegative(g, lo, hi)
-            runs += [(a, min(b + 1, R)) for a, b in ((lo, c - 1), (c, hi)) if a <= b]
-        pieces = runs
-    return _roots_on_monotone_pieces(coeffs, pieces)
-
-
-def _roots_on_monotone_pieces(coeffs: list[int], pieces: list[tuple[int, int]]) -> list[int]:
-    """Sorted distinct integer roots of f in the integer intervals [lo, hi]
-    of pieces, f monotone on the integers of each: bisection finds the
-    first, and they are consecutive."""
     roots = set()
-    for lo, hi in pieces:
-        y = _first_nonnegative(coeffs, lo, hi)
+    for y, hi in _monotone_runs(coeffs):
         while y <= hi and _evaluate(coeffs, y) == 0:
             roots.add(y)
             y += 1
     return sorted(roots)
 
 
-def _evaluate(coeffs: list[int], y: int) -> int:
+def least_integer_root(coeffs):
+    """(found, y), elementwise as in integer_roots_monic: whether f has an
+    integer root, and its least one (0 if none)."""
+    found, least = False, 0
+    for y, hi in reversed(_monotone_runs(coeffs)):
+        hit = (y <= hi) & (_evaluate(coeffs, y) == 0)
+        found, least = found | hit, least + (y - least) * hit
+    return found, least
+
+
+def _monotone_runs(coeffs) -> list:
+    """The runs [lo, hi] of integer_roots_monic in increasing order, as (y,
+    hi), y f's first root in the run if any; empty runs (lo > hi) are kept,
+    so every entry of an array has the same runs."""
+    n = len(coeffs) - 1
+    S = 1 + sum(abs(c) for c in coeffs[:-1])
+    # R^n - sum |a_i| R^i - 1 changes sign once on R >= 0, and is > 0 at S
+    R = _first_nonnegative([-abs(coeffs[0]) - 1, *(-abs(c) for c in coeffs[1:-1]), 1], 0, S, _powers_of_two(S))
+    bits = _powers_of_two(2 * R + 1)
+    diffs = [list(coeffs)]
+    for _ in range(n - 1):  # g(y + 1) - g(y) = sum over i < k of C(k, i) g_k y^i
+        g = diffs[-1]
+        diffs.append([sum(math.comb(k, i) * g[k] for k in range(i + 1, len(g))) for i in range(len(g) - 1)])
+    runs = [(-R, R, 1)]  # (lo, hi, s), s = +-1 with s g non-decreasing on the run
+    for g in reversed(diffs[1:]):
+        # s g < 0 on [lo, c - 1] and >= 0 on [c, hi]: g's antidifference runs
+        # against s on the first and with s on the second, one step further
+        cut = []
+        for lo, hi, s in runs:
+            c = _first_nonnegative([s * a for a in g], lo, hi, bits)
+            cut += [(lo, c - 1 + ((lo < c) & (c <= R)), -s), (c, hi + ((c <= hi) & (hi < R)), s)]
+        runs = cut
+    return [(_first_nonnegative([s * a for a in coeffs], lo, hi, bits), hi) for lo, hi, s in runs]
+
+
+def _powers_of_two(x) -> list[int]:
+    """2^(k-1), ..., 2, 1 for the least k with 2^k > every entry of x >= 0."""
+    return [1 << k for k in reversed(range(max(np.ravel(x).tolist()).bit_length()))]
+
+
+def _evaluate(coeffs: list, y):
     v = 0
     for c in reversed(coeffs):
         v = v * y + c
     return v
 
 
-def _first_nonnegative(g: list[int], lo: int, hi: int) -> int:
-    """For g monotone on the integers of [lo, hi], oriented by s = +-1 to
-    be non-decreasing: the least y in [lo, hi] with s g(y) >= 0, or hi + 1."""
-    s = 1 if _evaluate(g, lo) <= _evaluate(g, hi) else -1
-    hi += 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if s * _evaluate(g, mid) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def _integer_roots_monic_cubic(A: int, B: int) -> list[int]:
-    """Sorted integer roots of f(y) = y^3 + A*y + B, found without factoring B.
-
-    integer_roots_monic with the monotone pieces in closed form: they are
-    cut at the critical points +-sqrt(-A/3), and a root y != 0 has
-    y^2 = -A - B/y <= |A| + |B|, which bounds the search.  This is about
-    five times faster, which counts in a box, where it runs once per curve.
-    """
-    R = math.isqrt(abs(A) + abs(B)) + 1
-    if A >= 0:
-        pieces = [(-R, R)]
-    else:
-        c = math.isqrt(-A // 3)  # floor of sqrt(-A/3)
-        pieces = [(-R, -c - 1), (-c, c), (c + 1, R)]
-    return _roots_on_monotone_pieces([B, A, 0, 1], pieces)
+def _first_nonnegative(g: list, lo, hi, bits: list[int]):
+    """The least y in [lo, hi] with g(y) >= 0, or hi + 1, for g negative
+    exactly on an initial run of [lo, hi]: binary lifting from lo - 1 by the
+    powers of two in bits, whose sum must reach the answer minus lo."""
+    y = lo - 1
+    for b in bits:
+        y = y + b * ((y + b <= hi) & (_evaluate(g, y + b) < 0))
+    return y + 1

@@ -6,9 +6,9 @@ curve: ``certify.stream_levels`` feeds a ``certify.LevelAccumulator`` over
 the box one prime at a time, each prime's ``certify.signature_columns``
 over the open curves with good reduction there (one blocked
 ``ecff.batch_curve_data`` sweep over x in F_p), and a curve leaves the
-stream once every level test has certified it.  The Serre scan runs the
-structural screen (``certify.serre_obstruction``, exact integer arithmetic)
-on every curve first, and only unobstructed curves enter the stream.
+stream once every level test has certified it.  The Serre scan first runs
+the structural screen (``certify.serre_obstruction``, exact) in one call on
+the box's int64 coefficient arrays; only unobstructed curves enter the stream.
 Memory is O(curves x signature classes), and a curve's verdict is a few
 array operations instead of a loop over its signatures.
 """
@@ -19,6 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Iterator
 
+import numpy as np
 
 from . import certify, ecff, modgroup, nt
 from .errors import InvalidInputError, ResourceCapError
@@ -155,10 +156,14 @@ def density_scan(
 
 
 def _serre_failures(pairs, params) -> int:
-    """Curves failing the Serre criterion: the structural screen on every
-    curve, then every level test over the unobstructed ones (a curve
-    failing either fails the criterion)."""
-    open_pairs = [pair for pair in pairs if certify.serre_obstruction(*pair) is None]
+    """Curves failing the Serre criterion: the structural screen over the
+    whole box in one call, then every level test over the unobstructed
+    curves (a curve failing either fails the criterion)."""
+    # |A|, |B| <= SERRE_SCAN_X_CAP = 200 keep the screen exact in int64: S, R <= 401 in
+    # nt.integer_roots_monic's bounds give values below 10^13, and 1728 * 64 * A^3 < 10^12
+    A, B = np.array(pairs, dtype=np.int64).T
+    torsion, _, cm, _ = certify.serre_obstruction(A, B)
+    open_pairs = [pair for pair, shut in zip(pairs, (torsion | cm).tolist()) if not shut]
     certified = scan_levels(open_pairs, params.prime_bound, **certify.serre_level_tests(params)).certified()
     return len(pairs) - int(certified.sum())
 

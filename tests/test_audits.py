@@ -136,6 +136,23 @@ def test_audits_import_leaves_sympy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_import_builds_no_tables():
+    # importing the CLI builds no signature table, group, conjugation table
+    # or level, and sieves only the trial primes of nt.factorint: that work
+    # belongs to the first call that needs it
+    code = (
+        "import galmax.cli\n"
+        "from galmax import certify, modgroup, nt, subgroups\n"
+        "caches = [subgroups.subgroup_signature_table, modgroup.enumerate_group,\n"
+        "          modgroup._conjugation_tables, certify._level]\n"
+        "print(*(f.cache_info().currsize for f in caches), nt.primes_up_to.cache_info().currsize)\n"
+        "nt.primes_up_to(1 << 10)\n"
+        "print(nt.primes_up_to.cache_info().hits)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "0", "0", "0", "1", "1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

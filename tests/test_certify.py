@@ -186,6 +186,24 @@ def test_serre_check_obstructions():
     assert "complex multiplication" in kinds  # j = 1728
 
 
+def test_serre_obstruction_on_a_box_matches_per_curve_reference():
+    # every curve with x <= 40 in one int64-array call, against brute-force
+    # roots (a root y != 0 has y^2 <= |A| + |B|) and the j-invariant of the
+    # long Weierstrass model
+    pairs = list(sieve.enumerate_box(40))
+    A, B = np.array(pairs, dtype=np.int64).T
+    torsion, x, cm, j = certify.serre_obstruction(A, B)
+    assert torsion.sum() and cm.sum()
+    for k, (a, b) in enumerate(pairs):
+        bound = math.isqrt(abs(a) + abs(b))
+        roots = [y for y in range(-bound, bound + 1) if y**3 + a * y + b == 0]
+        jj = ecff.LongWeierstrass(0, 0, 0, a, b).j_invariant()
+        is_cm = jj.denominator == 1 and jj.numerator in ecff.CM_J_INVARIANTS
+        assert (bool(torsion[k]), bool(cm[k])) == (bool(roots), is_cm), (a, b)
+        assert not roots or x[k] == roots[0], (a, b)
+        assert not is_cm or j[k] == jj, (a, b)
+
+
 def test_serre_check_rejects_field_curves():
     K = nf.MonogenicField([1, 1, 0, 1])
     E = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))

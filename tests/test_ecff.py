@@ -332,7 +332,8 @@ def test_quartic_split_arrays_match_scalar_path():
 def singular_pair_count(p):
     """#{(r, s): Delta_{r,s} = 0} from the family-scan grid; p for p >= 5
     (parametrized by the double root: (r, s) = (-3t^2, 2t^3))."""
-    return int((~ecff._delta_nonzero_grid(p)).sum())
+    r = np.arange(p)
+    return int((ecff._disc_mod(p, r[:, None], r) == 0).sum())
 
 
 def test_singular_pair_count_equals_p():

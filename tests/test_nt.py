@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
@@ -68,7 +69,13 @@ def test_cubic_roots_match_divisor_method():
     pairs += [(rng.randint(-10**4, 10**4), rng.randint(-10**5, 10**5)) for _ in range(500)]
     pairs += [(-(r * r + r * s + s * s), r * s * (r + s)) for r in range(-12, 13) for s in range(-12, 13)]
     for A, B in pairs:
-        assert nt._integer_roots_monic_cubic(A, B) == divisor_roots(A, B), (A, B)
+        assert nt.integer_roots_monic([B, A, 0, 1]) == divisor_roots(A, B), (A, B)
+    # the same pairs as one int64-array call: S <= 1.1 * 10^5 and R <= 104
+    # here, so integer_roots_monic's bounds keep every value below 10^17
+    A, B = np.array(pairs, dtype=np.int64).T
+    found, least = nt.least_integer_root([B, A, 0, 1])
+    assert list(zip(found.tolist(), least.tolist())) == [nt.least_integer_root([b, a, 0, 1]) for a, b in pairs]
+    assert [y for y, hit in zip(least.tolist(), found.tolist()) if hit] == [r[0] for r in map(divisor_roots, A.tolist(), B.tolist()) if r]
 
 
 def test_cubic_roots_with_large_known_roots():
@@ -77,15 +84,15 @@ def test_cubic_roots_with_large_known_roots():
         r, s = rng.randint(-10**40, 10**40), rng.randint(-10**40, 10**40)
         # (y - r)(y - s)(y + r + s)
         A, B = -(r * r + r * s + s * s), r * s * (r + s)
-        assert nt._integer_roots_monic_cubic(A, B) == sorted({r, s, -r - s})
+        assert nt.integer_roots_monic([B, A, 0, 1]) == sorted({r, s, -r - s})
         # one known root r; the quadratic cofactor y^2 + r y + r^2 + A2 is random
         A2 = rng.randint(-10**80, 10**80)
-        roots = nt._integer_roots_monic_cubic(A2, -(r**3 + A2 * r))
+        roots = nt.integer_roots_monic([-(r**3 + A2 * r), A2, 0, 1])
         assert r in roots and all(y**3 + A2 * y - (r**3 + A2 * r) == 0 for y in roots)
     # the coefficient that used to stall the divisor enumeration
-    assert nt._integer_roots_monic_cubic(1, 10**84 + 1) == []
+    assert nt.integer_roots_monic([10**84 + 1, 1, 0, 1]) == []
     # x^3 - x/4 at x = y/2 is (y^3 - y)/8
-    assert [Fraction(y, 2) for y in nt._integer_roots_monic_cubic(-1, 0)] == [Fraction(-1, 2), 0, Fraction(1, 2)]
+    assert [Fraction(y, 2) for y in nt.integer_roots_monic([0, -1, 0, 1])] == [Fraction(-1, 2), 0, Fraction(1, 2)]
 
 
 def test_is_prime_matches_sympy_above_2_32():

@@ -49,6 +49,7 @@ CASES = [
     ["certify", "--curve", "[2,1],[0,3]", "--field", "f=[1,1,1]", "--prime-bound", "2000", "--l-max", "13"],
     ["certify", "--curve", "[1],[1]", "--field", "f=[1,0,-1,0,1]", "--prime-bound", "2000", "--l-max", "13"],
     ["serre-scan", "--x", "5,10"],
+    ["serre-scan", "--x", "20,40,80"],
     ["serre-scan", "--x", "5,10", "--check", "mod-ell", "--ell", "7"],
     ["serre-scan", "--x", "5,10,20", "--check", "disc-square"],
     ["group-audit", "--m", "4", "--trials", "20"],
@@ -63,6 +64,10 @@ CASES = [
     ["omega-dist", "--p", "101", "--format", "csv"],
     ["weil-count", "--p", "13,29,53", "--r", "2"],
     ["sieve-bound", "--Q", "30", "--omega", "2=1/2,3=1/3,5=1/4", "--x", "100"],
+]
+# the scan cap, SERRE_SCAN_X_CAP: 160 792 curves
+SLOW_CASES = [
+    ["serre-scan", "--x", "200"],
 ]
 
 
@@ -80,7 +85,7 @@ def report_bytes(argv: list[str]) -> bytes:
     return buf.getvalue().encode()
 
 
-@pytest.mark.parametrize("argv", CASES, ids=slug)
+@pytest.mark.parametrize("argv", [*CASES, *(pytest.param(a, marks=pytest.mark.slow) for a in SLOW_CASES)], ids=slug)
 def test_report_matches_corpus(argv):
     expected = (CORPUS / f"{slug(argv)}.txt").read_bytes()
     assert report_bytes(argv) == expected
@@ -156,7 +161,7 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--regenerate"]:
         sys.exit(__doc__)
     CORPUS.mkdir(exist_ok=True)
-    for argv in CASES:
+    for argv in CASES + SLOW_CASES:
         _write_if_changed(CORPUS / f"{slug(argv)}.txt", report_bytes(argv))
     _write_digests(TABLE_DIGESTS, {str(m): table_digest(m) for m in TABLE_LEVELS})
     _write_digests(SIGNATURE_DIGESTS, {name: signature_digest(name) for name in SIGNATURE_CASES})
