@@ -143,16 +143,23 @@ class SignatureColumns(NamedTuple):
         return cls(*np.array(rows, dtype=np.int64).reshape(-1, len(cls._fields)).T)
 
 
+# prime_axis keeps Q coefficients in int64 up to this size: |A|, |B| <= 2^18
+# give |Delta| = 16 |4 A^3 + 27 B^2| <= 16 (2^56 + 27 * 2^36) < 2^61
+_INT64_COEFFICIENT = 1 << 18
+
+
 def prime_axis(A, B, prime_bound: int, K: numfield.MonogenicField | None = None, live=None):
     """Yield (p, c, curves, A mod P, B mod P) for every degree-one prime
     P = (p, c) with 5 <= p <= prime_bound, in increasing order of p: the
     indices of the curves y^2 = x^3 + A[k] x + B[k] with good reduction at
     P, and their coefficients reduced mod P, as int64 arrays.
 
-    Over Q (K None), A and B hold exact integers of any size, reduced mod p
-    before any int64 conversion; c is None and a curve is good at p when p
-    does not divide its discriminant.  Over K they hold field elements, c
-    runs over the roots of f mod p, and a curve is good at every P over p
+    Over Q (K None), A and B hold exact integers of any size.  They are
+    reduced as int64 arrays when every |A|, |B| <= _INT64_COEFFICIENT, and
+    as object arrays, mod p before any int64 conversion, otherwise; c is
+    None and a curve is good at p when p does not divide its discriminant.
+    Over K they hold field elements, c runs over the roots of f mod p, and
+    a curve is good at every P over p
     when p does not divide 6 disc(f) N(Delta) times its coefficient
     denominators.
 
@@ -162,6 +169,8 @@ def prime_axis(A, B, prime_bound: int, K: numfield.MonogenicField | None = None,
     live = np.ones(len(A), dtype=bool) if live is None else live
     if K is None:
         A, B = np.array(A, dtype=object), np.array(B, dtype=object)
+        if max(np.abs(A).max(initial=0), np.abs(B).max(initial=0)) <= _INT64_COEFFICIENT:
+            A, B = A.astype(np.int64), B.astype(np.int64)
         disc = ecff.discriminant(A, B)
         for p in nt.primes_up_to(prime_bound):
             if p >= 5:
@@ -579,7 +588,9 @@ def _feed_chunk(acc: LevelAccumulator, chunk: list, live: np.ndarray) -> tuple[n
     in live the curves of the chunk that acc now certifies."""
     curves, cols = _chunk_columns(chunk)
     acc.feed(curves, cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)
-    rows = np.unique(curves)
+    fed = np.zeros(acc.n, dtype=bool)
+    fed[curves] = True
+    rows = np.flatnonzero(fed)
     live[rows[acc.certified(rows)]] = False
     return curves, cols
 

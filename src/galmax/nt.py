@@ -380,7 +380,7 @@ def _monotone_runs(coeffs) -> list:
 
 def _powers_of_two(x) -> list[int]:
     """2^(k-1), ..., 2, 1 for the least k with 2^k > every entry of x >= 0."""
-    return [1 << k for k in reversed(range(max(np.ravel(x).tolist()).bit_length()))]
+    return [1 << k for k in reversed(range(max(np.ravel(x).tolist(), default=0).bit_length()))]
 
 
 def _evaluate(coeffs: list, y):

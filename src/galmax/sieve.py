@@ -1,23 +1,27 @@
 """Box scans, equidistribution reports, and the large-sieve bound evaluator.
 
-Boxes are sup-norm boxes of short Weierstrass coefficients.  A scan runs the
-same prime axis, per-cell kernel, level tests and stream that certify one
-curve: ``certify.stream_levels`` feeds a ``certify.LevelAccumulator`` over
-the box one prime at a time, each prime's ``certify.signature_columns``
-over the open curves with good reduction there (one blocked
+Boxes are sup-norm boxes of short Weierstrass coefficients, enumerated as
+int64 coefficient arrays.  A scan walks one box, at the largest x asked for,
+and reads each row off it: a curve's verdict does not depend on the other
+curves in the box, so a row counts the curves of height max(|a|, |b|) <= x
+and those among them that fail.  The box runs the same prime axis, per-cell
+kernel, level tests and stream that certify one curve:
+``certify.stream_levels`` feeds a ``certify.LevelAccumulator`` over the box
+one prime at a time, each prime's ``certify.signature_columns`` over the
+open curves with good reduction there (one blocked
 ``ecff.batch_curve_data`` sweep over x in F_p), and a curve leaves the
 stream once every level test has certified it.  The Serre scan first runs
 the structural screen (``certify.serre_obstruction``, exact) in one call on
-the box's int64 coefficient arrays; only unobstructed curves enter the stream.
-Memory is O(curves x signature classes), and a curve's verdict is a few
-array operations instead of a loop over its signatures.
+the box's arrays; only unobstructed curves enter the stream.  Memory is
+O(curves x signature classes), and a curve's verdict is a few array
+operations instead of a loop over its signatures.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -32,17 +36,19 @@ SERRE_SCAN_X_CAP = 200
 SIEVE_TERMS_CAP = 10**5
 
 
-def enumerate_box(x: int) -> Iterator[tuple[int, int]]:
-    """Yield the nonsingular pairs (a, b) of the sup-norm box max(|a|, |b|) <= x."""
+def enumerate_box(x: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B): the nonsingular pairs (a, b) of the sup-norm box max(|a|, |b|)
+    <= x as int64 arrays, a-major (a ascending, then b)."""
     x = int(x)
     if x < 0:
         raise InvalidInputError("box bound must be >= 0")
     if x > BOX_X_CAP:
         raise ResourceCapError(f"box bound {x} exceeds cap {BOX_X_CAP}")
-    for a in range(-x, x + 1):
-        for b in range(-x, x + 1):
-            if ecff.discriminant(a, b) != 0:
-                yield (a, b)
+    side = np.arange(-x, x + 1, dtype=np.int64)
+    A, B = np.repeat(side, side.size), np.tile(side, side.size)
+    # |Delta| <= 16 (4 x^3 + 27 x^2) < 4.2 * 10^9 at BOX_X_CAP: exact in int64
+    nonsingular = ecff.discriminant(A, B) != 0
+    return A[nonsingular], B[nonsingular]
 
 
 def box_count(x: int) -> int:
@@ -60,14 +66,15 @@ def box_count(x: int) -> int:
 # level tests over a box
 
 
-def scan_levels(pairs: list[tuple[int, int]], prime_bound: int, **tests) -> certify.LevelAccumulator:
-    """Run level tests over every curve in the list: certify.stream_levels
-    feeds a certify.LevelAccumulator(len(pairs), **tests) one prime of the
-    open curves at a time.  Each curve's certified() is the one a full feed
-    gives; a certified curve's bitmaps hold only the primes it was fed.
-    Memory is O(curves x signature classes), not O(curves x primes)."""
-    acc = certify.LevelAccumulator(len(pairs), **tests)
-    for _ in certify.stream_levels(acc, [a for a, _ in pairs], [b for _, b in pairs], prime_bound):
+def scan_levels(A, B, prime_bound: int, **tests) -> certify.LevelAccumulator:
+    """Run level tests over the curves y^2 = x^3 + A[k] x + B[k] (int64
+    arrays): certify.stream_levels feeds a certify.LevelAccumulator(len(A),
+    **tests) one prime of the open curves at a time.  Each curve's
+    certified() is the one a full feed gives; a certified curve's bitmaps
+    hold only the primes it was fed.  Memory is O(curves x signature
+    classes), not O(curves x primes)."""
+    acc = certify.LevelAccumulator(len(A), **tests)
+    for _ in certify.stream_levels(acc, A, B, prime_bound):
         pass
     return acc
 
@@ -132,44 +139,55 @@ def density_scan(
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise InvalidInputError("xs must be strictly increasing")
     for x in xs:
+        if x < 0:
+            raise InvalidInputError("box bound must be >= 0")
         if check == "serre" and x > SERRE_SCAN_X_CAP:
             raise ResourceCapError(f"serre scan bound {x} exceeds cap {SERRE_SCAN_X_CAP}")
+        if x > BOX_X_CAP:
+            raise ResourceCapError(f"box bound {x} exceeds cap {BOX_X_CAP}")
     if params is None:
         params = certify.CertParams(prime_bound=500, l_max=13)
+    # a curve's verdict does not depend on the other curves scanned, so one
+    # walk of the largest box gives every row
+    A, B = enumerate_box(max(xs, default=0))
+    if check == "disc-square":
+        fail = _is_square(ecff.discriminant(A, B))
+    elif check == "serre":
+        fail = _serre_failures(A, B, params)
+    else:
+        fail = ~scan_levels(A, B, params.prime_bound, ells=(ell,)).certified()
+    height = np.maximum(np.abs(A), np.abs(B))
     rows = []
     for x in xs:
-        pairs = list(enumerate_box(x))
-        if not pairs:
-            rows.append(ScanRow(x, 0, 0))
-            continue
-        if check == "disc-square":
-            failures = sum(1 for a, b in pairs if nt.is_perfect_square(ecff.discriminant(a, b)))
-        elif check == "serre":
-            failures = _serre_failures(pairs, params)
-        else:
-            failures = _mod_ell_failures(pairs, params, ell)
-        rows.append(ScanRow(x, len(pairs), failures))
+        inside = height <= x
+        rows.append(ScanRow(x, int(inside.sum()), int((fail & inside).sum())))
     caveats = [
         "desk-scale trend check only; asymptotic exponents are out of reach at these box sizes",
     ]
     return ScanReport(check=check, rows=rows, params={"prime_bound": params.prime_bound, "l_max": params.l_max, "ell": ell}, caveats=caveats)
 
 
-def _serre_failures(pairs, params) -> int:
-    """Curves failing the Serre criterion: the structural screen over the
-    whole box in one call, then every level test over the unobstructed
+def _is_square(D: np.ndarray) -> np.ndarray:
+    """Which entries of the int64 array D are perfect squares, exactly.  D
+    holds box discriminants, |D| < 4.2 * 10^9 < 2^52 at BOX_X_CAP, so float64
+    holds each entry and the correctly rounded sqrt of a square k^2 is k; the
+    integer test root * root == D then decides every entry."""
+    root = np.rint(np.sqrt(np.maximum(D, 0))).astype(np.int64)
+    return root * root == D
+
+
+def _serre_failures(A, B, params) -> np.ndarray:
+    """Which box curves fail the Serre criterion: the structural screen over
+    the whole box in one call, then every level test over the unobstructed
     curves (a curve failing either fails the criterion)."""
     # |A|, |B| <= SERRE_SCAN_X_CAP = 200 keep the screen exact in int64: S, R <= 401 in
     # nt.integer_roots_monic's bounds give values below 10^13, and 1728 * 64 * A^3 < 10^12
-    A, B = np.array(pairs, dtype=np.int64).T
     torsion, _, cm, _ = certify.serre_obstruction(A, B)
-    open_pairs = [pair for pair, shut in zip(pairs, (torsion | cm).tolist()) if not shut]
-    certified = scan_levels(open_pairs, params.prime_bound, **certify.serre_level_tests(params)).certified()
-    return len(pairs) - int(certified.sum())
-
-
-def _mod_ell_failures(pairs, params, ell) -> int:
-    return len(pairs) - int(scan_levels(pairs, params.prime_bound, ells=(ell,)).certified().sum())
+    fail = torsion | cm
+    rows = np.flatnonzero(~fail)
+    tests = certify.serre_level_tests(params)
+    fail[rows] = ~scan_levels(A[rows], B[rows], params.prime_bound, **tests).certified()
+    return fail
 
 
 # ---------------------------------------------------------------------------

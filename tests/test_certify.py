@@ -190,8 +190,8 @@ def test_serre_obstruction_on_a_box_matches_per_curve_reference():
     # every curve with x <= 40 in one int64-array call, against brute-force
     # roots (a root y != 0 has y^2 <= |A| + |B|) and the j-invariant of the
     # long Weierstrass model
-    pairs = list(sieve.enumerate_box(40))
-    A, B = np.array(pairs, dtype=np.int64).T
+    A, B = sieve.enumerate_box(40)
+    pairs = list(zip(A.tolist(), B.tolist()))
     torsion, x, cm, j = certify.serre_obstruction(A, B)
     assert torsion.sum() and cm.sum()
     for k, (a, b) in enumerate(pairs):
@@ -436,7 +436,8 @@ def _assert_levels_match_reference(sigs, label):
 
 @pytest.fixture(scope="module")
 def box10():
-    pairs = list(sieve.enumerate_box(10))
+    A, B = sieve.enumerate_box(10)
+    pairs = list(zip(A.tolist(), B.tolist()))
     params = certify.CertParams(prime_bound=500)
     return pairs, [certify.collect_signatures(ecff.validate(Fraction(a), Fraction(b)), params) for a, b in pairs]
 
@@ -453,7 +454,7 @@ def test_box_scan_matches_reference_per_curve(box10):
     # must certify exactly when every reference verdict of the criterion does
     pairs, sigs_by_curve = box10
     params = certify.CertParams(prime_bound=500, l_max=13)
-    box = sieve.scan_levels(pairs, 500, **certify.serre_level_tests(params)).certified()
+    box = sieve.scan_levels(*sieve.enumerate_box(10), 500, **certify.serre_level_tests(params)).certified()
     for k, sigs in enumerate(sigs_by_curve):
         verdicts = [_ref_certify_mod_ell(sigs, ell) for ell in (5, 7, 11, 13)]
         verdicts += [_ref_signature_elimination(sigs, m) for m in (4, 9, 8)]
@@ -596,23 +597,23 @@ def test_primes_scanned_counts_every_prime_of_an_undecided_curve():
     assert certify.serre_check(ecff.validate(Fraction(0), Fraction(1)), PARAMS).primes_scanned == 0  # obstructed
 
 
-def _full_feed(pairs, prime_bound, **tests):
-    """Every cell of every curve of the list, fed at once with no early stop."""
+def _full_feed(A, B, prime_bound, **tests):
+    """Every cell of every curve y^2 = x^3 + A[k] x + B[k], fed at once with no early stop."""
     cells = [
         (good, np.full(good.size, p), *certify.signature_columns(p, a, b))
-        for p, _, good, a, b in certify.prime_axis([a for a, _ in pairs], [b for _, b in pairs], prime_bound)
+        for p, _, good, a, b in certify.prime_axis(A, B, prime_bound)
     ]
-    acc = certify.LevelAccumulator(len(pairs), **tests)
+    acc = certify.LevelAccumulator(len(A), **tests)
     acc.feed(*(np.concatenate(col) for col in zip(*cells)))
     return acc
 
 
 @pytest.mark.parametrize("x", [10, 20])
 def test_box_stream_certifies_what_a_full_feed_certifies(x):
-    pairs = list(sieve.enumerate_box(x))
+    A, B = sieve.enumerate_box(x)
     tests = certify.serre_level_tests(certify.CertParams(prime_bound=500, l_max=13))
-    stream = sieve.scan_levels(pairs, 500, **tests)
-    full = _full_feed(pairs, 500, **tests)
+    stream = sieve.scan_levels(A, B, 500, **tests)
+    full = _full_feed(A, B, 500, **tests)
     assert stream.cells < full.cells / 2  # decided curves left the stream early
     assert np.array_equal(stream.certified(), full.certified())
     assert full.certified().any() and not full.certified().all()

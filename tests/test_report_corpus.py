@@ -121,7 +121,7 @@ SIGNATURE_CASES = {
     "q_m3_1_prime_bound_2000": lambda: _rational_signatures(-3, 1),
     "q_1_4_1_8_prime_bound_2000": lambda: _rational_signatures(Fraction(1, 4), Fraction(1, 8)),
     "cubic_field_readme_prime_bound_2000": _cubic_field_signatures,
-    "box_10_prime_bound_500": lambda: [_rational_signatures(a, b, 500) for a, b in sieve.enumerate_box(10)],
+    "box_10_prime_bound_500": lambda: [_rational_signatures(a, b, 500) for a, b in zip(*(C.tolist() for C in sieve.enumerate_box(10)))],
 }
 
 

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,9 @@ from galmax.errors import InvalidInputError, ResourceCapError
 
 
 def test_box_x1_has_eight_pairs():
-    pairs = list(sieve.enumerate_box(1))
+    A, B = sieve.enumerate_box(1)
+    assert A.dtype == B.dtype == np.int64
+    pairs = list(zip(A.tolist(), B.tolist()))
     assert len(pairs) == 8
     assert (0, 0) not in pairs
     assert all(ecff.discriminant(a, b) != 0 for a, b in pairs)
@@ -26,7 +29,9 @@ def test_box_x1_has_eight_pairs():
 
 @pytest.mark.parametrize("x", [0, 1, 5, 13, 20, 40])
 def test_box_count_formula(x):
-    pairs = list(sieve.enumerate_box(x))
+    A, B = sieve.enumerate_box(x)
+    pairs = list(zip(A.tolist(), B.tolist()))
+    assert pairs == sorted(pairs)  # a-major: a ascending, then b
     assert len(pairs) == sieve.box_count(x)
     # independently: (2x+1)^2 minus a direct scan of the singular locus
     singular = sum(
@@ -44,7 +49,7 @@ def test_box_growth_is_roughly_4x2():
 
 def test_box_cap():
     with pytest.raises(ResourceCapError):
-        list(sieve.enumerate_box(10**4))
+        sieve.enumerate_box(10**4)
 
 
 def test_batch_signatures_match_collect():
@@ -115,11 +120,60 @@ def test_density_scan_validates_before_scanning(monkeypatch, check, ell):
         sieve.density_scan([40], check, ell=ell)
     with pytest.raises(ResourceCapError):
         sieve.density_scan([20, 300], "serre")
+    # the box is built once, at the largest x: every x is checked first
+    with pytest.raises(InvalidInputError):
+        sieve.density_scan([-1, 5], "disc-square")
+    with pytest.raises(ResourceCapError):
+        sieve.density_scan([5, 500], "disc-square")
 
 
 def test_density_scan_totals_match_box():
     rep = sieve.density_scan([10, 15], "disc-square")
     assert [r.total for r in rep.rows] == [sieve.box_count(10), sieve.box_count(15)]
+
+
+@pytest.mark.parametrize("check", ["serre", "mod-ell", "disc-square"])
+def test_density_scan_rows_match_scanning_each_x_alone(check):
+    # the rows read off one walk of the largest box are the rows of each box scanned alone
+    params = certify.CertParams(prime_bound=200, l_max=13)
+    xs = [0, 3, 7, 12]
+    rep = sieve.density_scan(xs, check, params, ell=7)
+    alone = [sieve.density_scan([x], check, params, ell=7).rows[0] for x in xs]
+    assert [r.to_json() for r in rep.rows] == [r.to_json() for r in alone]
+    assert rep.rows[0].total == 0 and rep.rows[-1].failures > 0
+
+
+def test_disc_square_check_matches_exact_integer_squares_at_the_cap():
+    # the float square root is exact below 2^52; |Delta| peaks at the corners
+    # of the capped box, and Delta(-x, 0) = 64 x^3 = 64000^2 there
+    x = sieve.BOX_X_CAP
+    A = np.array([-x, -x, x, x, 0, -3, 1], dtype=np.int64)
+    B = np.array([0, x, x, -x, x, 1, 1], dtype=np.int64)
+    D = ecff.discriminant(A, B)
+    assert np.abs(D).max() < 4.2e9 and D[0] == 64000**2
+    assert sieve._is_square(D).tolist() == [nt.is_perfect_square(d) for d in D.tolist()]
+    near = np.array([64000**2 - 1, 64000**2 + 1, 64799**2, 64800**2 + 1, 2**52 - 1, -4], dtype=np.int64)
+    assert sieve._is_square(near).tolist() == [nt.is_perfect_square(d) for d in near.tolist()]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(2**70 + 1, 3), (1, 1), (-(2**64), 2**65 + 7)],  # past 2^63: object arrays
+        [(2**18, -(2**18)), (-(2**18), 2**18 - 1), (5, 7)],  # at the int64 bound
+        [(2**18 + 1, 1), (1, 2)],  # just past it
+    ],
+)
+def test_prime_axis_reduces_exact_coefficients_of_any_size(pairs):
+    A, B = [a for a, _ in pairs], [b for _, b in pairs]
+    steps = list(certify.prime_axis(A, B, 300))
+    assert [p for p, *_ in steps] == [p for p in nt.primes_up_to(300) if p >= 5]
+    for p, c, good, a, b in steps:
+        assert c is None and a.dtype == b.dtype == np.int64
+        want = [k for k, (u, v) in enumerate(pairs) if (-16 * (4 * u**3 + 27 * v**2)) % p != 0]
+        assert good.tolist() == want
+        assert a.tolist() == [pairs[k][0] % p for k in want]
+        assert b.tolist() == [pairs[k][1] % p for k in want]
 
 
 def test_omega_report():
