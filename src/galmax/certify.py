@@ -305,7 +305,7 @@ def check_ell(ell: int) -> None:
     if ell > L_MAX_CAP:
         raise ResourceCapError(f"l = {ell} exceeds cap {L_MAX_CAP}")
     if ell < 5 or not nt.is_prime(ell):
-        raise InvalidInputError("certify_mod_ell needs a prime l >= 5")
+        raise InvalidInputError(f"ell must be a prime >= 5, got {ell}")
 
 
 def _mod_ell_hits(ell: np.ndarray, chi, norm, ap) -> np.ndarray:

@@ -33,7 +33,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except (InvalidInputError, GalmaxError, ValueError) as e:
         parser.error(str(e))  # exits 2
-        return 2
     try:
         _emit(report, args)
     except OSError as e:  # an unwritable --out

@@ -1,6 +1,8 @@
-"""Elliptic curves y^2 = x^3 + ax + b: exact arithmetic over prime fields
-and over the rationals, plus the exhaustive family counts used by the
-statistics harness.
+"""Short Weierstrass curves y^2 = x^3 + ax + b, the only model galmax
+builds: the discriminant and a validated curve over Q or a number field, the
+quadratic character tables of prime fields, the exhaustive family counts over
+all coefficient pairs mod p used by the statistics harness, the per-cell
+Frobenius kernel and the rational CM j-invariants.
 
 One per-cell kernel, ``batch_curve_data``, computes everything a Frobenius
 signature needs (the trace, the root count of the cubic, the root count of
@@ -51,65 +53,6 @@ def validate(a, b) -> ShortWeierstrass:
     return ShortWeierstrass(a, b, delta)
 
 
-@dataclass(frozen=True)
-class LongWeierstrass:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6."""
-
-    a1: object
-    a2: object
-    a3: object
-    a4: object
-    a6: object
-
-    def b_invariants(self):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
-
-    def c_invariants(self):
-        b2, b4, b6, _ = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-        return c4, c6
-
-    def disc(self):
-        b2, b4, b6, b8 = self.b_invariants()
-        return -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-
-    def j_invariant(self):
-        c4, _ = self.c_invariants()
-        d = self.disc()
-        if not d:
-            raise SingularCurveError(delta=d)
-        return _divide(c4 * c4 * c4, d)
-
-
-def weierstrass_normalize(L: LongWeierstrass) -> ShortWeierstrass:
-    """Complete the square and cube: a short model with the same j-invariant.
-
-    For a genuinely long model the discriminant changes by the 12th power
-    6^12, so the class of Delta modulo 12th powers (all that downstream
-    certificates use) is unchanged.  Already-short input passes through.
-    """
-    if not L.a1 and not L.a2 and not L.a3:
-        return validate(L.a4, L.a6)
-    c4, c6 = L.c_invariants()
-    a = -27 * c4
-    b = -54 * c6
-    return validate(a, b)
-
-
-def _divide(num, den):
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    if isinstance(num, Fraction) or isinstance(den, Fraction):
-        return Fraction(num) / Fraction(den)
-    return num * den.inverse() if hasattr(den, "inverse") else num / den
-
-
 # ---------------------------------------------------------------------------
 # prime-field machinery
 
@@ -133,7 +76,7 @@ def _cell_primes(p):
 
 @lru_cache(maxsize=64)
 def quadratic_character_table(p: int) -> np.ndarray:
-    """chi[v] = legendre(v, p) as an int8 array of length p."""
+    """chi[v] = (v/p), the Legendre symbol, as an int8 array of length p."""
     chi = np.full(p, -1, dtype=np.int8)
     chi[0] = 0
     squares = (np.arange(1, (p - 1) // 2 + 1, dtype=np.int64) ** 2) % p
@@ -185,17 +128,8 @@ def weil_count(r: int, gamma: int, p: int) -> tuple[int, float]:
         raise InvalidInputError("gamma must be a unit")
     if p > FAMILY_SCAN_P_CAP:
         raise ResourceCapError(f"family scan at p={p} exceeds cap {FAMILY_SCAN_P_CAP}")
-    u = np.arange(1, p, dtype=np.int64)
     targets = np.zeros(p, dtype=bool)
-    powers = np.ones(p - 1, dtype=np.int64)
-    base = u.copy()
-    e = r
-    while e:
-        if e & 1:
-            powers = powers * base % p
-        base = base * base % p
-        e >>= 1
-    targets[gamma * powers % p] = True
+    targets[[gamma * pow(c, r, p) % p for c in range(1, p)]] = True
     a = np.arange(p, dtype=np.int64)[:, None]
     b = np.arange(p, dtype=np.int64)[None, :]
     delta = -16 * _disc_mod(p, a, b) % p
@@ -227,9 +161,9 @@ def _x_sum(p, n: int, term) -> np.ndarray:
 
 
 def _character(p):
-    """chi(v) = legendre(v, p) for v reduced mod p: a lookup in p's cached
-    table, or with one prime per cell in the tables of the distinct primes
-    laid end to end, at an offset per cell."""
+    """chi(v) = (v/p), the Legendre symbol, for v reduced mod p: a lookup in
+    p's cached table, or with one prime per cell in the tables of the
+    distinct primes laid end to end, at an offset per cell."""
     if isinstance(p, int):
         return quadratic_character_table(p).__getitem__
     primes, cell_prime = np.unique(p, return_inverse=True)

@@ -21,15 +21,6 @@ def primes_up_to(bound: int) -> tuple[int, ...]:
     return tuple(np.flatnonzero(sieve).tolist())
 
 
-def legendre(a: int, p: int) -> int:
-    """Quadratic residue symbol (a/p) in {-1, 0, 1} for odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def kronecker(d: int, n: int) -> int:
     """Kronecker symbol (d/n) for n >= 1."""
     if n == 0:

@@ -74,12 +74,6 @@ class MonogenicField:
     def alpha(self) -> "FieldElem":
         return self.elem([0, 1])
 
-    def zero(self) -> "FieldElem":
-        return self.elem([])
-
-    def one(self) -> "FieldElem":
-        return self.elem([1])
-
 
 @dataclass(frozen=True)
 class FieldElem:
@@ -139,11 +133,6 @@ class FieldElem:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def as_rational(self) -> Fraction | None:
-        if any(self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
 
     def _matrix(self) -> list[list[Fraction]]:
         """The matrix of multiplication by self in the power basis: column j
@@ -358,12 +347,13 @@ def _residue_incoherence(d0: FieldElem, n: int, r: int, prime_budget: int, chara
 def sqrt_cyclotomic_certificate(delta: FieldElem, prime_budget: int = 10**4) -> Verdict:
     """Certify sqrt(delta) not in k^cyc, by quadratic symbol incoherence.
 
-    If sqrt(delta) were cyclotomic, p -> legendre(delta mod (p,c), p) would
-    agree with a Kronecker symbol (D/p) for some fundamental discriminant D
-    supported on the primes of the conductor bound.  The certificate refutes
-    every candidate D (including the trivial one) at explicit degree-one
-    primes, or finds two primes over one p with different symbols.  Failure
-    to refute is reported as inconclusive, never as containment.
+    If sqrt(delta) were cyclotomic, the Legendre symbol of delta mod (p,c) at
+    p would agree with a Kronecker symbol (D/p) for some fundamental
+    discriminant D supported on the primes of the conductor bound.  The
+    certificate refutes every candidate D (including the trivial one) at
+    explicit degree-one primes, or finds two primes over one p with
+    different symbols.  Failure to refute is reported as inconclusive, never
+    as containment.
     """
     K = delta.field
     if delta.is_zero():

@@ -51,17 +51,6 @@ def enumerate_box(x: int) -> tuple[np.ndarray, np.ndarray]:
     return A[nonsingular], B[nonsingular]
 
 
-def box_count(x: int) -> int:
-    """|box(x)| over Z: (2x+1)^2 minus the singular pairs (-3t^2, 2t^3)."""
-    total = (2 * x + 1) ** 2
-    singular = 0
-    t = 0
-    while 3 * t * t <= x and 2 * t * t * t <= x:
-        singular += 1 if t == 0 else 2
-        t += 1
-    return total - singular
-
-
 # ---------------------------------------------------------------------------
 # level tests over a box
 
@@ -202,15 +191,11 @@ class OmegaRow:
     frequency: float
     predicted: float
     deviation_sqrtp: float
-    tolerance: float  # m^5 / sqrt(p) with safety factor 1; hard failure at 3x
+    tolerance: float  # m^5 / sqrt(p) with safety factor 1
 
     @property
     def within_tolerance(self) -> bool:
         return self.deviation_sqrtp <= self.tolerance * math.sqrt(self.p)
-
-    @property
-    def hard_fail(self) -> bool:
-        return self.deviation_sqrtp > 3 * self.tolerance * math.sqrt(self.p)
 
     def to_json(self):
         return {

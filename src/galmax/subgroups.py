@@ -191,10 +191,6 @@ class SignatureTable:
     full_signatures: frozenset
     scope: str  # "all-subgroups" or "maximal-only"
 
-    @property
-    def total_subgroups(self) -> int:
-        return sum(e.n_conjugates for e in self.entries)
-
 
 # The splitting pattern of a Frobenius class, or of a matrix g, is its cycle
 # type on the three points of E[2] (the roots of the cubic) or on the four
@@ -262,9 +258,7 @@ def signatures_of_codes(codes: np.ndarray, m: int) -> frozenset:
 
 def _det_is_full(codes: np.ndarray, m: int) -> bool:
     dets = set(int(d) for d in mg.det_of_codes(codes, m))
-    units = {u for u in range(m) if math.gcd(u, m) == 1} or {0}
-    if m == 1:
-        return True
+    units = {u for u in range(m) if math.gcd(u, m) == 1}
     return dets == units
 
 
@@ -315,7 +309,7 @@ def _prime_table_masks(ell: int) -> list[tuple[str, np.ndarray]]:
     out.append(("borel", codes[c == 0]))
     split = ((b == 0) & (c == 0)) | ((a == 0) & (d == 0))
     out.append(("split-cartan-normalizer", codes[split]))
-    eps = _least_nonresidue(ell)
+    eps = next(x for x in range(2, ell) if nt.kronecker(x, ell) == -1)
     inner = (a == d) & (b == (eps * c) % ell)
     outer = (d == (ell - a) % ell) & (b == (-eps * c) % ell)
     out.append(("nonsplit-cartan-normalizer", codes[inner | outer]))
@@ -323,13 +317,6 @@ def _prime_table_masks(ell: int) -> list[tuple[str, np.ndarray]]:
     if oct_codes is not None:
         out.append(("octahedral", oct_codes))
     return out
-
-
-def _least_nonresidue(ell: int) -> int:
-    for x in range(2, ell):
-        if pow(x, (ell - 1) // 2, ell) == ell - 1:
-            return x
-    raise InvalidInputError(f"{ell} is not an odd prime")
 
 
 def _octahedral_preimage(ell: int) -> np.ndarray | None:

@@ -12,6 +12,7 @@ import pytest
 
 from galmax import audits, certify, ecff, modgroup as mg, sieve
 from galmax import numfield as nf
+from weierstrass import short_model
 
 pytestmark = pytest.mark.acceptance
 
@@ -175,8 +176,7 @@ def test_criterion_9_cubic_field_end_to_end():
     t0 = time.time()
     K = nf.MonogenicField([1, 1, 0, 1])
     a = K.alpha()
-    long_model = ecff.LongWeierstrass(K.elem([2]), K.elem([-1]), a, K.zero(), K.zero())
-    E = ecff.weierstrass_normalize(long_model)
+    E = short_model(K.elem([2]), K.elem([-1]), a, K.elem([]), K.elem([]))
     params = certify.CertParams(prime_bound=10**4, l_max=37)
     rep = certify.certify_maximal(E, K, params)
 

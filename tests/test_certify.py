@@ -10,6 +10,7 @@ from galmax import numfield as nf
 from galmax.errors import InvalidInputError, ResourceCapError
 from galmax.subgroups import subgroup_signature_table
 from galmax.verdict import certified, inconclusive, obstruction
+from weierstrass import invariants
 
 E11 = ecff.validate(Fraction(1), Fraction(1))
 PARAMS = certify.CertParams(prime_bound=1000, l_max=13)
@@ -197,7 +198,7 @@ def test_serre_obstruction_on_a_box_matches_per_curve_reference():
     for k, (a, b) in enumerate(pairs):
         bound = math.isqrt(abs(a) + abs(b))
         roots = [y for y in range(-bound, bound + 1) if y**3 + a * y + b == 0]
-        jj = ecff.LongWeierstrass(0, 0, 0, a, b).j_invariant()
+        jj = invariants(0, 0, 0, a, b).j
         is_cm = jj.denominator == 1 and jj.numerator in ecff.CM_J_INVARIANTS
         assert (bool(torsion[k]), bool(cm[k])) == (bool(roots), is_cm), (a, b)
         assert not roots or x[k] == roots[0], (a, b)
@@ -328,9 +329,9 @@ def _ref_certify_mod_ell(sigs, ell):
             continue
         t, d = s.ap % ell, s.norm % ell
         disc = (t * t - 4 * d) % ell
-        if t != 0 and disc != 0 and wit_split is None and nt.legendre(disc, ell) == 1:
+        if t != 0 and disc != 0 and wit_split is None and nt.kronecker(disc, ell) == 1:
             wit_split = s
-        if t != 0 and wit_nonsplit is None and nt.legendre(disc, ell) == -1:
+        if t != 0 and wit_nonsplit is None and nt.kronecker(disc, ell) == -1:
             wit_nonsplit = s
         if wit_order is None and d % ell != 0:
             u = t * t * pow(d, -1, ell) % ell

@@ -139,7 +139,7 @@ def test_pattern_ids_match_cycle_types_on_every_code(m):
 def test_signature_table_mod2_example():
     tbl = sg.subgroup_signature_table(2)
     assert len(tbl.entries) == 3  # conjugacy classes
-    assert tbl.total_subgroups == 5  # proper subgroups of S3
+    assert sum(e.n_conjugates for e in tbl.entries) == 5  # proper subgroups of S3
 
 
 def test_signature_table_mod4_every_entry_full_det():
