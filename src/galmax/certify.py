@@ -354,14 +354,21 @@ def _cell_keys(m: int, norm, ap, cubic, psi3, flag) -> np.ndarray:
 @dataclass(frozen=True)
 class _Level:
     """An elimination level: signature classes numbered in sorted order, the
-    class of each dense cell key (-1: not realizable in GL2(Z/m)), and the
-    entries x classes membership matrix of the table."""
+    class of each dense cell key (-1: not realizable in GL2(Z/m)), the
+    entries x classes membership matrix of the table, the units mod m, the
+    signature-maximal entries (the first entry of each class set lying in
+    no other entry's), and hits[r, c], whether class c meets row r of the
+    level's block of LevelAccumulator.first: determinant units[r], then a
+    class missed by each maximal entry in turn.  A class missed by a maximal
+    entry is missed by every entry inside it, so these rows decide the level."""
 
     table: SignatureTable
     classes: tuple
     class_of_key: np.ndarray
     member: np.ndarray
     units: np.ndarray
+    maximal: tuple
+    hits: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -377,8 +384,13 @@ def _level(m: int) -> _Level:
     class_of_key = np.full(m * m * len(CUBIC_PATTERNS) * len(PSI3_PATTERNS) * 2, -1, dtype=np.int64)
     class_of_key[_cell_keys(m, d, t, cubic, psi3, flag)] = np.arange(len(classes))
     member = np.array([[sig in e.signatures for sig in classes] for e in table.entries], dtype=bool)
-    units = np.array([math.gcd(u, m) == 1 for u in range(m)])
-    return _Level(table, classes, class_of_key, member, units)
+    units = np.array([u for u in range(m) if math.gcd(u, m) == 1], dtype=np.int64)
+    inside = ~(member[:, None] & ~member[None]).any(axis=2)  # inside[e, f]: e's class set lies in f's
+    # drop an entry inside another, unless that one is a later entry with the same set
+    dropped = inside & (~inside.T | np.tri(len(member), k=-1, dtype=bool))
+    maximal = tuple(np.flatnonzero(~dropped.any(axis=1)).tolist())
+    hits = np.vstack([d[None] == units[:, None], ~member[list(maximal)]])
+    return _Level(table, classes, class_of_key, member, units, maximal, hits)
 
 
 class LevelAccumulator:
@@ -387,12 +399,15 @@ class LevelAccumulator:
     ``feed`` takes a batch of cells as equal-length columns (curve index,
     norm, a_p, cubic and psi3 pattern ids, 3-torsion flag; -1 for a missing
     pattern or flag), such as one prime's signature_columns over a box or a
-    chunk of one curve's primes.  Cells are numbered in feed order.  Per
-    curve it keeps the first cell witnessing each condition of
-    certify_mod_ell at each ell (one (ell, condition, curve) array, with
-    witnesses[ell] a view of its ell rows), the first cell refuting each
-    entanglement coupling, and the observed-class and determinant bitmaps
-    of each elimination level m.
+    chunk of one curve's primes.  Cells are numbered in feed order.  The
+    whole state is one int64 array, first[r, k]: the order of curve k's
+    first cell meeting condition r (UNSET: none yet).  Its rows come in one
+    block per level test: the three conditions of certify_mod_ell at each
+    ell (witnesses[ell] is a view of its rows); at each elimination level m,
+    one row per unit mod m (a cell of that determinant) and one per
+    signature-maximal table entry (a cell whose class the entry misses; see
+    _Level); one row per entanglement coupling (a cell refuting it).  A
+    curve is certified once every row is set.
     """
 
     UNSET = np.iinfo(np.int64).max
@@ -403,19 +418,24 @@ class LevelAccumulator:
             check_ell(ell)
         self.n = n
         self.cells = 0
-        self.first_witness = np.full((len(ells), 3, n), self.UNSET)
-        self.witnesses = dict(zip(ells, self.first_witness))
+        self.levels = {m: _level(m) for m in ms}
+        sizes = [3 * len(ells), *(len(lv.hits) for lv in self.levels.values())]
+        sizes.append(len(ENTANGLEMENT_DISCRIMINANTS) if entanglement else 0)
+        self.first = np.full((sum(sizes), n), self.UNSET)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        # row slices of first: C-contiguous views, as _first needs
+        self._blocks = [self.first[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        mod_ell, *level_rows, self.refuted = self._blocks
+        self.witnesses = dict(zip(ells, mod_ell.reshape(len(ells), 3, n)))
+        self._level_rows = dict(zip(self.levels, level_rows))
         self._ells = np.array(ells, dtype=np.int64)[:, None]
         self._ell_chi = ecff._character(self._ells) if ells else None
-        self.levels = {m: _level(m) for m in ms}
-        self.observed = {m: np.zeros((n, len(lv.classes)), dtype=bool) for m, lv in self.levels.items()}
-        self.dets = {m: np.zeros((n, m), dtype=bool) for m in ms}
-        self.refuted = np.full((len(ENTANGLEMENT_DISCRIMINANTS), n), self.UNSET) if entanglement else None
 
     def feed(self, curves, norm, ap, cubic, psi3, flag) -> None:
         """Take a batch of cells: every ell's witness test in one pass over
-        the (ell, cell) grid, one lowering of all first-witness rows, then
-        the elimination bitmaps and the entanglement refutations."""
+        the (ell, cell) grid, then each elimination level's rows through its
+        class table, then the entanglement refutations; each block of rows
+        lowered in one pass."""
         curves, norm, ap, cubic, psi3, flag = (
             np.asarray(v, dtype=np.int64) for v in (curves, norm, ap, cubic, psi3, flag)
         )
@@ -426,17 +446,16 @@ class LevelAccumulator:
         order = self.cells + np.arange(curves.size)
         self.cells += curves.size
         if self._ell_chi is not None:
-            self._first(self.first_witness, _mod_ell_hits(self._ells, self._ell_chi, norm, ap), curves, order)
+            self._first(self._blocks[0], _mod_ell_hits(self._ells, self._ell_chi, norm, ap), curves, order)
         for m, lv in self.levels.items():
             keys = _cell_keys(m, norm, ap, cubic, psi3, flag)
-            use = keys >= 0
+            use = np.flatnonzero(keys >= 0)
             classes = lv.class_of_key[keys[use]]
             if (classes < 0).any():
                 stray = sorted(set(norm[use][classes < 0].tolist()))
                 raise AssertionError(f"signatures at {stray} not realizable in GL2(Z/{m}): internal bug")
-            self.observed[m][curves[use], classes] = True
-            self.dets[m][curves[use], norm[use] % m] = True
-        if self.refuted is not None:
+            self._first(self._level_rows[m], lv.hits[:, classes], curves[use], order[use])
+        if len(self.refuted):
             use = (cubic >= 0) & (norm % 2 != 0) & (norm % 3 != 0)
             eps = EPS_BY_CUBIC_ID[cubic]
             self._first(self.refuted, use & (_entanglement_characters()[:, norm % 24] != eps), curves, order)
@@ -449,46 +468,22 @@ class LevelAccumulator:
         row, cell = np.divmod(np.flatnonzero(hits), curves.size)
         np.minimum.at(first.reshape(-1), row * first.shape[-1] + curves[cell], order[cell])
 
-    # -- per-curve outcomes, as bool arrays over the given curves (default: all)
-
-    def mod_ell_certified(self, ell: int, curves=slice(None)) -> np.ndarray:
-        return (self.witnesses[ell][:, curves] != self.UNSET).all(axis=0)
-
-    def elimination_state(self, m: int, curves=slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(usable, covered, eliminated): whether curve k observed any level-m
-        signature, whether its determinants cover the units mod m, and
-        eliminated[k, e], whether it observed a class outside table entry e."""
-        observed = self.observed[m][curves]
-        covered = (self.dets[m][curves] == self.levels[m].units).all(axis=1)
-        return observed.any(axis=1), covered, observed @ ~self.levels[m].member.T
-
-    def elimination_certified(self, m: int, curves=slice(None)) -> np.ndarray:
-        usable, covered, eliminated = self.elimination_state(m, curves)
-        return usable & covered & eliminated.all(axis=1)
-
-    def entanglement_certified(self, curves=slice(None)) -> np.ndarray:
-        return (self.refuted[:, curves] != self.UNSET).all(axis=0)
-
     def certified(self, curves=slice(None)) -> np.ndarray:
-        """Which of the given curves every level test the accumulator runs
-        certified.  Each test reads only the curves all earlier tests passed,
-        so the elimination products are paid for the few curves left."""
-        tests = [lambda k: (self.first_witness[:, :, k] != self.UNSET).all(axis=(0, 1))]
-        tests += [lambda k, m=m: self.elimination_certified(m, k) for m in self.levels]
-        if self.refuted is not None:
-            tests.append(self.entanglement_certified)
-        rows = np.arange(self.n)[curves]
-        out = np.ones(rows.size, dtype=bool)
-        for test in tests:
+        """Which of the given curves (default: all) have every row of first
+        set.  Each block of rows is read only for the curves every earlier
+        block passed."""
+        k = np.arange(self.n)[curves]
+        out = np.ones(k.size, dtype=bool)
+        for block in self._blocks:
             passing = np.flatnonzero(out)
-            out[passing] = test(rows[passing])
+            out[passing] = (block[:, k[passing]] != self.UNSET).all(axis=0)
         return out
 
     # -- verdicts for one curve fed the columns cols
 
     def mod_ell_verdict(self, ell: int, cols: SignatureColumns) -> Verdict:
         first = self.witnesses[ell][:, 0]
-        if self.mod_ell_certified(ell)[0]:
+        if (first != self.UNSET).all():
             return certified(
                 *({"condition": c, "p": int(cols.p[i]), "ap": int(cols.ap[i])} for c, i in zip(_MOD_ELL_WITNESSES, first)),
                 ell=ell,
@@ -497,24 +492,25 @@ class LevelAccumulator:
 
     def elimination_verdict(self, m: int, cols: SignatureColumns) -> Verdict:
         lv = self.levels[m]
-        usable, covered, eliminated = (state[0] for state in self.elimination_state(m))
-        if not usable:
+        seen = self._level_rows[m][: len(lv.units), 0] != self.UNSET
+        if not seen.any():
             return inconclusive(m=m, reason="no usable signatures")
-        if not covered:
-            return inconclusive(m=m, reason="determinant coverage incomplete", seen=np.flatnonzero(self.dets[m][0]).tolist())
-        entries = lv.table.entries
-        if not eliminated.all():
-            survivors = [e.label for e, out in zip(entries, eliminated) if not out]
-            return inconclusive(m=m, surviving_subgroups=survivors, table_scope=lv.table.scope)
+        if not seen.all():
+            return inconclusive(m=m, reason="determinant coverage incomplete", seen=lv.units[seen].tolist())
         # each entry's witness is the first cell whose class it misses
         keys = _cell_keys(m, cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)
         cells = np.flatnonzero(keys >= 0)
         classes = lv.class_of_key[keys[cells]]
-        first = (~lv.member[:, classes]).argmax(axis=1)
+        misses = ~lv.member[:, classes]
+        eliminated = misses.any(axis=1)
+        entries = lv.table.entries
+        if not eliminated.all():
+            survivors = [e.label for e, out in zip(entries, eliminated) if not out]
+            return inconclusive(m=m, surviving_subgroups=survivors, table_scope=lv.table.scope)
         return certified(
             *(
                 {"eliminated": e.label, "by_signature": lv.classes[classes[i]], "p": int(cols.p[cells[i]])}
-                for e, i in zip(entries, first.tolist())
+                for e, i in zip(entries, misses.argmax(axis=1).tolist())
             ),
             m=m,
             table_scope=lv.table.scope,
@@ -522,7 +518,7 @@ class LevelAccumulator:
 
     def entanglement_verdict(self, cols: SignatureColumns) -> Verdict:
         first = self.refuted[:, 0]
-        if self.entanglement_certified()[0]:
+        if (first != self.UNSET).all():
             return certified(
                 *(
                     {"coupling_discriminant": D, "p": int(cols.p[i]), "pattern": CUBIC_PATTERNS[cols.cubic[i]]}

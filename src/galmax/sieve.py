@@ -13,8 +13,9 @@ open curves with good reduction there (one blocked
 stream once every level test has certified it.  The Serre scan first runs
 the structural screen (``certify.serre_obstruction``, exact) in one call on
 the box's arrays; only unobstructed curves enter the stream.  Memory is
-O(curves x signature classes), and a curve's verdict is a few array
-operations instead of a loop over its signatures.
+O(curves x level-test rows): one first-cell order per curve and condition,
+and a curve's verdict is a few array operations instead of a loop over its
+signatures.
 """
 from __future__ import annotations
 
@@ -59,9 +60,9 @@ def scan_levels(A, B, prime_bound: int, **tests) -> certify.LevelAccumulator:
     """Run level tests over the curves y^2 = x^3 + A[k] x + B[k] (int64
     arrays): certify.stream_levels feeds a certify.LevelAccumulator(len(A),
     **tests) one prime of the open curves at a time.  Each curve's
-    certified() is the one a full feed gives; a certified curve's bitmaps
-    hold only the primes it was fed.  Memory is O(curves x signature
-    classes), not O(curves x primes)."""
+    certified() is the one a full feed gives; a certified curve's rows were
+    set by the primes it was fed.  Memory is O(curves x level-test rows), not
+    O(curves x primes)."""
     acc = certify.LevelAccumulator(len(A), **tests)
     for _ in certify.stream_levels(acc, A, B, prime_bound):
         pass

@@ -491,15 +491,60 @@ def test_accumulator_keeps_the_signature_checks():
         certify.LevelAccumulator(1, ells=(9,))
     # determinant coverage: primes 1 mod 4 alone eliminate every entry at
     # m = 4 for E(1, 1) but never show determinant 3
-    half = certify.LevelAccumulator(1, ms=(4,))
-    for p in [p for p in nt.primes_up_to(500) if p % 4 == 1]:
-        half.feed([0], [p], *certify.signature_columns(p, [1], [1]))
-    usable, covered, eliminated = half.elimination_state(4)
-    assert usable[0] and eliminated.all() and not covered[0]
+    rows = [(p, -1, *(int(v[0]) for v in certify.signature_columns(p, [1], [1])))
+            for p in nt.primes_up_to(503) if p % 4 == 1 or p == 503]
+    head, cols = (certify.SignatureColumns.of_rows(r) for r in (rows[:-1], rows))
+    half = certify._accumulate(head, ms=(4,))
+    verdict = half.elimination_verdict(4, head)  # usable: determinant 1 was seen
+    assert verdict.diagnostics == {"m": 4, "reason": "determinant coverage incomplete", "seen": [1]}
     assert not half.certified()[0]
+    # the cell at 503 = 3 mod 4 completes the coverage, and every entry's
+    # witness is a prime 1 mod 4: those alone had eliminated every entry
+    p, _, ap, cubic, psi3, flag = rows[-1]
+    half.feed([0], [p], [ap], [cubic], [psi3], [flag])
+    verdict = half.elimination_verdict(4, cols)
+    assert verdict.is_certified and half.certified()[0]
+    assert len(verdict.witnesses) == 42 and all(w["p"] % 4 == 1 for w in verdict.witnesses)
     fresh = certify.LevelAccumulator(3, ells=(5,), ms=(4,), entanglement=True)
     assert not fresh.certified().any()
     assert certify.LevelAccumulator(1).certified().all()  # no level tests asked
+
+
+MAXIMAL_ENTRIES = {4: (1, 2, 5), 8: (0, 1, 2, 3, 4, 5), 9: (0, 1, 2), 5: (2, 3), 7: (1, 2), 11: (1, 2), 13: (1, 2)}
+
+
+def test_level_rows_are_the_signature_maximal_entries():
+    # a class eliminating a listed entry eliminates every entry inside it,
+    # so the listed entries' rows decide the whole table
+    for m, maximal in MAXIMAL_ENTRIES.items():
+        lv = certify._level(m)
+        assert lv.maximal == maximal
+        sets = [e.signatures for e in lv.table.entries]
+        listed = [sets[e] for e in maximal]
+        assert all(any(s <= t for t in listed) for s in sets)
+        assert not any(s < t for s in listed for t in listed)
+    ells = (5, 7, 11, 13)
+    acc = certify.LevelAccumulator(2, ells=ells, ms=tuple(MAXIMAL_ENTRIES), entanglement=True)
+    rows = 3 * len(ells) + sum(nt.euler_phi(m) + len(maximal) for m, maximal in MAXIMAL_ENTRIES.items()) + 7
+    assert acc.first.shape == (rows, 2) and acc.first.dtype == np.int64
+
+
+@pytest.mark.parametrize("m", list(MAXIMAL_ENTRIES))
+def test_cells_inside_one_table_entry_never_certify_its_level(m):
+    # the level rows are sound: cells of exactly the classes of one entry
+    # (of full determinant, as every tabled entry is) leave it surviving
+    lv = certify._level(m)
+    for e in lv.table.entries:
+        sigs = sorted(e.signatures)
+        t, d = (np.array([s[i] for s in sigs]) for i in (0, 1))
+        norm = d + 100 * m * m  # any norm = d mod m obeys the Hasse bound here
+        cubic = [certify.CUBIC_PATTERNS.index(s[2]) if m in (4, 8) else 0 for s in sigs]
+        psi3 = [certify.PSI3_PATTERNS.index(s[2]) if m == 9 else 0 for s in sigs]
+        flag = [int(s[3]) if m == 9 else 0 for s in sigs]
+        cols = certify.SignatureColumns(norm, np.full(len(sigs), -1), t, *(np.array(c) for c in (cubic, psi3, flag)))
+        acc = certify._accumulate(cols, ms=(m,))
+        assert not acc.certified()[0], (m, e.label)
+        assert e.label in acc.elimination_verdict(m, cols).diagnostics["surviving_subgroups"]
 
 
 def test_production_paths_build_no_frobsignature(monkeypatch):
