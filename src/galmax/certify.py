@@ -46,7 +46,7 @@ import numpy as np
 from . import ecff, nt, numfield
 from .errors import InvalidInputError, ResourceCapError
 from .subgroups import (
-    CUBIC_PATTERNS, EPS_BY_CUBIC_ID, PSI3_PATTERNS, SignatureTable, pattern_ids, subgroup_signature_table,
+    CUBIC_PATTERNS, EPS_BY_CUBIC_ID, PSI3_PATTERNS, SignatureTable, _maximal, pattern_ids, subgroup_signature_table,
 )
 from .verdict import Verdict, certified, inconclusive, obstruction
 
@@ -218,19 +218,16 @@ def curve_columns(
     up to the bound, with no early stop: the source of the record view.  K,
     if given, must be the field of the curve's coefficients."""
     A, B, K = _axis_coefficients(curve, K)
-    steps = prime_axis(A, B, params.prime_bound, K)
-    cells = [_raw_cells(p, c, good, a, b) for p, c, good, a, b in steps if good.size]
-    return _chunk_columns(cells)[1] if cells else SignatureColumns.of_rows([])
+    steps = [step for step in prime_axis(A, B, params.prime_bound, K) if step[2].size]
+    return _chunk_columns(steps)[1] if steps else SignatureColumns.of_rows([])
 
 
 def signature_columns(p, A, B):
     """Frobenius signatures of the cells y^2 = x^3 + A[k] x + B[k] at good
     primes p >= 5, as int64 columns (a_p, cubic pattern id, psi3 pattern id,
-    3-torsion flag), one entry per cell, from one batch_curve_data run.
-
-    p is one prime for every cell (a Python int) or an int64 array with one
-    prime per cell; A and B are reduced mod each cell's prime (int64 arrays
-    or lists of ints).  Pattern ids index CUBIC_PATTERNS and PSI3_PATTERNS.
+    3-torsion flag), one entry per cell, from one ecff.batch_curve_data
+    call, which takes p, A and B as they come.  Pattern ids index
+    CUBIC_PATTERNS and PSI3_PATTERNS.
     The roots of the cubic are the 2-torsion points Frobenius fixes and the
     roots of psi3 the lines of E[3] it fixes, so the patterns follow from
     the root counts and det = p by subgroups.pattern_ids, with no polynomial
@@ -240,31 +237,14 @@ def signature_columns(p, A, B):
     return (ap, *pattern_ids(cubic_roots, psi3_roots, p), has_3pt.astype(np.int64))
 
 
-def _raw_cells(p: int, c, good, a, b) -> tuple:
-    """The cells of one prime_axis step, as columns (curve, p, root, A mod P,
-    B mod P) awaiting their signatures."""
-    return good, np.full(good.size, p), np.full(good.size, -1 if c is None else c), a, b
-
-
-def _chunk_columns(cells: list) -> tuple[np.ndarray, SignatureColumns]:
+def _chunk_columns(steps: list) -> tuple[np.ndarray, SignatureColumns]:
     """(curve of each cell, its signature columns) for a nonempty list of
-    raw cells in prime order.  The signatures take one signature_columns
-    call per run of primes worth about ecff.BATCH_CELLS (x, cell) entries
-    of sweep, and a run never splits one prime's cells; a run of one prime
-    passes p as an int."""
-    curves, p, root, a, b = (np.concatenate(col) for col in zip(*cells))
-    starts = np.flatnonzero(np.diff(p, prepend=-1)).tolist()  # each prime's first cell
-    runs, lo = [], 0
-    for start, end in zip(starts[1:], starts[2:] + [p.size]):
-        if (end - lo) * int(p[end - 1]) > ecff.BATCH_CELLS:
-            runs.append((lo, start))
-            lo = start
-    runs.append((lo, p.size))
-    sigs = [
-        signature_columns(int(p[lo]) if p[lo] == p[hi - 1] else p[lo:hi], a[lo:hi], b[lo:hi])
-        for lo, hi in runs
-    ]
-    return curves, SignatureColumns(p, root, *(np.concatenate(col) for col in zip(*sigs)))
+    prime_axis steps, in prime order, from one signature_columns call."""
+    p, c, curves, a, b = zip(*steps)
+    sizes = [good.size for good in curves]
+    p, root = np.repeat(p, sizes), np.repeat([-1 if r is None else r for r in c], sizes)
+    curves, a, b = (np.concatenate(col) for col in (curves, a, b))
+    return curves, SignatureColumns(p, root, *signature_columns(p, a, b))
 
 
 def _records(cols: SignatureColumns) -> list[FrobSignature]:
@@ -356,11 +336,11 @@ class _Level:
     """An elimination level: signature classes numbered in sorted order, the
     class of each dense cell key (-1: not realizable in GL2(Z/m)), the
     entries x classes membership matrix of the table, the units mod m, the
-    signature-maximal entries (the first entry of each class set lying in
-    no other entry's), and hits[r, c], whether class c meets row r of the
-    level's block of LevelAccumulator.first: determinant units[r], then a
-    class missed by each maximal entry in turn.  A class missed by a maximal
-    entry is missed by every entry inside it, so these rows decide the level."""
+    signature-maximal entries (subgroups._maximal of the entries' class
+    sets), and hits[r, c], whether class c meets row r of the level's block
+    of LevelAccumulator.first: determinant units[r], then a class missed by
+    each maximal entry in turn.  A class missed by a maximal entry is missed
+    by every entry inside it, so these rows decide the level."""
 
     table: SignatureTable
     classes: tuple
@@ -385,10 +365,7 @@ def _level(m: int) -> _Level:
     class_of_key[_cell_keys(m, d, t, cubic, psi3, flag)] = np.arange(len(classes))
     member = np.array([[sig in e.signatures for sig in classes] for e in table.entries], dtype=bool)
     units = np.array([u for u in range(m) if math.gcd(u, m) == 1], dtype=np.int64)
-    inside = ~(member[:, None] & ~member[None]).any(axis=2)  # inside[e, f]: e's class set lies in f's
-    # drop an entry inside another, unless that one is a later entry with the same set
-    dropped = inside & (~inside.T | np.tri(len(member), k=-1, dtype=bool))
-    maximal = tuple(np.flatnonzero(~dropped.any(axis=1)).tolist())
+    maximal = tuple(_maximal(range(len(table.entries)), lambda e: table.entries[e].signatures))
     hits = np.vstack([d[None] == units[:, None], ~member[list(maximal)]])
     return _Level(table, classes, class_of_key, member, units, maximal, hits)
 
@@ -548,18 +525,17 @@ def stream_levels(
     (as prime_axis takes them) until acc certifies every curve or the primes
     run out, and yield each fed chunk as (curve of each cell, its columns).
 
-    A chunk holds the raw cells (curve, p, c, A mod P, B mod P) of the
-    primes walked since the last feed, and ends at the first prime that
-    brings it to at least max(_FIRST_CHUNK, cells fed so far / curves)
-    cells: one prime of a box, runs of 16, 16, 32, 64, ... primes for one
-    curve, so a decided curve stops within twice the primes it needed (or
-    16) and the accumulator is fed only O(log primes) times.  Its signatures
-    take one kernel call per run of primes worth about ecff.BATCH_CELLS
-    sweep entries (see _chunk_columns): one call for each of a certified
-    curve's first chunks.  After each chunk, the curves it fed that acc now
-    certifies leave the stream: later primes neither reduce nor feed them.
-    Certification is monotone in the cells fed, so every curve ends with the
-    outcome a full feed gives; a curve left uncertified sees every prime.
+    A chunk holds the prime_axis steps walked since the last feed, and ends
+    at the first prime that brings it to at least max(_FIRST_CHUNK, cells
+    fed so far / curves) cells: one prime of a box, runs of 16, 16, 32, 64,
+    ... primes for one curve, so a decided curve stops within twice the
+    primes it needed (or 16) and the accumulator is fed only O(log primes)
+    times.  Its signatures take one kernel call, which plans its own sweep
+    (see ecff.batch_curve_data).  After each chunk, the curves it fed that
+    acc now certifies leave the stream: later primes neither reduce nor
+    feed them.  Certification is monotone in the cells fed, so every curve
+    ends with the outcome a full feed gives; a curve left uncertified sees
+    every prime.
     """
     if acc.n == 0:
         return
@@ -568,7 +544,7 @@ def stream_levels(
     for p, c, good, a, b in prime_axis(A, B, prime_bound, K, live):
         if not good.size:
             continue
-        chunk.append(_raw_cells(p, c, good, a, b))
+        chunk.append((p, c, good, a, b))
         held += good.size
         if held >= max(_FIRST_CHUNK, fed // acc.n):
             yield _feed_chunk(acc, chunk, live)
@@ -580,7 +556,7 @@ def stream_levels(
 
 
 def _feed_chunk(acc: LevelAccumulator, chunk: list, live: np.ndarray) -> tuple[np.ndarray, SignatureColumns]:
-    """Feed the signatures of the raw cells in chunk as one batch, then clear
+    """Feed the signatures of the cells in chunk as one batch, then clear
     in live the curves of the chunk that acc now certifies."""
     curves, cols = _chunk_columns(chunk)
     acc.feed(curves, cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag)

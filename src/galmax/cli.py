@@ -180,6 +180,7 @@ def _run_certify(args) -> dict:
 # Python's 4300-digit int-to-str limit, so every report can be written and read.
 FRACTION_DIGIT_CAP = 1000
 Q_CURVE_FORM = "--curve over Q needs two rationals a,b, e.g. --curve 1,1/2"
+FIELD_FORM = "--field needs the integer coefficients of f, lowest degree first, e.g. --field f=[1,1,0,1]"
 FIELD_CURVE_FORM = "--curve over a field needs two lists of rationals, e.g. --curve [0,1296],[0,0,11664]"
 OMEGA_FORM = "--omega entries have the form p=num/den, e.g. 2=1/2"
 
@@ -217,9 +218,12 @@ def _fraction(text: str, form: str) -> Fraction:
 def _parse_field(text: str) -> numfield.MonogenicField:
     if text.startswith("f="):
         text = text[2:]
-    coeffs = json.loads(text)
+    try:
+        coeffs = json.loads(text)
+    except json.JSONDecodeError:
+        raise InvalidInputError(f"{FIELD_FORM}; {_shown(text)} is not a JSON list") from None
     if not isinstance(coeffs, list) or not all(type(c) is int for c in coeffs):
-        raise InvalidInputError("field polynomial must be a list of integers, e.g. f=[1,1,0,1]")
+        raise InvalidInputError(FIELD_FORM)
     if not all(_within_cap(Fraction(c)) for c in coeffs):
         raise _cap_error("a coefficient of the field polynomial")
     K = numfield.MonogenicField(coeffs)

@@ -7,10 +7,11 @@ Frobenius kernel and the rational CM j-invariants.
 One per-cell kernel, ``batch_curve_data``, computes everything a Frobenius
 signature needs (the trace, the root count of the cubic, the root count of
 the 3-division quartic and the 3-torsion flag) for a batch of (curve, prime)
-cells at once, a whole box at one prime or one curve at a run of primes: a
-vectorised sweep over x for the trace, in blocks of x values by cells, and
-the rest read off the trace.  Family scans over all coefficient pairs mod p
-are vectorized to O(p^2).
+cells at once, a whole box at one prime or one curve at a run of primes.
+It splits the batch into runs of cells, sweeps x for the traces of each
+run (vectorised, in blocks of x values by cells) and reads the rest off the
+trace.  Family scans over all coefficient pairs mod p are vectorized to
+O(p^2).
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from . import nt
 from .errors import BadReductionError, InvalidInputError, ResourceCapError, SingularCurveError
 
 FAMILY_SCAN_P_CAP = 2000
-BATCH_CELLS = 1 << 16  # (x, cell) entries per block of the batch_curve_data sweep
+BATCH_CELLS = 1 << 16  # (x, cell) entries per run and per block of the batch_curve_data sweep
 
 
 def discriminant(a, b):
@@ -63,8 +64,8 @@ def _check_p(p: int):
 
 
 def _cell_primes(p):
-    """p as batch_curve_data takes it: a Python int, or an int64 array with
-    one prime per cell; every distinct prime is checked."""
+    """p as _run_data takes it: one prime (returned as a Python int), or an
+    int64 array with one prime per cell; every distinct prime is checked."""
     if isinstance(p, (int, np.integer)):
         _check_p(int(p))
         return int(p)
@@ -186,12 +187,37 @@ def batch_curve_data(p, A, B):
     not a prime >= 5 and BadReductionError, naming the prime, if p divides
     a cell's discriminant.
 
+    Cells of several primes come in prime order, as a stream feeds them
+    (any other order gives the same columns, in runs sized less well).  They
+    are split into runs worth about BATCH_CELLS (x, cell) entries of sweep,
+    and a run never splits one prime's cells; a run of one prime is swept
+    with p as an int.  So one curve at p < BATCH_CELLS, or a whole box at
+    one prime, takes a single vectorised pass.
+    """
+    A, B = np.asarray(A, dtype=np.int64), np.asarray(B, dtype=np.int64)
+    if isinstance(p, (int, np.integer)):
+        return _run_data(p, A, B)
+    p = np.asarray(p, dtype=np.int64)
+    starts = (np.flatnonzero(p[1:] != p[:-1]) + 1).tolist()  # the first cell of each prime after the first
+    runs, lo = [], 0
+    for start, end in zip(starts, starts[1:] + [p.size]):
+        if (end - lo) * int(p[end - 1]) > BATCH_CELLS:
+            runs.append((lo, start))
+            lo = start
+    runs.append((lo, p.size))
+    # a run of one prime takes the int sweep: sweeping every box batch with
+    # per-cell primes took 0.25 s for density_scan([20, 40]), against 0.17 s
+    data = [_run_data(p[lo] if (p[lo:hi] == p[lo]).all() else p[lo:hi], A[lo:hi], B[lo:hi]) for lo, hi in runs]
+    return data[0] if len(data) == 1 else tuple(np.concatenate(col) for col in zip(*data))
+
+
+def _run_data(p, A, B):
+    """batch_curve_data of one run, p one prime or one prime per cell.
+
     Only a_p = -sum_x chi(x^3 + Ax + B) is swept over x, in blocks of about
-    BATCH_CELLS (x, cell) entries, so one curve at p < BATCH_CELLS takes a
-    single vectorised pass, and so do the cells of several primes, which
-    sweep x below the largest and mask x >= p per cell.  The rest is read
-    off X^2 - a_p X + p, the characteristic polynomial of Frobenius, mod 2
-    and mod 3:
+    BATCH_CELLS (x, cell) entries; the cells of several primes sweep x below
+    the largest and mask x >= p per cell.  The rest is read off X^2 - a_p X
+    + p, the characteristic polynomial of Frobenius, mod 2 and mod 3:
     - the cubic has no root if #E(F_p) = p + 1 - a_p is odd, else 3 roots if
       Delta is a square mod p and 1 root if not; the flag is 3 | p + 1 - a_p;
     - psi3 has a root for each Frobenius-stable line of E[3].  At p = 2 mod 3
@@ -203,8 +229,7 @@ def batch_curve_data(p, A, B):
       sweep, which counts the roots of psi3.
     """
     p = _cell_primes(p)
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
+    A, B = A % p, B % p
     disc = _disc_mod(p, A, B)
     if not disc.all():
         bad = p if isinstance(p, int) else p[np.argmin(disc != 0)]

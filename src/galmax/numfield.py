@@ -143,39 +143,24 @@ class FieldElem:
             x = x * self.field.alpha()
         return [list(row) for row in zip(*columns)]
 
-    def _eliminate(self) -> tuple[Fraction, tuple[Fraction, ...] | None]:
-        """Gauss-Jordan elimination of (multiplication by self | 1): the
-        determinant, and the coordinates of 1 / self (None when self = 0)."""
-        d = self.field.degree
-        rows = [row + [Fraction(int(i == 0))] for i, row in enumerate(self._matrix())]
-        det = Fraction(1)
-        for col in range(d):
-            pivot = next((r for r in range(col, d) if rows[r][col]), None)
+    def norm(self) -> Fraction:
+        """Field norm: the determinant of multiplication by self (the
+        resultant of f with the representing polynomial), by Gaussian
+        elimination over Q."""
+        rows, det = self._matrix(), Fraction(1)
+        for col in range(len(rows)):
+            pivot = next((r for r in range(col, len(rows)) if rows[r][col]), None)
             if pivot is None:
-                return Fraction(0), None
+                return Fraction(0)
             if pivot != col:
                 rows[col], rows[pivot], det = rows[pivot], rows[col], -det
             lead = rows[col][col]
             det *= lead
-            rows[col] = [v / lead for v in rows[col]]
-            for r in range(d):
-                if r != col and rows[r][col]:
-                    factor = rows[r][col]
+            for r in range(col + 1, len(rows)):
+                if rows[r][col]:
+                    factor = rows[r][col] / lead
                     rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-        return det, tuple(row[d] for row in rows)
-
-    def inverse(self) -> "FieldElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero field element")
-        return FieldElem(self.field, self._eliminate()[1])
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def norm(self) -> Fraction:
-        """Field norm: the determinant of multiplication by self (the
-        resultant of f with the representing polynomial)."""
-        return self._eliminate()[0]
+        return det
 
     def denominator_lcm(self) -> int:
         return math.lcm(*(c.denominator for c in self.coeffs))

@@ -173,14 +173,6 @@ class TableEntry:
     codes: tuple[int, ...]
     signatures: frozenset
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "order": self.order,
-            "n_conjugates": self.n_conjugates,
-            "n_signatures": len(self.signatures),
-        }
-
 
 @dataclass(frozen=True)
 class SignatureTable:

@@ -41,7 +41,8 @@ def test_normalize_long_model_over_cubic_field():
     E, inv = short_model(*L), invariants(*L)
     assert E.a.coeffs == (0, 1296, 0)
     assert E.b.coeffs == (0, 0, 11664)
-    assert (inv.j - j_invariant(E)).is_zero()
+    short = invariants(0, 0, 0, E.a, E.b)
+    assert (inv.c4 * inv.c4 * inv.c4 * short.disc - short.c4 * short.c4 * short.c4 * inv.disc).is_zero()  # same j
     # Delta of the long model is -64 alpha^3 - 27 alpha^4 = 64 + 91 alpha + 27 alpha^2
     assert inv.disc.coeffs == (64, 91, 27)
 
@@ -268,23 +269,31 @@ def _mixed_cells(rng, primes, roots_per_prime):
                     pairs.append((a, b))
                     break
         cells += [(p, a, b) for a, b in pairs]
-    rng.shuffle(cells)
     return cells
 
 
-@pytest.mark.parametrize("roots_per_prime", [1, 3])
-@pytest.mark.parametrize("batch_cells", [ecff.BATCH_CELLS, 50])
-def test_mixed_prime_cells_match_one_call_per_prime(monkeypatch, roots_per_prime, batch_cells):
-    # one call over cells of many primes (in any order, the sweep in one block
+@pytest.mark.parametrize("batch_cells,roots_per_prime,order", [
+    pytest.param(batch, roots, order, id=f"{batch}-{roots}" + "-prime" * (order == "prime"))
+    for batch in (ecff.BATCH_CELLS, 50) for roots in (1, 3) for order in ("shuffled", "prime")
+])
+def test_mixed_prime_cells_match_one_call_per_prime(monkeypatch, roots_per_prime, batch_cells, order):
+    # one call over cells of many primes (in prime order, as a stream feeds
+    # them, or in any other; in one run or in many, each swept in one block
     # or in many) gives each cell the columns of its own prime's call
     rng = random.Random(roots_per_prime)
     primes = [5, 7, 13, 19, 31, 37, 43, 97, 101, 211, 499, 1009]
     cells = _mixed_cells(rng, primes, roots_per_prime)
+    if order == "shuffled":
+        rng.shuffle(cells)
     p, A, B = (np.array(col, dtype=np.int64) for col in zip(*cells))
+    runs, run_data = [], ecff._run_data
+    monkeypatch.setattr(ecff, "_run_data", lambda q, a, b: runs.append(np.ndim(q)) or run_data(q, a, b))
     monkeypatch.setattr(ecff, "BATCH_CELLS", batch_cells)
     mixed = ecff.batch_curve_data(p, A, B)
     columns = certify.signature_columns(p, A, B)
     monkeypatch.setattr(ecff, "BATCH_CELLS", 1 << 16)
+    if order == "prime":  # the kernel's run split; np.ndim 0: a run swept with an int p
+        assert set(runs) == ({1} if batch_cells == 1 << 16 else {0, 1})
     for q in primes:
         at = np.flatnonzero(p == q)
         single = (*ecff.batch_curve_data(q, A[at], B[at]), *certify.signature_columns(q, A[at], B[at]))

@@ -29,13 +29,12 @@ def test_field_arithmetic():
     assert (a * a * a).coeffs == (-1, -1, 0)  # alpha^3 = -alpha - 1
     x = CUBIC.elem([Fraction(1, 2), 3, Fraction(-2, 5)])
     assert (x - x).is_zero()
-    assert x * x.inverse() == CUBIC.elem([1])
     assert x.norm() != 0
     assert CUBIC.elem([7]).norm() == 343  # N of a rational is its cube
 
 
 def test_field_constructor_and_norm_match_sympy():
-    # irreducibility, discriminant, norm, inverse and repr, checked against
+    # irreducibility, discriminant, norm and repr, checked against
     # sympy on random small quadratics, cubics and quartics
     # and on products of two quadratics (x^4 + 4 = (x^2 + 2x + 2)(x^2 - 2x + 2))
     import random
@@ -66,7 +65,6 @@ def test_field_constructor_and_norm_match_sympy():
             continue
         g = sum(sympy.Rational(c.numerator, c.denominator) * x**i for i, c in enumerate(el.coeffs))
         assert el.norm() == Fraction(str(sympy.resultant(P.as_expr(), g, x))), coeffs
-        assert el * el.inverse() == K.elem([1])
 
 
 def test_field_constructor_does_not_factor_the_constant_term():

@@ -566,8 +566,11 @@ def _cli_exit(argv):
     (["certify", "--curve", "1,x"], "--curve", "a,b"),
     (["sieve-bound", "--Q", "6", "--omega", "2=x"], "--omega", "p=num/den"),
     (["certify", "--field", "f=[1,0,1]", "--curve", "[x],[1]"], "--curve", "[0,1296],[0,0,11664]"),
+    (["certify", "--curve", "[1],[1]", "--field", "f="], "--field", "f=[1,1,0,1]"),
+    (["certify", "--curve", "[1],[1]", "--field", "f=[1,0,1"], "--field", "f=[1,1,0,1]"),
 ], ids=["curve-one-value", "curve-three-values", "omega-no-prime", "omega-no-value",
-        "curve-not-a-number", "omega-not-a-number", "field-curve-not-a-number"])
+        "curve-not-a-number", "omega-not-a-number", "field-curve-not-a-number",
+        "field-empty", "field-unclosed-list"])
 def test_cli_malformed_values_name_the_flag(argv, flag, form):
     code, out, err = _cli_exit(argv)
     assert code == 2 and out == ""

@@ -12,12 +12,14 @@ class Invariants(NamedTuple):
     c4: object
     c6: object
     disc: object
-    j: object
+    j: object  # None over a number field
 
 
 def invariants(a1, a2, a3, a4, a6) -> Invariants:
     """c4, c6, Delta and j = c4^3 / Delta, in whatever exact ring the
-    coefficients live in (int, Fraction or a number-field element)."""
+    coefficients live in (int, Fraction or a number-field element).  Field
+    elements have no division, so over a field j is None: compare two j as
+    c4^3 Delta' = c4'^3 Delta."""
     b2 = a1 * a1 + 4 * a2
     b4 = 2 * a4 + a1 * a3
     b6 = a3 * a3 + 4 * a6
@@ -25,8 +27,8 @@ def invariants(a1, a2, a3, a4, a6) -> Invariants:
     c4 = b2 * b2 - 24 * b4
     c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
     disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-    inverse = disc.inverse() if hasattr(disc, "inverse") else Fraction(1, disc)
-    return Invariants(c4, c6, disc, c4 * c4 * c4 * inverse)
+    j = Fraction(c4 * c4 * c4) / disc if isinstance(disc, (int, Fraction)) else None
+    return Invariants(c4, c6, disc, j)
 
 
 def short_model(a1, a2, a3, a4, a6) -> ecff.ShortWeierstrass:
