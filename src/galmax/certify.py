@@ -18,9 +18,9 @@ doubling length and read each witness off the columns fed; box scans
 monotone in the cells fed and every witness is the first cell (in prime
 order) meeting its condition, so an early stop changes no verdict and no
 witness, and a curve left uncertified sees every prime.
-``FrobSignature`` records and the list-taking level functions are only a
+``collect_signatures`` and the list-taking level functions are only a row
 view of the columns, kept for the benchmark's trace mode and for the
-digests and reference tests.
+digests and reference tests: a signature is a row of SignatureColumns.
 
 A subtlety the level-72 step depends on: containment of SL2 at levels 8 and
 9 in the separate projections does not by itself give SL2(Z/72Z) in the
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -59,9 +59,6 @@ PRIME_BOUND_CAP = 10**6
 # every prime up to l_max is a mod-l level, and each level's witness test
 # reads a quadratic character table of length l
 L_MAX_CAP = 100
-
-_CUBIC_ID = {pattern: i for i, pattern in enumerate(CUBIC_PATTERNS)}
-_PSI3_ID = {pattern: i for i, pattern in enumerate(PSI3_PATTERNS)}
 
 _MOD_ELL_WITNESSES = ("split semisimple", "nonsplit semisimple", "projective order > 5")
 _MOD_ELL_CONDITIONS = (
@@ -87,33 +84,6 @@ class CertParams:
             raise InvalidInputError("l_max must be >= 5")
         if self.l_max > L_MAX_CAP:
             raise ResourceCapError(f"l_max {self.l_max} exceeds cap {L_MAX_CAP}")
-
-
-@dataclass(frozen=True)
-class FrobSignature:
-    """Computable shadow of a Frobenius class at a good degree-one prime."""
-
-    norm: int
-    ap: int
-    p: int
-    root: int | None = None  # root of the field polynomial for primes over k
-    cubic_pattern: tuple | None = None
-    psi3_pattern: tuple | None = None
-    has_3pt: bool | None = None
-
-    def __post_init__(self):
-        if self.ap * self.ap > 4 * self.norm:
-            raise InvalidInputError(f"trace {self.ap} violates the Hasse bound at {self.norm}")
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "root": self.root,
-            "ap": self.ap,
-            "cubic": self.cubic_pattern,
-            "psi3": self.psi3_pattern,
-            "has_3pt": self.has_3pt,
-        }
 
 
 def integer_model(a, b) -> tuple[int, int]:
@@ -209,19 +179,6 @@ def _check_field(curve: ecff.ShortWeierstrass, K: numfield.MonogenicField | None
         raise InvalidInputError(f"the curve's coefficients lie in {field or 'Q'}, not in the field {K} given")
 
 
-def curve_columns(
-    curve: ecff.ShortWeierstrass,
-    params: CertParams = CertParams(),
-    K: numfield.MonogenicField | None = None,
-) -> SignatureColumns:
-    """One curve's signatures at every good degree-one prime of prime_axis
-    up to the bound, with no early stop: the source of the record view.  K,
-    if given, must be the field of the curve's coefficients."""
-    A, B, K = _axis_coefficients(curve, K)
-    steps = [step for step in prime_axis(A, B, params.prime_bound, K) if step[2].size]
-    return _chunk_columns(steps)[1] if steps else SignatureColumns.of_rows([])
-
-
 def signature_columns(p, A, B):
     """Frobenius signatures of the cells y^2 = x^3 + A[k] x + B[k] at good
     primes p >= 5, as int64 columns (a_p, cubic pattern id, psi3 pattern id,
@@ -247,32 +204,32 @@ def _chunk_columns(steps: list) -> tuple[np.ndarray, SignatureColumns]:
     return curves, SignatureColumns(p, root, *signature_columns(p, a, b))
 
 
-def _records(cols: SignatureColumns) -> list[FrobSignature]:
-    return [
-        FrobSignature(norm=p, ap=t, p=p, root=None if c < 0 else c, cubic_pattern=CUBIC_PATTERNS[i],
-                      psi3_pattern=PSI3_PATTERNS[j], has_3pt=bool(flag))
-        for p, c, t, i, j, flag in zip(*(col.tolist() for col in cols))
-    ]
-
-
-def _record_columns(sigs: Iterable[FrobSignature]) -> SignatureColumns:
-    """Columns of a record list, its cells in prime order (stably), as a
-    stream feeds them."""
-    cols = SignatureColumns.of_rows(
-        [(s.norm, -1 if s.root is None else s.root, s.ap, _CUBIC_ID.get(s.cubic_pattern, -1),
-          _PSI3_ID.get(s.psi3_pattern, -1), -1 if s.has_3pt is None else int(s.has_3pt)) for s in sigs]
-    )
-    order = np.argsort(cols.p, kind="stable")
-    return SignatureColumns(*(col[order] for col in cols))
-
-
 def collect_signatures(
     curve: ecff.ShortWeierstrass,
     params: CertParams = CertParams(),
     K: numfield.MonogenicField | None = None,
-) -> list[FrobSignature]:
-    """FrobSignature records of curve_columns(curve, params, K)."""
-    return _records(curve_columns(curve, params, K))
+) -> list[tuple]:
+    """One curve's signatures at every good degree-one prime of prime_axis
+    up to the bound, with no early stop, as rows (p, root, a_p, cubic id,
+    psi3 id, flag) of SignatureColumns in prime order.  K, if given, must be
+    the field of the curve's coefficients."""
+    A, B, K = _axis_coefficients(curve, K)
+    steps = [step for step in prime_axis(A, B, params.prime_bound, K) if step[2].size]
+    return list(zip(*(col.tolist() for col in _chunk_columns(steps)[1]))) if steps else []
+
+
+def _columns(rows: list) -> SignatureColumns:
+    """Columns of signature rows, their cells in prime order (stably), as a
+    stream feeds them.  Raises InvalidInputError for a pattern id that is
+    neither -1 (missing) nor an index of CUBIC_PATTERNS or PSI3_PATTERNS, or
+    a flag outside {-1, 0, 1}."""
+    cols = SignatureColumns.of_rows(rows)
+    for name, bound in (("cubic", len(CUBIC_PATTERNS)), ("psi3", len(PSI3_PATTERNS)), ("flag", 2)):
+        stray = np.setdiff1d(getattr(cols, name), range(-1, bound))
+        if stray.size:
+            raise InvalidInputError(f"{name} {stray[0]} is not -1 or in 0..{bound - 1}")
+    order = np.argsort(cols.p, kind="stable")
+    return SignatureColumns(*(col[order] for col in cols))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +315,8 @@ def _level(m: int) -> _Level:
     table = subgroup_signature_table(m)
     classes = tuple(sorted(table.full_signatures))
     t, d = (np.array([sig[i] for sig in classes], dtype=np.int64) for i in (0, 1))
-    cubic = np.array([_CUBIC_ID[sig[2]] if m in (4, 8) else 0 for sig in classes], dtype=np.int64)
-    psi3 = np.array([_PSI3_ID[sig[2]] if m == 9 else 0 for sig in classes], dtype=np.int64)
+    cubic = np.array([CUBIC_PATTERNS.index(sig[2]) if m in (4, 8) else 0 for sig in classes], dtype=np.int64)
+    psi3 = np.array([PSI3_PATTERNS.index(sig[2]) if m == 9 else 0 for sig in classes], dtype=np.int64)
     flag = np.array([int(sig[3]) if m == 9 else 0 for sig in classes], dtype=np.int64)
     class_of_key = np.full(m * m * len(CUBIC_PATTERNS) * len(PSI3_PATTERNS) * 2, -1, dtype=np.int64)
     class_of_key[_cell_keys(m, d, t, cubic, psi3, flag)] = np.arange(len(classes))
@@ -583,7 +540,7 @@ def _stream_curve(
 # mod-l certification for primes l >= 5
 
 
-def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
+def certify_mod_ell(sigs: list, ell: int) -> Verdict:
     """Certify image >= SL2(F_ell) from characteristic polynomial data.
 
     Soundness: a subgroup of GL2(F_l) not containing SL2 has projective image
@@ -595,7 +552,7 @@ def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
     order > 5 and escapes the exceptional groups.  Each witness is the first
     signature, in prime order, that meets its condition.
     """
-    cols = _record_columns(sigs)
+    cols = _columns(sigs)
     return _accumulate(cols, ells=(ell,)).mod_ell_verdict(ell, cols)
 
 
@@ -603,7 +560,7 @@ def certify_mod_ell(sigs: Iterable[FrobSignature], ell: int) -> Verdict:
 # elimination against signature tables
 
 
-def signature_elimination(sigs: Iterable[FrobSignature], m: int) -> Verdict:
+def signature_elimination(sigs: list, m: int) -> Verdict:
     """Eliminate every tabled proper full-determinant subgroup at level m.
 
     Certified requires (1) the observed determinants to cover all units mod m
@@ -612,18 +569,18 @@ def signature_elimination(sigs: Iterable[FrobSignature], m: int) -> Verdict:
     witness for an entry is the first signature, in prime order, whose
     class the entry misses, with its prime p.
     """
-    cols = _record_columns(sigs)
+    cols = _columns(sigs)
     return _accumulate(cols, ms=(m,)).elimination_verdict(m, cols)
 
 
-def certify_mod_small(sigs: Iterable[FrobSignature], m: int) -> Verdict:
+def certify_mod_small(sigs: list, m: int) -> Verdict:
     """Certify image >= SL2(Z/mZ) for m = 4 or 9 by table elimination."""
     if m not in (4, 9):
         raise InvalidInputError("certify_mod_small handles m in {4, 9}")
     return signature_elimination(sigs, m)
 
 
-def quadratic_entanglement_check(sigs: Iterable[FrobSignature]) -> Verdict:
+def quadratic_entanglement_check(sigs: list) -> Verdict:
     """Refute the couplings of the 2-torsion permutation sign with each
     quadratic character of conductor dividing 72.
 
@@ -631,7 +588,7 @@ def quadratic_entanglement_check(sigs: Iterable[FrobSignature]) -> Verdict:
     sign of the Frobenius permutation of the three 2-torsion points would
     equal the Kronecker symbol (D/p) at every good prime.
     """
-    cols = _record_columns(sigs)
+    cols = _columns(sigs)
     return _accumulate(cols, entanglement=True).entanglement_verdict(cols)
 
 
@@ -842,7 +799,7 @@ def assemble_maximality(per_m: Mapping[int, Verdict], disc_sqrt: Verdict, disc_c
     if not primes_present:
         raise InvalidInputError("per-level verdicts must cover the primes 5..l_max")
     l_max = max(primes_present)
-    expected = [p for p in range(5, l_max + 1) if nt.is_prime(p)]
+    expected = _primes_in(5, l_max)
     missing = [p for p in expected if p not in per_m]
     if missing:
         raise InvalidInputError(f"missing per-prime verdicts for {missing}")

@@ -184,8 +184,9 @@ def batch_curve_data(p, A, B):
     12Bx - A^2 (the x-coordinates of the four order-3 subgroups) and
     whether E(F_p) has a point of order 3.  A and B are int64 arrays (or
     sequences of ints that fit); raises InvalidInputError if a cell's p is
-    not a prime >= 5 and BadReductionError, naming the prime, if p divides
-    a cell's discriminant.
+    not a prime >= 5 or an array p does not hold one prime per cell, and
+    BadReductionError, naming the prime, if p divides a cell's discriminant.
+    No cells give four empty columns.
 
     Cells of several primes come in prime order, as a stream feeds them
     (any other order gives the same columns, in runs sized less well).  They
@@ -198,6 +199,10 @@ def batch_curve_data(p, A, B):
     if isinstance(p, (int, np.integer)):
         return _run_data(p, A, B)
     p = np.asarray(p, dtype=np.int64)
+    if p.shape != A.shape:
+        raise InvalidInputError(f"{p.size} cell primes for {A.size} curves")
+    if not p.size:  # no cells: the four empty columns an int p gives
+        return _run_data(5, A, B)
     starts = (np.flatnonzero(p[1:] != p[:-1]) + 1).tolist()  # the first cell of each prime after the first
     runs, lo = [], 0
     for start, end in zip(starts, starts[1:] + [p.size]):

@@ -37,3 +37,19 @@ def test_every_galmax_name_the_bench_reads_exists():
                      if not hasattr(importlib.import_module(f"galmax.{module}"), name))
     assert not missing, missing
 
+
+def test_trace_mode_reads_prefix_slices_of_the_signature_rows(monkeypatch):
+    # the certify workload's trace mode binary-searches prefix slices of
+    # collect_signatures through the four level functions; on the first block
+    # of trace ops it needs 86 signatures
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.Certify(1)
+    ops = bench.trace_ops()[: len(workloads.BLOCK)]
+    assert [op.kind for op in ops] == ["anchor", "q", "field", "q", "obstruction", "q", "field", "q"]
+
+    class Sample:
+        def __init__(self, op):
+            self.op = op
+
+    assert bench.trace_extras([Sample(op) for op in ops])["certify.primes_needed"] == 86

@@ -32,8 +32,10 @@ def test_cert_params_validation():
 
 
 def test_frob_signature_hasse():
-    with pytest.raises(InvalidInputError):
-        certify.FrobSignature(norm=5, ap=7, p=5)
+    # a_5 = 7 > 2 sqrt(5): the accumulator's feed refuses the row
+    with pytest.raises(InvalidInputError, match="Hasse") as info:
+        certify.certify_mod_ell([(5, -1, 7, -1, -1, -1)], 7)
+    assert info.traceback[-1].name == "feed"
 
 
 def test_integer_model():
@@ -45,17 +47,17 @@ def test_integer_model():
 
 
 def test_collect_signatures_e11(sigs_e11):
-    by_p = {s.p: s for s in sigs_e11}
-    assert by_p[5].ap == -3  # point count 9 over F_5
-    assert all(s.ap * s.ap <= 4 * s.norm for s in sigs_e11)
+    by_p = {s[0]: s for s in sigs_e11}
+    assert by_p[5][2] == -3  # point count 9 over F_5
+    assert all(ap * ap <= 4 * p and root == -1 for p, root, ap, *_ in sigs_e11)
+    assert [s[0] for s in sigs_e11] == sorted(by_p)  # in prime order
     # bad primes skipped: 2, 31 divide 6 * 496
     assert 2 not in by_p and 3 not in by_p and 31 not in by_p
     # signatures match the engine run on a batch that holds other curves too
-    for s in list(by_p.values())[:20]:
+    for p, _, *signature in list(by_p.values())[:20]:
         # 4a^3 + 27b^2 is the prime 239 for (-1, 3) and 1823 for (5, 7)
-        ap, i, j, flag = (int(col[1]) for col in certify.signature_columns(s.p, [s.p - 1, 1, 5 % s.p], [3, 1, 7 % s.p]))
-        assert (ap, certify.CUBIC_PATTERNS[i], certify.PSI3_PATTERNS[j], bool(flag)) == (
-            s.ap, s.cubic_pattern, s.psi3_pattern, s.has_3pt)
+        cols = certify.signature_columns(p, [p - 1, 1, 5 % p], [3, 1, 7 % p])
+        assert [int(col[1]) for col in cols] == signature
 
 
 def test_certify_mod_ell_empty_is_inconclusive():
@@ -66,9 +68,9 @@ def test_certify_mod_ell_empty_is_inconclusive():
 
 def test_certify_mod_ell_synthetic_witnesses():
     sigs = [
-        certify.FrobSignature(norm=23, ap=3, p=23),  # t^2-4d = 1, a square mod 7
-        certify.FrobSignature(norm=17, ap=1, p=17),  # t^2-4d = 3, a nonsquare mod 7
-        certify.FrobSignature(norm=5, ap=1, p=5),  # u = 3, projective order > 5
+        (23, -1, 3, -1, -1, -1),  # t^2-4d = 1, a square mod 7
+        (17, -1, 1, -1, -1, -1),  # t^2-4d = 3, a nonsquare mod 7
+        (5, -1, 1, -1, -1, -1),  # u = 3, projective order > 5
     ]
     assert certify.certify_mod_ell(sigs, 7).is_certified
     # the first signature alone has u = 1 and a square discriminant: only (i)
@@ -131,6 +133,25 @@ def test_elimination_determinism_under_order(sigs_e11):
             sigs_e11, m
         ).to_json()
     assert certify.certify_mod_ell(shuffled, 5).status == certify.certify_mod_ell(sigs_e11, 5).status
+
+
+LEVEL_FUNCTIONS = (
+    lambda sigs: certify.certify_mod_ell(sigs, 5),
+    lambda sigs: certify.signature_elimination(sigs, 8),
+    lambda sigs: certify.certify_mod_small(sigs, 4),
+    certify.quadratic_entanglement_check,
+)
+
+
+@pytest.mark.parametrize("field, value", [(3, 3), (3, -2), (4, 5), (4, -2), (5, 2), (5, -2)],
+                         ids=["cubic-3", "cubic-minus-2", "psi3-5", "psi3-minus-2", "flag-2", "flag-minus-2"])
+def test_level_functions_refuse_rows_outside_the_pattern_ids(sigs_e11, field, value):
+    # ids index CUBIC_PATTERNS and PSI3_PATTERNS, -1 marking a missing one
+    stray = list(sigs_e11[3])
+    stray[field] = value
+    for level in LEVEL_FUNCTIONS:
+        with pytest.raises(InvalidInputError, match=f"{('cubic', 'psi3', 'flag')[field - 3]} {value} "):
+            level([*sigs_e11[:3], tuple(stray)])
 
 
 def test_monotonicity_adding_signatures(sigs_e11):
@@ -249,9 +270,9 @@ def test_certify_maximal_refuses_a_field_other_than_the_curves():
     params = certify.CertParams(prime_bound=500, l_max=13)
     for call in (
         lambda: certify.certify_maximal(E, L, params),
-        lambda: certify.curve_columns(E, params, L),
+        lambda: certify.collect_signatures(E, params, L),
         lambda: certify.certify_maximal(E11, K, params),
-        lambda: certify.curve_columns(E11, params, K),
+        lambda: certify.collect_signatures(E11, params, K),
     ):
         with pytest.raises(InvalidInputError):
             call()
@@ -319,15 +340,17 @@ def test_obstruction_dominates():
 
 # ---------------------------------------------------------------------------
 # plain-Python reference: the per-signature loops the level accumulator
-# replaced, kept verbatim as the specification of its verdicts
+# replaced, kept as the specification of its verdicts.  A signature is a row
+# (p, root, a_p, cubic id, psi3 id, flag); -1 marks a missing pattern or flag.
 
 
 def _ref_certify_mod_ell(sigs, ell):
     wit_split = wit_nonsplit = wit_order = None
     for s in sigs:
-        if s.norm % ell == 0:
+        p, _, ap, *_ = s
+        if p % ell == 0:
             continue
-        t, d = s.ap % ell, s.norm % ell
+        t, d = ap % ell, p % ell
         disc = (t * t - 4 * d) % ell
         if t != 0 and disc != 0 and wit_split is None and nt.kronecker(disc, ell) == 1:
             wit_split = s
@@ -339,9 +362,9 @@ def _ref_certify_mod_ell(sigs, ell):
                 wit_order = s
         if wit_split and wit_nonsplit and wit_order:
             return certified(
-                {"condition": "split semisimple", "p": wit_split.p, "ap": wit_split.ap},
-                {"condition": "nonsplit semisimple", "p": wit_nonsplit.p, "ap": wit_nonsplit.ap},
-                {"condition": "projective order > 5", "p": wit_order.p, "ap": wit_order.ap},
+                {"condition": "split semisimple", "p": wit_split[0], "ap": wit_split[2]},
+                {"condition": "nonsplit semisimple", "p": wit_nonsplit[0], "ap": wit_nonsplit[2]},
+                {"condition": "projective order > 5", "p": wit_order[0], "ap": wit_order[2]},
                 ell=ell,
             )
     missing = [
@@ -357,30 +380,31 @@ def _ref_certify_mod_ell(sigs, ell):
 
 
 def _ref_signature_tuple(s, m):
-    t, d = s.ap % m, s.norm % m
+    p, _, ap, cubic, psi3, flag = s
+    t, d = ap % m, p % m
     if m in (4, 8):
-        if s.cubic_pattern is None:
+        if cubic < 0:
             return None
-        return (t, d, s.cubic_pattern)
+        return (t, d, certify.CUBIC_PATTERNS[cubic])
     if m == 9:
-        if s.psi3_pattern is None or s.has_3pt is None:
+        if psi3 < 0 or flag < 0:
             return None
-        return (t, d, s.psi3_pattern, s.has_3pt)
+        return (t, d, certify.PSI3_PATTERNS[psi3], bool(flag))
     return (t, d)
 
 
 def _ref_signature_elimination(sigs, m):
     table = subgroup_signature_table(m)
-    observed = {}  # signature -> the first signature record showing it
+    observed = {}  # signature -> the first row showing it
     dets = set()
     for s in sigs:
-        if math.gcd(s.norm, m) != 1:
+        if math.gcd(s[0], m) != 1:
             continue
         sig = _ref_signature_tuple(s, m)
         if sig is None:
             continue
         observed.setdefault(sig, s)
-        dets.add(s.norm % m)
+        dets.add(s[0] % m)
     if not observed:
         return inconclusive(m=m, reason="no usable signatures")
     stray = observed.keys() - table.full_signatures
@@ -395,7 +419,7 @@ def _ref_signature_elimination(sigs, m):
         # the first signature in list order whose class the entry misses
         first = next((s for sig, s in observed.items() if sig not in e.signatures), None)
         if first is not None:
-            witnesses.append({"eliminated": e.label, "by_signature": _ref_signature_tuple(first, m), "p": first.p})
+            witnesses.append({"eliminated": e.label, "by_signature": _ref_signature_tuple(first, m), "p": first[0]})
         else:
             survivors.append(e.label)
     if survivors:
@@ -408,13 +432,14 @@ _REF_EPS_BY_PATTERN = {(1, 1, 1): 1, (2, 1): -1, (3,): 1}
 
 def _ref_quadratic_entanglement_check(sigs):
     alive = {D: None for D in certify.ENTANGLEMENT_DISCRIMINANTS}
-    for s in sigs:
-        if s.cubic_pattern is None or s.norm % 2 == 0 or s.norm % 3 == 0:
+    for p, _, _, cubic, _, _ in sigs:
+        if cubic < 0 or p % 2 == 0 or p % 3 == 0:
             continue
-        eps = _REF_EPS_BY_PATTERN[s.cubic_pattern]
+        pattern = certify.CUBIC_PATTERNS[cubic]
+        eps = _REF_EPS_BY_PATTERN[pattern]
         for D in [D for D, w in alive.items() if w is None]:
-            if nt.kronecker(D, s.norm) != eps:
-                alive[D] = {"coupling_discriminant": D, "p": s.p, "pattern": s.cubic_pattern}
+            if nt.kronecker(D, p) != eps:
+                alive[D] = {"coupling_discriminant": D, "p": p, "pattern": pattern}
         if all(w is not None for w in alive.values()):
             return certified(*alive.values(), statement="no quadratic entanglement of conductor dividing 72")
     survivors = [D for D, w in alive.items() if w is None]
@@ -473,11 +498,11 @@ def test_levels_match_reference_on_cubic_field_curve():
 def test_levels_match_reference_on_short_and_partial_lists(sigs_e11):
     _assert_levels_match_reference([], "empty")
     for s in sigs_e11[:12]:
-        _assert_levels_match_reference([s], s.p)
+        _assert_levels_match_reference([s], s[0])
     # primes 1 mod 4 only: determinant coverage fails at 4 and 8
-    _assert_levels_match_reference([s for s in sigs_e11 if s.p % 4 == 1], "p = 1 mod 4")
+    _assert_levels_match_reference([s for s in sigs_e11 if s[0] % 4 == 1], "p = 1 mod 4")
     # signatures without splitting data only feed the mod-l conditions
-    bare = [certify.FrobSignature(norm=s.norm, ap=s.ap, p=s.p) for s in sigs_e11[:60]]
+    bare = [(p, -1, ap, -1, -1, -1) for p, _, ap, *_ in sigs_e11[:60]]
     _assert_levels_match_reference(bare, "bare")
 
 
@@ -548,7 +573,8 @@ def test_cells_inside_one_table_entry_never_certify_its_level(m):
 
 
 def test_production_paths_build_no_frobsignature(monkeypatch):
-    # certify and box scans run on columns end to end; records are a view only
+    # certify and box scans run on columns end to end; signature rows are a
+    # view only, which every level function reads through certify._columns
     K = nf.MonogenicField([1, 1, 0, 1])
     cubic = ecff.validate(K.elem([0, 1296]), K.elem([0, 0, 11664]))
     runs = [
@@ -556,14 +582,16 @@ def test_production_paths_build_no_frobsignature(monkeypatch):
         lambda: certify.serre_check(ecff.validate(Fraction(-3), Fraction(1)), PARAMS),
         lambda: certify.certify_maximal(cubic, K, certify.CertParams(prime_bound=2000, l_max=13)),
         lambda: sieve.density_scan([5, 10]),
+        lambda: sieve.density_scan([5, 10], "mod-ell", ell=7),
     ]
     expected = [run().to_json() for run in runs]
 
-    class NoRecords:
-        def __init__(self, *args, **kwargs):
-            raise AssertionError("a production path built a FrobSignature")
+    def no_rows(rows):
+        raise AssertionError("a production path took the signature row view")
 
-    monkeypatch.setattr(certify, "FrobSignature", NoRecords)
+    monkeypatch.setattr(certify, "_columns", no_rows)
+    with pytest.raises(AssertionError, match="row view"):
+        certify.certify_mod_ell([], 5)
     assert [run().to_json() for run in runs] == expected
 
 
@@ -639,7 +667,7 @@ def test_primes_scanned_counts_every_prime_of_an_undecided_curve():
     E = ecff.validate(Fraction(-3), Fraction(1))  # square discriminant: m = 4 never certifies
     rep = certify.serre_check(E, PARAMS)
     assert rep.verdict.is_inconclusive
-    assert rep.primes_scanned == certify.curve_columns(E, PARAMS).p.size == rep.to_json()["primes_scanned"]
+    assert rep.primes_scanned == len(certify.collect_signatures(E, PARAMS)) == rep.to_json()["primes_scanned"]
     assert certify.serre_check(ecff.validate(Fraction(0), Fraction(1)), PARAMS).primes_scanned == 0  # obstructed
 
 

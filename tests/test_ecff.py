@@ -232,7 +232,8 @@ def test_rootless_psi3_splits_by_p_mod_3():
 def test_curve_columns_of_a_huge_coefficient_match_brute_force():
     # B = 10^84 + 1 is far outside int64: the prime axis reduces it mod p first
     a, b = 1, 10**84 + 1
-    cols = certify.curve_columns(ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200))
+    rows = certify.collect_signatures(ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200))
+    cols = certify.SignatureColumns.of_rows(rows)
     good = [p for p in nt.primes_up_to(200) if p >= 5 and ecff.discriminant(a, b) % p]
     assert cols.p.tolist() == good and (cols.root == -1).all()
     for p, ap, cubic, psi3, flag in zip(*(col.tolist() for col in (cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag))):
@@ -312,6 +313,19 @@ def test_mixed_prime_cells_check_every_prime():
             ecff.batch_curve_data(np.array(p), A, B)
         with pytest.raises(InvalidInputError):
             certify.signature_columns(np.array(p), A, B)
+
+
+def test_no_cells_give_empty_columns():
+    # an empty per-cell prime array gives the four empty columns of one int prime
+    empty = np.array([], dtype=np.int64)
+    for kernel in (ecff.batch_curve_data, certify.signature_columns):
+        got, want = kernel(empty, empty, empty), kernel(7, empty, empty)
+        assert len(got) == 4 and all(col.shape == (0,) for col in got)
+        assert [col.dtype for col in got] == [col.dtype for col in want]
+    with pytest.raises(InvalidInputError):  # one prime per cell, not fewer
+        ecff.batch_curve_data(empty, [1], [1])
+    with pytest.raises(InvalidInputError):
+        ecff.batch_curve_data(np.array([7, 11]), [1, 1, 1], [1, 1, 1])
 
 
 def test_mixed_prime_cells_name_the_singular_cell():

@@ -126,11 +126,17 @@ SIGNATURE_CASES = {
 
 
 def signature_digest(name: str) -> str:
-    """sha256 over the to_json form of a case's signatures (a list of
-    signatures, or one list per curve for a box)."""
+    """sha256 over the JSON records of a case's signature rows (a list of
+    rows, or one list per curve for a box): p, the root of the field
+    polynomial (null over Q), a_p, the cubic and psi3 patterns and the
+    3-torsion flag."""
 
     def plain(x):
-        return [plain(y) for y in x] if isinstance(x, list) else x.to_json()
+        if isinstance(x, list):
+            return [plain(y) for y in x]
+        p, root, ap, cubic, psi3, flag = x
+        return {"p": p, "root": None if root < 0 else root, "ap": ap, "cubic": certify.CUBIC_PATTERNS[cubic],
+                "psi3": certify.PSI3_PATTERNS[psi3], "has_3pt": bool(flag)}
 
     return hashlib.sha256(json.dumps(plain(SIGNATURE_CASES[name]())).encode()).hexdigest()
 

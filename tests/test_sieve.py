@@ -72,8 +72,8 @@ def test_batch_signatures_match_collect():
         for k, *cell in zip(good.tolist(), *(col.tolist() for col in certify.signature_columns(p, a, b))):
             batched[k].append((p, *cell))
     for (a, b), cells in zip(pairs, batched):
-        cols = certify.curve_columns(ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200, l_max=5))
-        assert cells == list(zip(*(col.tolist() for col in (cols.p, cols.ap, cols.cubic, cols.psi3, cols.flag))))
+        rows = certify.collect_signatures(ecff.validate(Fraction(a), Fraction(b)), certify.CertParams(prime_bound=200, l_max=5))
+        assert cells == [(p, *signature) for p, _, *signature in rows]
 
 
 def test_density_scan_disc_square():
