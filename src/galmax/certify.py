@@ -53,8 +53,8 @@ from .verdict import Verdict, certified, inconclusive, obstruction
 # the quadratic subfields of Q(mu_72), by fundamental discriminant
 ENTANGLEMENT_DISCRIMINANTS = (-3, -4, 8, -8, 12, 24, -24)
 
-# nt.primes_up_to allocates one byte per integer up to the bound (the int64
-# products of the per-cell kernel stay below 21 p^2, exact far beyond it)
+# nt.primes_up_to allocates one byte per integer up to the bound, and the
+# per-cell kernel takes primes below ecff.KERNEL_P_CAP = 2^21
 PRIME_BOUND_CAP = 10**6
 # every prime up to l_max is a mod-l level, and each level's witness test
 # reads a quadratic character table of length l
@@ -110,7 +110,13 @@ class SignatureColumns(NamedTuple):
 
     @classmethod
     def of_rows(cls, rows) -> "SignatureColumns":
-        return cls(*np.array(rows, dtype=np.int64).reshape(-1, len(cls._fields)).T)
+        """Columns of signature rows (p, root, a_p, cubic, psi3, flag);
+        raises InvalidInputError for a row of any other width."""
+        rows, width = list(rows), len(cls._fields)
+        short = next((row for row in rows if len(row) != width), None)
+        if short is not None:
+            raise InvalidInputError(f"signature row {tuple(short)} has {len(short)} fields, not the {width} fields {cls._fields}")
+        return cls(*np.array(rows, dtype=np.int64).reshape(-1, width).T)
 
 
 # prime_axis keeps Q coefficients in int64 up to this size: |A|, |B| <= 2^18
@@ -387,7 +393,7 @@ class LevelAccumulator:
             classes = lv.class_of_key[keys[use]]
             if (classes < 0).any():
                 stray = sorted(set(norm[use][classes < 0].tolist()))
-                raise AssertionError(f"signatures at {stray} not realizable in GL2(Z/{m}): internal bug")
+                raise InvalidInputError(f"the signatures at p = {stray} are those of no matrix in GL2(Z/{m})")
             self._first(self._level_rows[m], lv.hits[:, classes], curves[use], order[use])
         if len(self.refuted):
             use = (cubic >= 0) & (norm % 2 != 0) & (norm % 3 != 0)

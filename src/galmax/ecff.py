@@ -26,6 +26,7 @@ from .errors import BadReductionError, InvalidInputError, ResourceCapError, Sing
 
 FAMILY_SCAN_P_CAP = 2000
 BATCH_CELLS = 1 << 16  # (x, cell) entries per run and per block of the batch_curve_data sweep
+KERNEL_P_CAP = 1 << 21  # the a_p sweep's cubic x^3 + Ax + B is exact in int64 below it
 
 
 def discriminant(a, b):
@@ -65,13 +66,14 @@ def _check_p(p: int):
 
 def _cell_primes(p):
     """p as _run_data takes it: one prime (returned as a Python int), or an
-    int64 array with one prime per cell; every distinct prime is checked."""
-    if isinstance(p, (int, np.integer)):
-        _check_p(int(p))
-        return int(p)
-    p = np.asarray(p, dtype=np.int64)
-    for q in np.unique(p).tolist():
+    int64 array with one prime per cell; every distinct prime is checked,
+    and one of KERNEL_P_CAP or more is refused with ResourceCapError."""
+    one = isinstance(p, (int, np.integer))
+    p = int(p) if one else np.asarray(p, dtype=np.int64)
+    for q in [p] if one else np.unique(p).tolist():
         _check_p(q)
+        if q >= KERNEL_P_CAP:
+            raise ResourceCapError(f"the Frobenius kernel takes primes below 2^21, got {q}")
     return p
 
 
@@ -221,8 +223,11 @@ def _run_data(p, A, B):
 
     Only a_p = -sum_x chi(x^3 + Ax + B) is swept over x, in blocks of about
     BATCH_CELLS (x, cell) entries; the cells of several primes sweep x below
-    the largest and mask x >= p per cell.  The rest is read off X^2 - a_p X
-    + p, the characteristic polynomial of Frobenius, mod 2 and mod 3:
+    the largest and mask x >= p per cell.  The cubic is reduced mod p once:
+    with x, A, B < p < 2^21 (KERNEL_P_CAP), x^3 + Ax + B < 2^63 is exact in
+    int64, and x^3 is built on the column of x values, not per cell.  The
+    rest is read off X^2 - a_p X + p, the characteristic polynomial of
+    Frobenius, mod 2 and mod 3:
     - the cubic has no root if #E(F_p) = p + 1 - a_p is odd, else 3 roots if
       Delta is a square mod p and 1 root if not; the flag is 3 | p + 1 - a_p;
     - psi3 has a root for each Frobenius-stable line of E[3].  At p = 2 mod 3
@@ -240,7 +245,7 @@ def _run_data(p, A, B):
         bad = p if isinstance(p, int) else p[np.argmin(disc != 0)]
         raise BadReductionError(f"singular reduction at p={bad}")
     chi = _character(p)
-    ap = -_x_sum(p, A.size, lambda x: chi((x * x % p * x % p + A * x + B) % p))
+    ap = -_x_sum(p, A.size, lambda x: chi((x * x * x + A * x + B) % p))
     cubic_roots = np.where(ap % 2, 0, np.where(chi(-disc % p) == 1, 3, 1))
     t = ap % 3
     psi3_roots = np.where(p % 3 == 2, np.where(t == 0, 2, 0), np.where(t == 0, 0, 1))

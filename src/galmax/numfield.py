@@ -10,17 +10,21 @@ over the same p disagreeing, or every candidate character refuted) certifies
 that the root is NOT cyclotomic.  One residue-incoherence loop serves both
 r = 2 and r = 3; the square- and cube-root certificates only build its
 candidate characters.  The certificates never assert the positive direction.
+
+What belongs to the field alone is found once per field: the roots of f mod
+p, in chunks of primes that a small memo keyed on the field keeps for the
+stream and both residue certificates to read, and the memoized
+``mu_n_membership`` and ``cyclotomic_intersection_certificate``.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from . import nt
 from .errors import BadReductionError, InvalidInputError
@@ -229,26 +233,57 @@ class DegreeOnePrime(NamedTuple):
     c: int
 
 
+_FIRST_ROOT_BOUND = 64
+
+
 def degree_one_primes(K: MonogenicField, bound: int) -> Iterator[DegreeOnePrime]:
     """The degree-one primes (p, c) with p <= bound, p coprime to disc(f),
-    in increasing order of p, found lazily: a caller that stops early pays
-    only for the primes it read."""
+    in increasing order of p and then of c.  They are read lazily from the
+    field's memo (_found_roots), which finds the roots of f mod p in chunks
+    of primes, each to twice the bound of the one before (the first to
+    _FIRST_ROOT_BOUND), and never beyond the bound asked for: a caller that
+    stops early pays for primes up to about twice the last one it read, and
+    the walks that read one field's primes again (the stream and the
+    residue certificates) share the roots found."""
     if bound < 2:
         raise InvalidInputError("bound must be >= 2")
     return _degree_one_primes(K, bound)
 
 
 def _degree_one_primes(K: MonogenicField, bound: int) -> Iterator[DegreeOnePrime]:
-    disc = abs(K.disc_f)
-    for p in nt.primes_up_to(bound):
-        if disc % p == 0:
-            continue
-        c = np.arange(p, dtype=np.int64)
-        vals = np.zeros(p, dtype=np.int64)
-        for coeff in reversed(K.coeffs):
-            vals = (vals * c + coeff % p) % p
-        for root in np.nonzero(vals == 0)[0].tolist():
-            yield DegreeOnePrime(p, int(root))
+    found = _found_roots(K)
+    for i in itertools.count():
+        if i == len(found.chunks):
+            if found.bound >= bound:
+                return
+            found.extend(min(max(2 * found.bound, _FIRST_ROOT_BOUND), bound), nt.primes_up_to(bound))
+        p, c = found.chunks[i]
+        for q, r in zip(p.tolist(), c.tolist()):
+            if q > bound:
+                return
+            yield DegreeOnePrime(q, r)
+
+
+class _Roots:
+    """The degree-one primes of one field found so far: every one with
+    p <= bound, as chunks of int64 arrays (p, c) in walk order."""
+
+    def __init__(self, K: MonogenicField):
+        self.K, self.bound, self.chunks = K, 1, []
+
+    def extend(self, bound: int, primes: tuple[int, ...]) -> None:
+        """Find the roots at the primes p in (self.bound, bound], read off
+        primes, which holds them all."""
+        lo, hi = bisect.bisect_right(primes, self.bound), bisect.bisect_right(primes, bound)
+        self.chunks.append(nt.roots_mod_primes(self.K.coeffs, [q for q in primes[lo:hi] if self.K.disc_f % q]))
+        self.bound = bound
+
+
+@lru_cache(maxsize=8)
+def _found_roots(K: MonogenicField) -> _Roots:
+    """The memo of K's degree-one primes, for the few fields used last: at
+    the largest prime bound (10^6) it holds some 78 000 roots, 1.25 MB."""
+    return _Roots(K)
 
 
 def reduce_elem(x: FieldElem, P: DegreeOnePrime) -> int:
@@ -419,8 +454,10 @@ def _cube_roots_of_unity(q: int, phi: int) -> list[int]:
 # roots of unity and cyclotomic intersection
 
 
+@lru_cache(maxsize=64)
 def mu_n_membership(K: MonogenicField, n: int, prime_budget: int = 300) -> Verdict:
-    """Is mu_n contained in k?  certified absence or consistent presence.
+    """Is mu_n contained in k?  certified absence or consistent presence;
+    memoized, as a property of the field.
 
     phi(n) must divide the degree for containment; otherwise any degree-one
     prime p with p != 1 mod n (and p coprime to n disc f) is a witness of
@@ -448,8 +485,10 @@ def mu_n_membership(K: MonogenicField, n: int, prime_budget: int = 300) -> Verdi
     )
 
 
+@lru_cache(maxsize=64)
 def cyclotomic_intersection_certificate(K: MonogenicField, prime_budget: int = 200) -> Verdict:
-    """Certify k intersect Q^cyc = Q for odd prime degree fields.
+    """Certify k intersect Q^cyc = Q for odd prime degree fields; memoized,
+    as a property of the field.
 
     A prime-degree field has no intermediate subfields, so a nontrivial
     cyclotomic intersection forces k itself to be abelian, hence cyclic of

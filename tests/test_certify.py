@@ -154,6 +154,28 @@ def test_level_functions_refuse_rows_outside_the_pattern_ids(sigs_e11, field, va
             level([*sigs_e11[:3], tuple(stray)])
 
 
+def test_level_functions_refuse_rows_of_the_wrong_width(sigs_e11):
+    # twelve 5-field rows used to be re-cut into ten 6-field rows, so that a
+    # shifted a_p landed in the cubic column
+    short = [row[:5] for row in sigs_e11[:12]]
+    for level in LEVEL_FUNCTIONS:
+        with pytest.raises(InvalidInputError, match=r"has 5 fields, not the 6 fields"):
+            level(short)
+    with pytest.raises(InvalidInputError, match=r"has 7 fields"):
+        certify.SignatureColumns.of_rows([(*sigs_e11[0], 0)])
+    assert certify.SignatureColumns.of_rows([]).p.shape == (0,)
+
+
+def test_level_functions_refuse_rows_no_matrix_realizes():
+    # odd a_5 with three rational 2-torsion points: every id is in range, but
+    # no matrix of GL2(Z/4) has this signature
+    with pytest.raises(InvalidInputError, match=r"p = \[5\] are those of no matrix in GL2\(Z/4\)") as info:
+        certify.certify_mod_small([(5, -1, 1, 0, 0, 0)], 4)
+    assert info.traceback[-1].name == "feed"
+    with pytest.raises(InvalidInputError, match=r"GL2\(Z/8\)"):
+        certify.signature_elimination([(5, -1, 1, 0, 0, 0)], 8)
+
+
 def test_monotonicity_adding_signatures(sigs_e11):
     half = sigs_e11[: len(sigs_e11) // 2]
     for m in (4, 9):
@@ -510,7 +532,7 @@ def test_accumulator_keeps_the_signature_checks():
     acc = certify.LevelAccumulator(2, ells=(5,), ms=(4,), entanglement=True)
     with pytest.raises(InvalidInputError):  # the Hasse bound: a_7 = 6 > 2 sqrt(7)
         acc.feed([0], [7], [6], [0], [0], [0])
-    with pytest.raises(AssertionError):  # odd trace with trivial mod-2 image
+    with pytest.raises(InvalidInputError, match="no matrix"):  # odd trace with trivial mod-2 image
         acc.feed([1], [5], [1], [certify.CUBIC_PATTERNS.index((1, 1, 1))], [0], [0])
     with pytest.raises(InvalidInputError):
         certify.LevelAccumulator(1, ells=(9,))

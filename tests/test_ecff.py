@@ -338,6 +338,32 @@ def test_mixed_prime_cells_name_the_singular_cell():
             kernel(p, A, B)
 
 
+def test_trace_at_the_largest_kernel_prime_matches_the_reduced_cubic():
+    # below 2^21 the sweep reduces x^3 + Ax + B once; the reference reduces
+    # after each product, as the kernel did before, and sums the character
+    p = 2097143  # the largest prime below 2^21
+    assert nt.is_prime(p) and p < ecff.KERNEL_P_CAP == 1 << 21
+    A = np.array([1, p - 1, p - 3, 2], dtype=np.int64)
+    B = np.array([1, p - 1, 5, p - 2], dtype=np.int64)
+    chi = ecff.quadratic_character_table(p)
+    x = np.arange(p, dtype=np.int64)
+    reference = [-int(chi[(x * x % p * x % p + a * x + b) % p].astype(np.int64).sum()) for a, b in zip(A, B)]
+    assert ecff.batch_curve_data(p, A, B)[0].tolist() == reference
+    # with one prime per cell, x runs below the largest prime for every cell
+    cells = np.array([1009, p], dtype=np.int64)
+    assert ecff.batch_curve_data(cells, A[2:], B[2:])[0].tolist() == [
+        ecff.batch_curve_data(1009, A[2:3], B[2:3])[0][0], reference[3]
+    ]
+
+
+def test_kernel_refuses_primes_above_2_to_the_21():
+    q = 2097169  # the first prime above 2^21
+    assert nt.is_prime(q)
+    for p in (q, np.array([5, q], dtype=np.int64)):
+        with pytest.raises(ResourceCapError, match="below 2\\^21, got 2097169"):
+            ecff.batch_curve_data(p, [1, 1][: np.size(p)], [1, 1][: np.size(p)])
+
+
 def test_quartic_split_arrays_match_scalar_path():
     # the scalar (Python int) path is the reference for the int64 array path
     rng = random.Random(7)
@@ -345,11 +371,12 @@ def test_quartic_split_arrays_match_scalar_path():
         a = [rng.randrange(p) for _ in range(30)]
         b = [rng.randrange(p) for _ in range(30)]
         mod_polys = [[x, y, (x * y) % p, (x + y) % p, 1] for x, y in zip(a, b)]
-        columns = [np.array(col, dtype=np.int64) for col in zip(*mod_polys)]
+        columns = np.array(mod_polys, dtype=np.int64).T
         e = rng.randrange(p * p, p**3)
-        by_array = nt.x_pow_mod(e, columns, p)
+        x = np.array([0, 1])
+        by_array = nt.poly_pow_mod(np.repeat(x[:, None], 30, axis=1), e, columns, p)
         for k, mod_poly in enumerate(mod_polys):
-            assert [int(c[k]) for c in by_array] == nt.x_pow_mod(e, mod_poly, p)
+            assert by_array[:, k].tolist() == nt.poly_pow_mod(x, e, np.array(mod_poly), p).tolist()
 
 
 def singular_pair_count(p):

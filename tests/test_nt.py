@@ -153,3 +153,54 @@ def test_integer_roots_monic_match_sympy():
         assert nt.integer_roots_monic([a0, 0, 1]) == []
         assert nt.integer_roots_monic([a0, 1, 0, 0, 1]) == []
     assert nt.integer_roots_monic([-(primorial**2), 0, 1]) == [-primorial, primorial]
+
+
+def horner_roots(f, p):
+    """The roots of f mod p, by evaluating f at every c in F_p: the
+    reference for nt.roots_mod_primes."""
+    c = np.arange(p, dtype=np.int64)
+    value = np.zeros(p, dtype=np.int64)
+    for coeff in reversed(f):
+        value = (value * c + coeff % p) % p
+    return np.flatnonzero(value == 0).tolist()
+
+
+def test_roots_mod_primes_match_horner():
+    # random monic f of degree 2-5 at random primes, on both sides of
+    # ROOT_SPLIT_FROM: p = 2 and 3, small primes and primes near 10^6; some f
+    # split into linear factors mod every p, some have a repeated root
+    rng = random.Random(26)
+    small = nt.primes_up_to(3000)
+    near_top = [p for p in nt.primes_up_to(10**6) if p > 10**6 - 2000]
+    assert nt.ROOT_SPLIT_FROM < 3000
+    for trial in range(30):
+        d = rng.randint(2, 5)
+        if trial % 3 == 0:  # a product of linear factors, roots possibly repeated
+            f = [1]
+            for r in (rng.randint(-40, 40) for _ in range(d)):
+                f = [a - r * b for a, b in zip([0] + f, f + [0])]
+        else:
+            f = [rng.randint(-10**6, 10**6) for _ in range(d)] + [1]
+        if trial == 1:
+            f[0] = 10**30 + 7  # a coefficient beyond int64
+        primes = sorted({2, 3, *rng.sample(small, 25), *rng.sample(near_top, 2)})
+        p, c = nt.roots_mod_primes(f, primes)
+        assert list(zip(p.tolist(), c.tolist())) == [(q, r) for q in primes for r in horner_roots(f, q)], f
+
+
+def test_roots_mod_primes_of_no_primes_and_of_rootless_f():
+    assert [a.tolist() for a in nt.roots_mod_primes([1, 0, 1], [])] == [[], []]
+    # x^2 + 1 has no root at p = 3 mod 4
+    primes = [p for p in nt.primes_up_to(5000) if p % 4 == 3]
+    assert [a.size for a in nt.roots_mod_primes([1, 0, 1], primes)] == [0, 0]
+
+
+def test_per_entry_exponents_match_int_exponents():
+    # one exponent per entry: a masked multiply per bit
+    rng = random.Random(3)
+    primes = np.array(rng.sample(nt.primes_up_to(10**6)[1:], 40), dtype=np.int64)
+    mod_poly = np.array([primes // 3, primes // 5, np.ones_like(primes)])
+    e = np.array([rng.randrange(10**7) for _ in primes], dtype=np.int64)
+    entries = nt.poly_pow_mod(np.array([[7] * 40, [1] * 40]), e, mod_poly, primes)
+    for k, p in enumerate(primes.tolist()):
+        assert entries[:, k].tolist() == nt.poly_pow_mod(np.array([7, 1]), int(e[k]), mod_poly[:, k], p).tolist()

@@ -143,6 +143,39 @@ def test_degree_one_prime_density_chebotarev_band():
     assert abs(len(primes) - n_primes) / n_primes < 0.10
 
 
+def test_degree_one_primes_match_horner_across_chunks():
+    # the memo's chunks run past ROOT_SPLIT_FROM; a walk to 500 and then one
+    # to 3000 read the same roots as a Horner pass at every prime
+    K = nf.MonogenicField([3, -1, 0, 2, 1])  # x^4 + 2x^3 - x + 3
+    nf._found_roots.cache_clear()
+    reference = [
+        nf.DegreeOnePrime(p, c)
+        for p in nt.primes_up_to(3000)
+        if K.disc_f % p
+        for c in range(p)
+        if (c**4 + 2 * c**3 - c + 3) % p == 0
+    ]
+    assert list(nf.degree_one_primes(K, 500)) == [P for P in reference if P.p <= 500]
+    assert list(nf.degree_one_primes(K, 3000)) == reference
+    assert list(nf.degree_one_primes(K, 1000)) == [P for P in reference if P.p <= 1000]
+
+
+def test_degree_one_prime_walk_stops_where_its_reader_stops(monkeypatch):
+    # a walk read to p ~ 100 finds roots for no prime beyond about twice the
+    # last one it read, and a second walk of the field reads the memo
+    asked = []
+    roots_mod_primes = nt.roots_mod_primes
+    monkeypatch.setattr(nt, "roots_mod_primes", lambda f, primes: asked.extend(primes) or roots_mod_primes(f, primes))
+    nf._found_roots.cache_clear()
+    for P in nf.degree_one_primes(CUBIC, 10**6):
+        if P.p > 100:
+            break
+    assert 0 < max(asked) <= 2 * P.p
+    before = len(asked)
+    assert [Q for Q in nf.degree_one_primes(CUBIC, P.p)][-1] == P
+    assert len(asked) == before
+
+
 def test_reduce_elem_examples():
     P = nf.DegreeOnePrime(3, 1)
     a = CUBIC.alpha()
