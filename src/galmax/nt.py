@@ -242,53 +242,23 @@ def poly_pow_mod(base: np.ndarray, e, mod_poly: np.ndarray, p) -> np.ndarray:
     return result
 
 
-def poly_gcd_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
-    """Monic gcd of two polynomials over F_p (little-endian)."""
-
-    def trim(h):
-        while h and h[-1] % p == 0:
-            h = h[:-1]
-        return [c % p for c in h]
-
-    f, g = trim(f), trim(g)
-    while g:
-        inv = pow(g[-1], -1, p)
-        g = [c * inv % p for c in g]
-        while len(f) >= len(g):
-            if not f:
-                break
-            c = f[-1]
-            shift = len(f) - len(g)
-            f = [(fi - c * g[i - shift]) % p if i >= shift else fi for i, fi in enumerate(f)]
-            f = trim(f)
-        f, g = g, f
-    if not f:
-        return []
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
-
-
 def factor_degrees_mod_p(coeffs: list[int], p: int) -> list[int]:
     """Degrees of the irreducible factors of a squarefree monic poly mod p.
 
     Distinct-degree factorization: gcd with x^(p^i) - x peels off the product
-    of all degree-i factors.
+    of all degree-i factors, and x^(p^i) is the p-th power of x^(p^(i-1)),
+    reduced modulo what is left of f.
     """
     f = [c % p for c in coeffs]
-    degrees = []
-    i = 1
-    while len(f) - 1 >= 1:
-        d = len(f) - 1
-        if i > d:
-            break
-        xpi_minus_x = poly_pow_mod(np.array([0, 1]), p**i, np.array(f), p).tolist()
-        if len(xpi_minus_x) < 2:
-            xpi_minus_x = xpi_minus_x + [0] * (2 - len(xpi_minus_x))
-        xpi_minus_x[1] = (xpi_minus_x[1] - 1) % p
-        g = poly_gcd_mod_p(f, xpi_minus_x, p)
-        if len(g) - 1 >= 1:
-            degrees.extend([i] * ((len(g) - 1) // i))
-            f = poly_divexact_mod_p(f, g, p)
+    degrees, xpi, i = [], np.array([0, 1]), 1
+    while i <= len(f) - 1:
+        xpi = poly_pow_mod(xpi, p, np.array(f), p)
+        xpi_minus_x = np.append(xpi, 0)
+        xpi_minus_x[1] -= 1
+        g, k = _gcd_rows(np.array(f)[:, None], xpi_minus_x[:, None] % p, p)
+        if k[0] >= 1:
+            degrees.extend([i] * (int(k[0]) // i))
+            f = poly_divexact_mod_p(f, g[: k[0] + 1, 0].tolist(), p)
         i += 1
     if len(f) - 1 >= 1:
         degrees.append(len(f) - 1)
