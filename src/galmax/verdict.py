@@ -3,7 +3,9 @@
 Witnesses and diagnostics hold JSON values only: str, int, float, bool,
 None, lists, tuples and dicts with str keys.  Producers build them that way
 (``int(...)``, ``str(...)``, ``.tolist()``), and nothing converts them later:
-``Verdict.to_json`` puts the same objects into the report.
+``Verdict.to_json`` puts the same objects into the report.  They are values:
+equal witnesses may be one shared object (``certify`` shares its level
+witnesses), so no caller mutates a witness or a report in place.
 """
 from __future__ import annotations
 

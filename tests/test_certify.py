@@ -176,6 +176,20 @@ def test_level_functions_refuse_rows_no_matrix_realizes():
         certify.signature_elimination([(5, -1, 1, 0, 0, 0)], 8)
 
 
+def test_equal_level_witnesses_are_one_object():
+    # level witnesses repeat across curves, so a kept report shares them
+    reports = [certify.serre_check(ecff.validate(Fraction(a), Fraction(b)), PARAMS).to_json()
+               for a, b in ((1, 1), (-1, 3), (2, -5), (5, 7))]
+    by_value = {}
+    for report in reports:
+        for level in report["levels"].values():
+            for witness in level["witnesses"]:
+                by_value.setdefault(repr(witness), []).append(witness)
+    shared = [group for group in by_value.values() if len(group) > 1]
+    assert shared
+    assert all(w is group[0] for group in shared for w in group)
+
+
 def test_monotonicity_adding_signatures(sigs_e11):
     half = sigs_e11[: len(sigs_e11) // 2]
     for m in (4, 9):
