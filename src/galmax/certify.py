@@ -477,8 +477,10 @@ def _witness(*fields) -> dict:
     small prime and a few residues, so they repeat across curves: 500
     random curves over Q (|a|, |b| <= 10^4, prime bound 10^4) gave 45 000
     of them but only 1 848 distinct ones.  Shared, a kept Q report holds
-    about half the memory (14 KB, not 26 KB).  Like every witness, it is a
-    value that no caller mutates."""
+    about half the memory (14 KB, not 26 KB), which matters to a caller
+    that keeps many reports, as bench/run.py keeps every op's.  Like every
+    witness, it is a value that no caller mutates: editing one in place
+    would change every report that holds it, and every later one."""
     return dict(fields)
 
 

@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ResourceCapError
+
 
 @lru_cache(maxsize=16)
 def primes_up_to(bound: int) -> tuple[int, ...]:
@@ -247,8 +249,12 @@ def factor_degrees_mod_p(coeffs: list[int], p: int) -> list[int]:
 
     Distinct-degree factorization: gcd with x^(p^i) - x peels off the product
     of all degree-i factors, and x^(p^i) is the p-th power of x^(p^(i-1)),
-    reduced modulo what is left of f.
+    reduced modulo what is left of f.  The int64 arithmetic of poly_mulmod
+    is exact while deg(f) p^2 < 2^63; a larger p is refused with
+    ResourceCapError.
     """
+    if (len(coeffs) - 1) * p * p >= 1 << 63:
+        raise ResourceCapError(f"factor_degrees_mod_p takes deg(f) p^2 < 2^63, got p={p} at degree {len(coeffs) - 1}")
     f = [c % p for c in coeffs]
     degrees, xpi, i = [], np.array([0, 1]), 1
     while i <= len(f) - 1:
@@ -288,9 +294,14 @@ def poly_divexact_mod_p(f: list[int], g: list[int], p: int) -> list[int]:
 # [2048, 4096) 48-55 ms to evaluate and 7.0-25.5 ms to split.  Quadratic
 # fields, the most walked to the end, gain most from splitting early.
 ROOT_SPLIT_FROM = 1024
-# _split_roots tries several deltas at once on each factor while fewer than
-# this many factors are left
-_SPLIT_COLUMNS = 512
+# _split_roots tries a window of _SPLIT_COLUMNS // m consecutive deltas at once
+# on each of the m factors left, while m < _SPLIT_COLUMNS, so that the last few
+# factors of a chunk take fewer rounds.  Walking the 74 fields of the
+# benchmark's certify pool to 10^4 (numfield.degree_one_primes, 2-vCPU host,
+# medians of 7 interleaved runs in one process) took 3.67 s with one delta per
+# round, and 2.82, 2.44, 3.08 and 7.51 s at 32, 128, 512 and 2048; a second
+# set read 2.76, 2.46 and 2.61 s at 64, 128 and 256.
+_SPLIT_COLUMNS = 128
 
 
 def roots_mod_primes(f: list[int], primes) -> tuple[np.ndarray, np.ndarray]:

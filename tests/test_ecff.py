@@ -364,19 +364,53 @@ def test_kernel_refuses_primes_above_2_to_the_21():
             ecff.batch_curve_data(p, [1, 1][: np.size(p)], [1, 1][: np.size(p)])
 
 
+def scalar_x_pow_mod(e, mod_poly, p):
+    """x^e modulo (mod_poly, p) on lists of Python ints, little-endian,
+    mod_poly monic, by square-and-multiply: the exact reference for the int64
+    rows of nt.poly_pow_mod."""
+    d = len(mod_poly) - 1
+
+    def mulmod(f, g):
+        prod = [0] * (2 * d - 1)
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                prod[i + j] += a * b
+        for i in range(len(prod) - 1, d - 1, -1):
+            for j in range(d):
+                prod[i - d + j] -= prod[i] * mod_poly[j]
+        return [c % p for c in prod[:d]]
+
+    result, base = [1] + [0] * (d - 1), [0, 1] + [0] * (d - 2)
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base, e = mulmod(base, base), e >> 1
+    return result
+
+
 def test_quartic_split_arrays_match_scalar_path():
-    # the scalar (Python int) path is the reference for the int64 array path
+    # the scalar (Python int) path is the reference for the int64 array path,
+    # with one exponent for all columns, one per column, and one prime per column
     rng = random.Random(7)
-    for p in (5, 7, 101, 499):
+    x = np.repeat(np.array([0, 1])[:, None], 30, axis=1)
+    for p in (5, 7, 101, 499, 999983):
         a = [rng.randrange(p) for _ in range(30)]
         b = [rng.randrange(p) for _ in range(30)]
         mod_polys = [[x, y, (x * y) % p, (x + y) % p, 1] for x, y in zip(a, b)]
         columns = np.array(mod_polys, dtype=np.int64).T
         e = rng.randrange(p * p, p**3)
-        x = np.array([0, 1])
-        by_array = nt.poly_pow_mod(np.repeat(x[:, None], 30, axis=1), e, columns, p)
+        by_array = nt.poly_pow_mod(x, e, columns, p)
+        es = [rng.randrange(p**3) for _ in mod_polys]
+        by_entry = nt.poly_pow_mod(x, np.array(es, dtype=np.int64), columns, p)
         for k, mod_poly in enumerate(mod_polys):
-            assert by_array[:, k].tolist() == nt.poly_pow_mod(x, e, np.array(mod_poly), p).tolist()
+            assert by_array[:, k].tolist() == scalar_x_pow_mod(e, mod_poly, p)
+            assert by_entry[:, k].tolist() == scalar_x_pow_mod(es[k], mod_poly, p)
+    primes = rng.sample(nt.primes_up_to(10**6), 30)
+    mod_polys = [[rng.randrange(p) for _ in range(4)] + [1] for p in primes]
+    es = [rng.randrange(p**2) for p in primes]
+    by_prime = nt.poly_pow_mod(x, np.array(es), np.array(mod_polys).T, np.array(primes))
+    for k, (mod_poly, p) in enumerate(zip(mod_polys, primes)):
+        assert by_prime[:, k].tolist() == scalar_x_pow_mod(es[k], mod_poly, p)
 
 
 def singular_pair_count(p):

@@ -7,6 +7,7 @@ import pytest
 import sympy
 
 from galmax import nt
+from galmax.errors import ResourceCapError
 
 
 def test_is_prime_matches_sympy():
@@ -204,3 +205,17 @@ def test_per_entry_exponents_match_int_exponents():
     entries = nt.poly_pow_mod(np.array([[7] * 40, [1] * 40]), e, mod_poly, primes)
     for k, p in enumerate(primes.tolist()):
         assert entries[:, k].tolist() == nt.poly_pow_mod(np.array([7, 1]), int(e[k]), mod_poly[:, k], p).tolist()
+
+
+def test_factor_degrees_at_the_int64_bound():
+    # exact while deg(f) p^2 < 2^63: the largest such prime for a cubic still
+    # factors (x - 1)(x - 2)(x - 3) and x (x^2 - n), n a non-residue; the
+    # next prime is refused
+    top = math.isqrt(((1 << 63) - 1) // 3)
+    p = next(q for q in range(top, 0, -1) if nt.is_prime(q))
+    above = next(q for q in range(top + 1, 2 * top) if nt.is_prime(q))
+    n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
+    assert nt.factor_degrees_mod_p([-6, 11, -6, 1], p) == [1, 1, 1]
+    assert nt.factor_degrees_mod_p([0, -n, 0, 1], p) == [2, 1]
+    with pytest.raises(ResourceCapError, match=f"got p={above} at degree 3"):
+        nt.factor_degrees_mod_p([-6, 11, -6, 1], above)
